@@ -21,12 +21,8 @@ from .channel import (
 from .constellation import Constellation, qpsk
 from .decoupling import (
     BlockSystem,
-    PermSpec,
-    apply_perm,
     compute_blocks,
-    cyclic_shift,
     data_permutation,
-    interleave,
     inverse_data_permutation,
     receive_transform,
     verify_decomposition,
@@ -59,7 +55,6 @@ from .waveform import (
     dirichlet_filter,
     fast_modulate,
     ici_free_support,
-    make_filter,
     modulate,
     rc_filter,
 )

@@ -129,10 +129,8 @@ def build_circulant(taps: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"{len(taps)} taps do not fit a {d}-point block")
     col = np.zeros(d, dtype=complex)
     col[: len(taps)] = taps
-    out = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        out[:, j] = np.roll(col, j)
-    return out
+    n = np.arange(d)
+    return col[(n[:, None] - n[None, :]) % d]
 
 
 def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:

@@ -18,61 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, assemble_full_matrix
-from .waveform import GfdmConfig, PrototypeFilter, build_transmitter_matrix
-
-
-@dataclass(frozen=True)
-class PermSpec:
-    """A permutation realized as an index map: apply(v)[i] = v[pre[i]]."""
-
-    pre: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pre)
-
-    def inverse(self) -> "PermSpec":
-        return PermSpec(np.argsort(self.pre))
-
-    def then(self, other: "PermSpec") -> "PermSpec":
-        """Composition: self first, then other."""
-        if len(self) != len(other):
-            raise ValueError("cannot compose permutations of different sizes")
-        return PermSpec(self.pre[other.pre])
-
-    def as_matrix(self) -> np.ndarray:
-        return np.eye(len(self.pre))[self.pre]
-
-
-def cyclic_shift(n: int, power: int = 1) -> PermSpec:
-    """The n-cycle that shifts a vector down by ``power`` (negative = up).
-
-    Exponents are reduced modulo n, so arbitrarily negative or overflowing
-    shifts are well defined.
-    """
-    return PermSpec((np.arange(n) - power) % n)
-
-
-def interleave(a: int, b: int) -> PermSpec:
-    """The (a*b)-point stride permutation: output[m*b + p] = input[p*a + m]."""
-    return PermSpec(np.arange(a * b).reshape(b, a).T.ravel())
-
-
-def kron_identity(spec: PermSpec, m: int) -> PermSpec:
-    """Blockwise expansion spec (x) I_m acting on vectors of length len(spec)*m."""
-    return PermSpec((spec.pre[:, None] * m + np.arange(m)[None, :]).ravel())
-
-
-def identity_kron(r: int, spec: PermSpec) -> PermSpec:
-    """Blockwise expansion I_r (x) spec."""
-    n = len(spec)
-    return PermSpec((np.arange(r)[:, None] * n + spec.pre[None, :]).ravel())
-
-
-def apply_perm(spec: PermSpec, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape[0] != len(spec):
-        raise ValueError(f"permutation of size {len(spec)} applied to length {v.shape[0]}")
-    return v[spec.pre]
+from .waveform import GfdmConfig, PrototypeFilter, build_transmitter_matrix, dominant_window
 
 
 @dataclass(frozen=True)
@@ -184,60 +130,35 @@ def block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT matrix."""
-    mm, nn = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * mm * nn / n) / math.sqrt(n)
-
-
-def dense_receive_operator(k_sc: int, m_ss: int, n_rx: int, shift: int) -> np.ndarray:
-    """Dense RD x RD matrix of the receive transform (diagnostic path)."""
-    d = k_sc * m_ss
-    per_antenna = cyclic_shift(d, -shift).as_matrix() @ dft_matrix(d)
-    outer = kron_identity(interleave(k_sc, n_rx), m_ss).as_matrix()
-    return outer @ np.kron(np.eye(n_rx), per_antenna)
-
-
-def dense_data_operator(k_sc: int, m_ss: int, n_tx: int) -> np.ndarray:
-    """Dense TD x TD matrix of the data permutation (diagnostic path)."""
-    outer = kron_identity(interleave(k_sc, n_tx), m_ss).as_matrix()
-    inner = np.kron(np.eye(n_tx), interleave(k_sc, m_ss).as_matrix())
-    return outer @ inner
-
-
-def _dominant_window(g_f: np.ndarray, m_ss: int) -> tuple[np.ndarray, int]:
-    """Max-energy cyclic M-bin window of g_f (projection for out-of-class filters)."""
-    d = len(g_f)
-    energy = np.abs(g_f) ** 2
-    sums = np.convolve(np.concatenate([energy, energy[: m_ss - 1]]), np.ones(m_ss), "valid")[:d]
-    start = int(np.argmax(sums))
-    return g_f[(start + np.arange(m_ss)) % d].copy(), start
-
-
 def verify_decomposition(
     ch: MimoChannel, f: PrototypeFilter, cfg: GfdmConfig
 ) -> float:
-    """Relative Frobenius residual of the block factorization, via dense matrices.
+    """Relative Frobenius residual ||U H - B P|| / ||H|| of the block factorization.
 
-    Builds the full RD x TD end-to-end matrix from circulant blocks and the
-    dense transmitter matrix, applies the dense receive/data operators, and
-    compares against the analytic per-subcarrier blocks. Filters without an
-    exact M-bin window are projected onto their dominant window, so the
+    H is the dense RD x TD end-to-end matrix from circulant blocks and the
+    dense transmitter matrix; U and P are the receiver's own
+    :func:`receive_transform` and :func:`data_permutation`. Filters without
+    an exact M-bin window are projected onto their dominant window, so the
     residual measures how far they are from the decoupling class. Returns 0
     for an all-zero channel by convention. Diagnostic/test use only.
     """
-    a = build_transmitter_matrix(cfg, f)
-    h_full = assemble_full_matrix(ch, a)
+    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
+    d = cfg.block_len
+    h_full = assemble_full_matrix(ch, build_transmitter_matrix(cfg, f))
     denom = np.linalg.norm(h_full)
     if denom == 0.0:
         return 0.0
     if f.support is not None:
         g_1, shift = f.support
     else:
-        g_1, shift = _dominant_window(f.g_f, cfg.n_subsymbols)
+        g_1, shift = dominant_window(f.g_f, m_ss)
     system = _blocks_from_window(ch, g_1, shift, cfg)
-    u = dense_receive_operator(cfg.n_subcarriers, cfg.n_subsymbols, ch.n_rx, shift)
-    p = dense_data_operator(cfg.n_subcarriers, cfg.n_subsymbols, ch.n_tx)
-    lhs = u @ h_full
-    rhs = block_diagonal(system.blocks) @ p
+    lhs = np.stack(
+        [receive_transform(col.reshape(ch.n_rx, d), shift, k_sc, m_ss) for col in h_full.T],
+        axis=1,
+    )
+    # B P holds column i of B at column perm[i]
+    perm = data_permutation(np.arange(ch.n_tx * d), k_sc, m_ss, ch.n_tx)
+    rhs = np.empty_like(lhs)
+    rhs[:, perm] = block_diagonal(system.blocks)
     return float(np.linalg.norm(lhs - rhs) / denom)

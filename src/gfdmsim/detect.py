@@ -7,7 +7,8 @@ Three receivers share the same sphere-decoder core:
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
   interference cancellation;
-* the per-subcarrier OFDM detector for M = 1 blocks.
+* the OFDM detector for M = 1 blocks, an independent reference for the
+  per-subcarrier detector at M = 1 (sweeps run ``ofdm`` through the latter).
 
 An exhaustive ML search over all candidate vectors is provided as a test
 oracle. Complexity bookkeeping: sphere-decoder work is counted empirically
@@ -334,7 +335,9 @@ def detect_ofdm(
 
     Each of the D subcarriers is an R x T system solved by sorted QR plus a
     size-T sphere-decoder call. Output stacking matches the transmit data
-    (antenna-major).
+    (antenna-major). Built from the channel's frequency response without
+    the block factorization, it is the reference that :func:`detect_proposed`
+    at M = 1 must match (acceptance criterion 5); sweeps do not call it.
     """
     y = np.atleast_2d(np.asarray(y, dtype=complex))
     d = ch.block_len

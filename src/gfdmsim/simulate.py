@@ -28,6 +28,8 @@ from .constellation import by_name as constellation_by_name
 from .decoupling import compute_blocks, receive_transform
 
 SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
+# detected on the full matrix; the others (ofdm as M = 1) run the per-subcarrier receiver
+_DENSE_SCHEMES = ("baseline_dirichlet", "baseline_rc")
 DEFAULT_RC_ROLLOFF = 0.9
 
 # substream tags for the counter-based seed derivation
@@ -138,6 +140,11 @@ class SimConfig:
             raise ConfigError(f"unknown scheme '{self.scheme}'")
         if self.scheme == "ofdm" and self.n_subsymbols != 1:
             raise ConfigError("scheme 'ofdm' requires M = 1")
+        if self.scheme not in _DENSE_SCHEMES and self.n_rx < self.n_tx:
+            raise ConfigError(
+                f"scheme '{self.scheme}' requires R >= T (got R = {self.n_rx}, T = {self.n_tx}): "
+                "its per-subcarrier sorted QR needs tall or square blocks"
+            )
         if self.scheme == "baseline_rc" and self.alpha is None:
             raise ConfigError("scheme 'baseline_rc' requires a roll-off")
         constellation_by_name(self.constellation)
@@ -248,11 +255,11 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
 
     Evaluated in exact integer arithmetic for the detection of K*M*T symbols:
 
-    * ofdm:     D T^2 R + D T R + (D T^2 - D T) / 2 with D = K*M; no SIC.
     * baseline: K^3 M^3 T^2 R + K^2 M^2 T R
                 + (2 K^3 M^3 T^3 + 3 K^2 M^2 T^2 + K M T) / 6;
                 SIC costs K^2 M^2 T^2.
     * proposed: K M^3 T^2 R + K M^2 T R + (K M^2 T^2 - K M T) / 2; no SIC.
+    * ofdm:     the proposed count at (K*M, 1), i.e. D T^2 R + D T R + (D T^2 - D T) / 2.
     """
     if min(k, m, t, r) < 1:
         raise ValueError("dimensions must be positive")
@@ -261,13 +268,12 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
     else:
         name, _ = parse_scheme(scheme)
     if name == "ofdm":
-        d = k * m
-        return d * t * t * r + d * t * r + (d * t * t - d * t) // 2, 0
+        k, m = k * m, 1
     if name in ("baseline", "baseline_dirichlet", "baseline_rc"):
         n = k * m * t
         sqrd_cm = k**3 * m**3 * t * t * r + k * k * m * m * t * r + n * (n + 1) * (2 * n + 1) // 6
         return sqrd_cm, k * k * m * m * t * t
-    if name in ("proposed", "proposed_dirichlet"):
+    if name in ("proposed", "proposed_dirichlet", "ofdm"):
         return (
             k * m**3 * t * t * r + k * m * m * t * r + (k * m * m * t * t - k * m * t) // 2,
             0,
@@ -339,8 +345,8 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     else:
         filt = waveform.dirichlet_filter(gcfg)
     pdp = chan.exponential_pdp(cfg.cp_len)
-    needs_dense = cfg.scheme in ("baseline_dirichlet", "baseline_rc")
-    a_mat = waveform.build_transmitter_matrix(gcfg, filt) if needs_dense else None
+    dense = cfg.scheme in _DENSE_SCHEMES
+    a_mat = waveform.build_transmitter_matrix(gcfg, filt) if dense else None
     cm_sqrd, cm_sic = closed_form_cm(cfg.scheme, k_sc, m_ss, n_tx, cfg.n_rx)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
@@ -352,14 +358,12 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         for c_idx in range(cfg.n_channels):
             rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c_idx)
             ch = chan.generate_channel(n_tx, n_rx, pdp, rng_ch, d)
-            if cfg.scheme == "proposed_dirichlet":
-                blocks = compute_blocks(ch, filt, gcfg)
-                factors = detect.factorize_blocks(blocks)
-            elif cfg.scheme == "ofdm":
-                factors = [detect.sqrd(ch.freq[:, :, i]) for i in range(d)]
-            else:
+            if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power, cs.energy)
+            else:
+                blocks = compute_blocks(ch, filt, gcfg)
+                factors = detect.factorize_blocks(blocks)
             for b_idx in range(cfg.n_blocks):
                 rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
                 data = cs.points[rng_d.integers(0, cs.size, size=n_tx * d)]
@@ -376,14 +380,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                     )
                 rng_n = _trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b_idx)
                 y = chan.apply_channel(x, ch, noise_power, rng_n)
-                if cfg.scheme == "proposed_dirichlet":
-                    ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
-                    d_hat = detect.detect_proposed(
-                        ybar, blocks, cs, noise_power, stats=stats, factors=factors
-                    )
-                elif cfg.scheme == "ofdm":
-                    d_hat = detect.detect_ofdm(y, ch, cs, stats=stats, factors=factors)
-                else:
+                if dense:
                     d_hat = detect.detect_baseline_near_ml(
                         y.reshape(-1),
                         h_full,
@@ -392,6 +389,11 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                         group_size=m_ss * n_tx,
                         stats=stats,
                         factor=factor,
+                    )
+                else:
+                    ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
+                    d_hat = detect.detect_proposed(
+                        ybar, blocks, cs, noise_power, stats=stats, factors=factors
                     )
                 errors += int(np.sum(d_hat != data))
                 symbols += n_tx * d

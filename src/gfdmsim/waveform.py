@@ -14,7 +14,6 @@ column of A has unit norm.
 """
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ class GfdmConfig:
     n_subsymbols: int
     cp_len: int = 0
     constellation: Constellation = None
-    filter_kind: str = "dirichlet"
 
     def __post_init__(self):
         if self.n_subcarriers < 1 or self.n_subsymbols < 1:
@@ -125,15 +123,17 @@ def rc_filter(cfg: GfdmConfig, alpha: float) -> PrototypeFilter:
     return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, support=None)
 
 
-def make_filter(cfg: GfdmConfig) -> PrototypeFilter:
-    """Build the prototype selected by ``cfg.filter_kind`` ('dirichlet' or 'rc(a)')."""
-    kind = cfg.filter_kind.strip().lower()
-    if kind == "dirichlet":
-        return dirichlet_filter(cfg)
-    match = re.fullmatch(r"rc\(([^)]+)\)", kind)
-    if match:
-        return rc_filter(cfg, float(match.group(1)))
-    raise ValueError(f"unknown filter kind '{cfg.filter_kind}'")
+def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The cyclic M-bin window of ``g_f`` that holds the most energy, as (g_1, l).
+
+    g_1 holds the window contents g_f[(l + i) % D] and l its start index;
+    ties resolve to the smallest start. Requires M <= D.
+    """
+    d = len(g_f)
+    energy = np.abs(g_f) ** 2
+    sums = np.convolve(np.concatenate([energy, energy[: m - 1]]), np.ones(m), "valid")[:d]
+    start = int(np.argmax(sums))
+    return g_f[(start + np.arange(m)) % d].copy(), start
 
 
 def ici_free_support(
@@ -152,21 +152,17 @@ def ici_free_support(
     m = n_subsymbols
     if m >= d:
         return g_f.copy(), 0
-    energy = np.abs(g_f) ** 2
-    total = energy.sum()
+    total = np.sum(np.abs(g_f) ** 2)
     if total == 0.0:
         return None
-    windows = np.concatenate([energy, energy[: m - 1]])
-    sums = np.convolve(windows, np.ones(m), mode="valid")[:d]
-    start = int(np.argmax(sums))  # ties resolve to the smallest start index
-    inside = sums[start]
+    g_1, start = dominant_window(g_f, m)
+    inside = np.sum(np.abs(g_1) ** 2)
     if inside < (1.0 - tol) * total:
         return None
     outside_peak = math.sqrt(max(total - inside, 0.0))
     if outside_peak > math.sqrt(tol) * math.sqrt(total):
         return None
-    idx = (start + np.arange(m)) % d
-    return g_f[idx].copy(), start
+    return g_1, start
 
 
 def build_transmitter_matrix(cfg: GfdmConfig, f: PrototypeFilter) -> np.ndarray:

@@ -141,6 +141,27 @@ def test_ofdm_requires_single_subsymbol():
         small_config(scheme="ofdm").validate()
 
 
+@pytest.mark.parametrize(
+    "scheme,m,alpha,runs",
+    [
+        ("proposed_dirichlet", 2, None, False),
+        ("ofdm", 1, None, False),
+        ("baseline_dirichlet", 2, None, True),
+        ("baseline_rc", 2, 0.9, True),
+    ],
+)
+def test_fewer_rx_than_tx_antennas(scheme, m, alpha, runs):
+    # the per-subcarrier receiver needs tall blocks; the baseline's MMSE
+    # extension is tall for any R
+    cfg = small_config(scheme=scheme, n_subsymbols=m, alpha=alpha, n_tx=2, n_rx=1,
+                       snr_db=(10.0,), n_channels=1, n_blocks=1)
+    if runs:
+        assert run_sweep(cfg)[0].symbols == 2 * cfg.block_len
+    else:
+        with pytest.raises(ConfigError, match="R >= T"):
+            cfg.validate()
+
+
 def test_serialize_round_trip(tmp_path):
     cfg = small_config(scheme="baseline_rc", alpha=0.9, out="r.csv", snr_db=(0.0, 4.5, float("inf")))
     path = tmp_path / "sim.cfg"

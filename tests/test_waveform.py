@@ -9,9 +9,9 @@ from gfdmsim.waveform import (
     PrototypeFilter,
     build_transmitter_matrix,
     dirichlet_filter,
+    dominant_window,
     fast_modulate,
     ici_free_support,
-    make_filter,
     modulate,
     rc_filter,
 )
@@ -173,6 +173,15 @@ def test_support_recovery_is_identity_on_dirichlet():
         npt.assert_allclose(g_1, f.support[0], atol=1e-12)
 
 
+def test_dominant_window_ties_go_to_smallest_start():
+    # bins 3-4 and the cyclic pair 7-0 hold equal energy
+    g_f = np.array([1, 0, 0, 1, 1, 0, 0, 1], dtype=complex)
+    g_1, start = dominant_window(g_f, 2)
+    assert start == 3
+    npt.assert_array_equal(g_1, [1, 1])
+    assert dominant_window(np.roll(g_f, 1), 2)[1] == 0
+
+
 def test_rc_zero_rolloff_equals_dirichlet_rectangle():
     for k, m in GRID:
         cfg = GfdmConfig(k, m)
@@ -206,12 +215,3 @@ def test_all_ones_spectrum_is_not_ici_free():
 def test_zero_spectrum_has_no_support():
     f = PrototypeFilter(g=np.zeros(8, dtype=complex), g_f=np.zeros(8, dtype=complex))
     assert ici_free_support(f, 2) is None
-
-
-def test_make_filter_dispatch():
-    cfg_d = GfdmConfig(4, 2, filter_kind="dirichlet")
-    npt.assert_allclose(make_filter(cfg_d).g_f, dirichlet_filter(cfg_d).g_f, atol=1e-14)
-    cfg_rc = GfdmConfig(4, 2, filter_kind="rc(0.25)")
-    npt.assert_allclose(make_filter(cfg_rc).g_f, rc_filter(cfg_rc, 0.25).g_f, atol=1e-14)
-    with pytest.raises(ValueError):
-        make_filter(GfdmConfig(4, 2, filter_kind="nofilter"))
