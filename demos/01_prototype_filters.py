@@ -9,7 +9,6 @@ dense matrix.
 import numpy as np
 
 from gfdmsim import (
-    GfdmConfig,
     build_transmitter_matrix,
     dirichlet_filter,
     fast_modulate,
@@ -17,28 +16,28 @@ from gfdmsim import (
     rc_filter,
 )
 
-cfg = GfdmConfig(n_subcarriers=8, n_subsymbols=4)
-print(f"block: K={cfg.n_subcarriers} subcarriers x M={cfg.n_subsymbols} subsymbols "
-      f"= D={cfg.block_len} samples\n")
+k_sc, m_ss = 8, 4
+d_len = k_sc * m_ss
+print(f"block: K={k_sc} subcarriers x M={m_ss} subsymbols = D={d_len} samples\n")
 
 for name, filt in [
-    ("dirichlet", dirichlet_filter(cfg)),
-    ("rc(0.0)", rc_filter(cfg, 0.0)),
-    ("rc(0.5)", rc_filter(cfg, 0.5)),
-    ("rc(0.9)", rc_filter(cfg, 0.9)),
+    ("dirichlet", dirichlet_filter(k_sc, m_ss)),
+    ("rc(0.0)", rc_filter(k_sc, m_ss, 0.0)),
+    ("rc(0.5)", rc_filter(k_sc, m_ss, 0.5)),
+    ("rc(0.9)", rc_filter(k_sc, m_ss, 0.9)),
 ]:
-    window = ici_free_support(filt, cfg.n_subsymbols)
+    window = ici_free_support(filt)
     nonzero = np.sum(np.abs(filt.g_f) > 1e-9)
-    a = build_transmitter_matrix(cfg, filt)
-    gram_dev = np.abs(a.conj().T @ a - np.eye(cfg.block_len)).max()
+    a = build_transmitter_matrix(filt)
+    gram_dev = np.abs(a.conj().T @ a - np.eye(d_len)).max()
     print(f"{name:10s} nonzero FD bins: {nonzero:2d}  "
           f"M-bin window: {'yes, start ' + str(window[1]) if window else 'no'}  "
           f"|A^H A - I|_max = {gram_dev:.2e}")
 
 print("\nfast modulator vs dense matrix on random data:")
-filt = dirichlet_filter(cfg)
-a = build_transmitter_matrix(cfg, filt)
+filt = dirichlet_filter(k_sc, m_ss)
+a = build_transmitter_matrix(filt)
 rng = np.random.default_rng(0)
-d = rng.standard_normal(cfg.block_len) + 1j * rng.standard_normal(cfg.block_len)
-err = np.linalg.norm(a @ d - fast_modulate(d, filt, cfg)) / np.linalg.norm(a @ d)
+d = rng.standard_normal(d_len) + 1j * rng.standard_normal(d_len)
+err = np.linalg.norm(a @ d - fast_modulate(d, filt)) / np.linalg.norm(a @ d)
 print(f"relative error: {err:.2e} (one M-point FFT per subcarrier + one D-point IFFT)")

@@ -10,8 +10,8 @@ zero for the Dirichlet pulse and far from zero for the leaky rc(0.9).
 import numpy as np
 
 from gfdmsim import (
-    GfdmConfig,
     compute_blocks,
+    default_cp_len,
     dirichlet_filter,
     exponential_pdp,
     generate_channel,
@@ -20,23 +20,25 @@ from gfdmsim import (
 )
 
 k_sc, m_ss, n_tx, n_rx = 8, 2, 2, 2
-cfg = GfdmConfig(k_sc, m_ss)
-pdp = exponential_pdp(cfg.cp_len)
-ch = generate_channel(n_tx, n_rx, pdp, np.random.default_rng(1), cfg.block_len)
+d_len = k_sc * m_ss
+pdp = exponential_pdp(default_cp_len(d_len))
+ch = generate_channel(n_tx, n_rx, pdp, np.random.default_rng(1), d_len)
 
-for name, filt in [("dirichlet", dirichlet_filter(cfg)), ("rc(0.9)", rc_filter(cfg, 0.9))]:
-    res = verify_decomposition(ch, filt, cfg)
+for name, filt in [
+    ("dirichlet", dirichlet_filter(k_sc, m_ss)),
+    ("rc(0.9)", rc_filter(k_sc, m_ss, 0.9)),
+]:
+    res = verify_decomposition(ch, filt)
     print(f"{name:10s} factorization residual: {res:.3e}")
 
-filt = dirichlet_filter(cfg)
-blocks = compute_blocks(ch, filt, cfg)
+filt = dirichlet_filter(k_sc, m_ss)
+blocks = compute_blocks(ch, filt)
 print(f"\nper-subcarrier blocks: {blocks.blocks.shape[0]} matrices of "
       f"{blocks.blocks.shape[1]}x{blocks.blocks.shape[2]}")
 print("condition numbers:",
       np.array2string(np.linalg.cond(blocks.blocks), precision=1))
 
 print("\nOFDM special case (M = 1): each block is just the per-subcarrier channel")
-cfg1 = GfdmConfig(8, 1)
-ch1 = generate_channel(2, 2, exponential_pdp(cfg1.cp_len), np.random.default_rng(2), 8)
-b1 = compute_blocks(ch1, dirichlet_filter(cfg1), cfg1)
+ch1 = generate_channel(2, 2, exponential_pdp(default_cp_len(8)), np.random.default_rng(2), 8)
+b1 = compute_blocks(ch1, dirichlet_filter(8, 1))
 print("max |block - H_f|:", np.abs(b1.blocks - np.moveaxis(ch1.freq, 2, 0)).max())

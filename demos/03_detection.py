@@ -11,11 +11,11 @@ import numpy as np
 
 from gfdmsim import (
     DetectionStats,
-    GfdmConfig,
     apply_channel,
     assemble_full_matrix,
     build_transmitter_matrix,
     compute_blocks,
+    default_cp_len,
     detect_baseline_near_ml,
     detect_proposed,
     dirichlet_filter,
@@ -28,17 +28,17 @@ from gfdmsim import (
 )
 
 k_sc, m_ss, n_tx, n_rx = 2, 2, 2, 2
-cfg = GfdmConfig(k_sc, m_ss)
+d_len = k_sc * m_ss
 cs = qpsk()
 rng = np.random.default_rng(7)
 
-filt = dirichlet_filter(cfg)
-ch = generate_channel(n_tx, n_rx, exponential_pdp(cfg.cp_len), rng, cfg.block_len)
-blocks = compute_blocks(ch, filt, cfg)
-h_full = assemble_full_matrix(ch, build_transmitter_matrix(cfg, filt))
+filt = dirichlet_filter(k_sc, m_ss)
+ch = generate_channel(n_tx, n_rx, exponential_pdp(default_cp_len(d_len)), rng, d_len)
+blocks = compute_blocks(ch, filt)
+h_full = assemble_full_matrix(ch, build_transmitter_matrix(filt))
 
-data = cs.points[rng.integers(0, cs.size, n_tx * cfg.block_len)]
-x = np.stack([fast_modulate(data[t * 4 : (t + 1) * 4], filt, cfg) for t in range(n_tx)])
+data = cs.points[rng.integers(0, cs.size, n_tx * d_len)]
+x = np.stack([fast_modulate(data[t * 4 : (t + 1) * 4], filt) for t in range(n_tx)])
 noise_power = 10.0 ** (-8.0 / 10.0)  # 8 dB
 y = apply_channel(x, ch, noise_power, rng)
 

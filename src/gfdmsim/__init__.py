@@ -46,10 +46,10 @@ from .simulate import (
     run_sweep,
     serialize_config,
     closed_form_cm,
+    default_cp_len,
     write_report,
 )
 from .waveform import (
-    GfdmConfig,
     PrototypeFilter,
     build_transmitter_matrix,
     dirichlet_filter,

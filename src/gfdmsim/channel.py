@@ -146,21 +146,12 @@ def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def snr_db_to_noise_power(
-    snr_db: float, symbol_energy: float = 1.0, cp_penalty: bool = False, cp_len: int = 0, block_len: int = 0
-) -> float:
+def snr_db_to_noise_power(snr_db: float, symbol_energy: float = 1.0) -> float:
     """Noise power N0 for a target per-antenna SNR = Es/N0.
 
     Channels have unit average power and the prototype filter unit energy, so
-    Es/N0 is the receive-side symbol SNR. CP overhead is excluded unless
-    ``cp_penalty`` is set, in which case the transmit energy spent on the
-    prefix is charged against the SNR (factor (D + L)/D on N0).
+    Es/N0 is the receive-side symbol SNR. CP overhead is excluded.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return 0.0
-    n0 = symbol_energy * 10.0 ** (-snr_db / 10.0)
-    if cp_penalty:
-        if cp_len <= 0 or block_len <= 0:
-            raise ValueError("cp_penalty requires cp_len and block_len")
-        n0 *= (block_len + cp_len) / block_len
-    return n0
+    return symbol_energy * 10.0 ** (-snr_db / 10.0)

@@ -7,8 +7,8 @@ import numpy as np
 
 from . import channel as chan
 from .decoupling import verify_decomposition
-from .simulate import ConfigError, parse_config, run_sweep, closed_form_cm, write_report
-from .waveform import GfdmConfig, dirichlet_filter
+from .simulate import ConfigError, default_cp_len, parse_config, run_sweep, closed_form_cm, write_report
+from .waveform import dirichlet_filter
 
 # block lengths beyond this run the full-matrix baseline into minutes-to-hours
 # of MMSE-SQRD work and must be requested explicitly
@@ -71,14 +71,13 @@ def _cmd_complexity(args) -> int:
 def _cmd_verify(args) -> int:
     worst = 0.0
     for k, m, t, r in VERIFY_GRID:
-        cfg = GfdmConfig(n_subcarriers=k, n_subsymbols=m)
-        filt = dirichlet_filter(cfg)
-        pdp = chan.exponential_pdp(cfg.cp_len)
+        filt = dirichlet_filter(k, m)
+        pdp = chan.exponential_pdp(default_cp_len(k * m))
         peak = 0.0
         for idx in range(args.channels):
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, k, m, t, r, idx]))
-            ch = chan.generate_channel(t, r, pdp, rng, cfg.block_len)
-            peak = max(peak, verify_decomposition(ch, filt, cfg))
+            ch = chan.generate_channel(t, r, pdp, rng, k * m)
+            peak = max(peak, verify_decomposition(ch, filt))
         print(f"K={k} M={m} T={t} R={r}: max residual {peak:.3e} over {args.channels} channels")
         worst = max(worst, peak)
     print(f"max residual: {worst:.3e}")

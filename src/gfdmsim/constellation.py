@@ -1,6 +1,6 @@
-"""Symbol constellations with bit labels and unit-average-energy normalization."""
+"""Symbol constellations with unit-average-energy normalization."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,13 +10,12 @@ class Constellation:
     """A finite symbol alphabet.
 
     `points` fixes the canonical symbol order used everywhere (data generation,
-    detector tie-breaking, error counting). `labels[i]` is the bit label of
-    `points[i]`, shape (size, bits_per_symbol).
+    detector tie-breaking, error counting). Sweeps count symbol errors, so
+    symbols carry no bit labels.
     """
 
     name: str
     points: np.ndarray
-    labels: np.ndarray = field(repr=False)
     energy: float = 1.0
 
     def __post_init__(self):
@@ -26,29 +25,18 @@ class Constellation:
                 f"constellation '{self.name}' has average energy {avg!r}, "
                 f"expected {self.energy!r}"
             )
-        if self.labels.shape[0] != self.points.shape[0]:
-            raise ValueError("labels and points must have matching length")
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.labels.shape[1]
-
 
 def qpsk() -> Constellation:
-    """QPSK with points (+-1 +-1j)/sqrt(2), average energy 1.
-
-    Gray labeling: first bit selects the real sign, second bit the imaginary
-    sign (0 -> +, 1 -> -).
-    """
+    """QPSK with points (+-1 +-1j)/sqrt(2), average energy 1."""
     re = np.array([1, 1, -1, -1], dtype=float)
     im = np.array([1, -1, 1, -1], dtype=float)
     points = (re + 1j * im) / np.sqrt(2.0)
-    labels = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
-    return Constellation(name="qpsk", points=points, labels=labels)
+    return Constellation(name="qpsk", points=points)
 
 
 _BY_NAME = {"qpsk": qpsk}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, assemble_full_matrix
-from .waveform import GfdmConfig, PrototypeFilter, build_transmitter_matrix, dominant_window
+from .waveform import PrototypeFilter, build_transmitter_matrix, dominant_window
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,8 @@ def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
     return g_1[:, None] * np.roll(w_m, -shift, axis=0) / math.sqrt(k_sc)
 
 
-def _blocks_from_window(
-    ch: MimoChannel, g_1: np.ndarray, shift: int, cfg: GfdmConfig
-) -> BlockSystem:
-    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
+def _blocks_from_window(ch: MimoChannel, g_1: np.ndarray, shift: int, k_sc: int) -> BlockSystem:
+    m_ss = len(g_1)
     r, t = ch.n_rx, ch.n_tx
     core = _window_diag_dft(g_1, shift, k_sc)
     gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
@@ -101,9 +99,7 @@ def _blocks_from_window(
     )
 
 
-def compute_blocks(
-    ch: MimoChannel, f: PrototypeFilter, cfg: GfdmConfig
-) -> BlockSystem:
+def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> BlockSystem:
     """Per-subcarrier MR x MT matrices from the analytic window formula.
 
     Block k stacks, over antenna pairs, diag of the M channel-frequency
@@ -113,12 +109,10 @@ def compute_blocks(
     """
     if f.support is None:
         raise ValueError("per-subcarrier blocks require a filter with an M-bin window")
+    if ch.block_len != f.length:
+        raise ValueError("channel block length does not match the filter length")
     g_1, shift = f.support
-    if len(g_1) != cfg.n_subsymbols or f.length != cfg.block_len:
-        raise ValueError("filter window does not match the configuration dimensions")
-    if ch.block_len != cfg.block_len:
-        raise ValueError("channel block length does not match the configuration")
-    return _blocks_from_window(ch, g_1, shift, cfg)
+    return _blocks_from_window(ch, g_1, shift, f.n_subcarriers)
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -130,9 +124,7 @@ def block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_decomposition(
-    ch: MimoChannel, f: PrototypeFilter, cfg: GfdmConfig
-) -> float:
+def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     """Relative Frobenius residual ||U H - B P|| / ||H|| of the block factorization.
 
     H is the dense RD x TD end-to-end matrix from circulant blocks and the
@@ -142,9 +134,8 @@ def verify_decomposition(
     residual measures how far they are from the decoupling class. Returns 0
     for an all-zero channel by convention. Diagnostic/test use only.
     """
-    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
-    d = cfg.block_len
-    h_full = assemble_full_matrix(ch, build_transmitter_matrix(cfg, f))
+    k_sc, m_ss, d = f.n_subcarriers, f.n_subsymbols, f.length
+    h_full = assemble_full_matrix(ch, build_transmitter_matrix(f))
     denom = np.linalg.norm(h_full)
     if denom == 0.0:
         return 0.0
@@ -152,7 +143,7 @@ def verify_decomposition(
         g_1, shift = f.support
     else:
         g_1, shift = dominant_window(f.g_f, m_ss)
-    system = _blocks_from_window(ch, g_1, shift, cfg)
+    system = _blocks_from_window(ch, g_1, shift, k_sc)
     lhs = np.stack(
         [receive_transform(col.reshape(ch.n_rx, d), shift, k_sc, m_ss) for col in h_full.T],
         axis=1,

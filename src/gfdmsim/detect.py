@@ -32,17 +32,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class DetectionStats:
-    """Mutable complexity counters accumulated over a run.
+    """Sphere-decoder work counters accumulated over a run.
 
     ``sd_nodes_visited`` and ``cm_count`` are measured by the sphere decoder;
-    ``cm_sqrd`` and ``cm_sic`` hold closed-form totals filled in by the
-    simulation layer.
+    the closed-form QR/SIC counts live in the simulation layer.
     """
 
     sd_nodes_visited: int = 0
     cm_count: int = 0
-    cm_sqrd: int = 0
-    cm_sic: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,6 @@ def detect_proposed(
     ybar: np.ndarray,
     blocks: BlockSystem,
     cs: Constellation,
-    noise_power: float | None = None,
     stats: DetectionStats | None = None,
     factors: list[SqrdFactorization] | None = None,
 ) -> np.ndarray:
@@ -247,9 +243,8 @@ def detect_proposed(
 
     ``ybar`` is the receive-transformed observation; each of the K
     subproblems is solved exactly by sorted QR plus one sphere-decoder call
-    of size MT, then the data permutation is undone. ``noise_power`` is
-    unused (plain, unregularized QR) and accepted for interface symmetry
-    with the baseline receiver.
+    of size MT, then the data permutation is undone. The QR is plain and
+    unregularized, so no noise power enters.
     """
     k_sc, m_ss = blocks.n_subcarriers, blocks.n_subsymbols
     n_tx, n_rx = blocks.n_tx, blocks.n_rx
@@ -327,7 +322,6 @@ def detect_ofdm(
     y: np.ndarray,
     ch: MimoChannel,
     cs: Constellation,
-    noise_power: float | None = None,
     stats: DetectionStats | None = None,
     factors: list[SqrdFactorization] | None = None,
 ) -> np.ndarray:

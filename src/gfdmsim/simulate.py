@@ -112,7 +112,7 @@ class SimConfig:
             return f"baseline_rc({self.alpha!r})"
         return self.scheme
 
-    def validate(self, n_channel_taps: int | None = None) -> None:
+    def validate(self) -> None:
         """Check the cross-field constraints; raises ConfigError on violation."""
         for label, value in (
             ("K", self.n_subcarriers),
@@ -128,11 +128,6 @@ class SimConfig:
         if self.cp_len > self.block_len:
             raise ConfigError(
                 f"L = {self.cp_len} exceeds the block length D = {self.block_len}"
-            )
-        taps = self.cp_len if n_channel_taps is None else n_channel_taps
-        if self.cp_len < taps:
-            raise ConfigError(
-                f"L = {self.cp_len} does not cover the channel memory of {taps} taps"
             )
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
@@ -175,6 +170,11 @@ def _typed(key: str, text: str, where: str):
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from None
 
 
+def default_cp_len(block_len: int) -> int:
+    """Default CP length L, which also sets the number of channel taps: max(1, D // 8)."""
+    return max(1, block_len // 8)
+
+
 def parse_config(
     path: str | None = None, overrides: dict[str, str] | None = None
 ) -> SimConfig:
@@ -182,8 +182,8 @@ def parse_config(
 
     The format is one ``key = value`` pair per line; '#' starts a comment.
     Allowed keys: scheme, K, M, T, R, L, constellation, snr_db, n_channels,
-    n_blocks, seed, out. Defaults: L = max(1, D // 8), constellation = qpsk,
-    seed = 0. Error messages carry the offending file line or flag.
+    n_blocks, seed, out. Defaults: L = default_cp_len(D), constellation =
+    qpsk, seed = 0. Error messages carry the offending file line or flag.
     """
     values: dict[str, object] = {}
     if path is not None:
@@ -218,7 +218,7 @@ def parse_config(
         n_subsymbols=int(values["M"]),
         n_tx=int(values["T"]),
         n_rx=int(values["R"]),
-        cp_len=int(values.get("L", max(1, d // 8))),
+        cp_len=int(values.get("L", default_cp_len(d))),
         constellation=str(values.get("constellation", "qpsk")),
         snr_db=tuple(values["snr_db"]),
         n_channels=int(values["n_channels"]),
@@ -337,21 +337,18 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     cs = constellation_by_name(cfg.constellation)
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
-    gcfg = waveform.GfdmConfig(
-        n_subcarriers=k_sc, n_subsymbols=m_ss, cp_len=cfg.cp_len, constellation=cs
-    )
     if cfg.scheme == "baseline_rc":
-        filt = waveform.rc_filter(gcfg, cfg.alpha)
+        filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
     else:
-        filt = waveform.dirichlet_filter(gcfg)
+        filt = waveform.dirichlet_filter(k_sc, m_ss)
     pdp = chan.exponential_pdp(cfg.cp_len)
     dense = cfg.scheme in _DENSE_SCHEMES
-    a_mat = waveform.build_transmitter_matrix(gcfg, filt) if dense else None
+    a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     cm_sqrd, cm_sic = closed_form_cm(cfg.scheme, k_sc, m_ss, n_tx, cfg.n_rx)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
         noise_power = chan.snr_db_to_noise_power(snr, cs.energy)
-        stats = detect.DetectionStats(cm_sqrd=cm_sqrd, cm_sic=cm_sic)
+        stats = detect.DetectionStats()
         errors = 0
         symbols = 0
         start = time.perf_counter()
@@ -362,7 +359,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power, cs.energy)
             else:
-                blocks = compute_blocks(ch, filt, gcfg)
+                blocks = compute_blocks(ch, filt)
                 factors = detect.factorize_blocks(blocks)
             for b_idx in range(cfg.n_blocks):
                 rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
@@ -370,7 +367,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 if filt.support is not None:
                     x = np.stack(
                         [
-                            waveform.fast_modulate(data[t * d : (t + 1) * d], filt, gcfg)
+                            waveform.fast_modulate(data[t * d : (t + 1) * d], filt)
                             for t in range(n_tx)
                         ]
                     )
@@ -392,9 +389,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                     )
                 else:
                     ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
-                    d_hat = detect.detect_proposed(
-                        ybar, blocks, cs, noise_power, stats=stats, factors=factors
-                    )
+                    d_hat = detect.detect_proposed(ybar, blocks, cs, stats=stats, factors=factors)
                 errors += int(np.sum(d_hat != data))
                 symbols += n_tx * d
         records.append(

@@ -18,69 +18,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, qpsk
-
-
-@dataclass(frozen=True)
-class GfdmConfig:
-    """Block dimensions and modulation alphabet for one GFDM configuration.
-
-    K: number of subcarriers, M: subsymbols per subcarrier, D = K*M samples
-    per block, L: cyclic-prefix length in samples (defaults to max(1, D // 8)).
-    """
-
-    n_subcarriers: int
-    n_subsymbols: int
-    cp_len: int = 0
-    constellation: Constellation = None
-
-    def __post_init__(self):
-        if self.n_subcarriers < 1 or self.n_subsymbols < 1:
-            raise ValueError("subcarrier and subsymbol counts must be positive")
-        if self.constellation is None:
-            object.__setattr__(self, "constellation", qpsk())
-        if self.cp_len == 0:
-            object.__setattr__(self, "cp_len", max(1, self.block_len // 8))
-        if not 0 < self.cp_len <= self.block_len:
-            raise ValueError(
-                f"cp_len must lie in (0, {self.block_len}], got {self.cp_len}"
-            )
-
-    @property
-    def block_len(self) -> int:
-        return self.n_subcarriers * self.n_subsymbols
-
 
 @dataclass(frozen=True)
 class PrototypeFilter:
     """Unit-energy prototype pulse in time (g) and frequency (g_f) domain.
 
-    `support`, when present, is the pair (g_1, l): the M nonzero frequency
-    bins g_f[(l + i) % D] = g_1[i]. It is set by constructors that build the
-    filter from such a window; use :func:`ici_free_support` to recover it
-    for arbitrary filters.
+    The pulse spans one block of D = K*M samples: ``n_subcarriers`` is K,
+    and :attr:`n_subsymbols` is M = D // K. `support`, when present, is the
+    pair (g_1, l): the M nonzero frequency bins g_f[(l + i) % D] = g_1[i].
+    It is set by constructors that build the filter from such a window; use
+    :func:`ici_free_support` to recover it for arbitrary filters.
     """
 
     g: np.ndarray
     g_f: np.ndarray
+    n_subcarriers: int
     support: tuple[np.ndarray, int] | None = None
+
+    def __post_init__(self):
+        if self.n_subcarriers < 1 or self.length == 0 or self.length % self.n_subcarriers:
+            raise ValueError(
+                f"filter length {self.length} is not a positive multiple of "
+                f"K = {self.n_subcarriers}"
+            )
 
     @property
     def length(self) -> int:
         return len(self.g)
 
+    @property
+    def n_subsymbols(self) -> int:
+        return self.length // self.n_subcarriers
 
-def _filter_from_window(g_1: np.ndarray, shift: int, d_len: int) -> PrototypeFilter:
+
+def _filter_from_window(g_1: np.ndarray, shift: int, k_sc: int) -> PrototypeFilter:
     m_len = len(g_1)
+    d_len = k_sc * m_len
     g_f = np.zeros(d_len, dtype=complex)
     g_f[(shift + np.arange(m_len)) % d_len] = g_1
     # g_f = fft(g), so Parseval fixes ||g_f|| = sqrt(D) for unit-energy g
     scale = math.sqrt(d_len) / np.linalg.norm(g_f)
     g_f = g_f * scale
-    return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, support=(g_1 * scale, shift))
+    return PrototypeFilter(
+        g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k_sc, support=(g_1 * scale, shift)
+    )
 
 
-def dirichlet_filter(cfg: GfdmConfig) -> PrototypeFilter:
+def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     """Flat M-bin frequency window: the orthogonal, ICI-free GFDM pulse.
 
     The window holds sqrt(D/M) on M consecutive bins starting at
@@ -88,13 +72,12 @@ def dirichlet_filter(cfg: GfdmConfig) -> PrototypeFilter:
     inverse DFT. For M = 1 this is the OFDM rectangular pulse and A equals
     the inverse DFT matrix.
     """
-    k, m = cfg.n_subcarriers, cfg.n_subsymbols
     d = k * m
     shift = (d - math.ceil(-m / 2)) % d
-    return _filter_from_window(np.ones(m, dtype=complex), shift, d)
+    return _filter_from_window(np.ones(m, dtype=complex), shift, k)
 
 
-def rc_filter(cfg: GfdmConfig, alpha: float) -> PrototypeFilter:
+def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     """Raised-cosine prototype, realized as a frequency-domain amplitude taper.
 
     The taper is centered on the Dirichlet window of the same (K, M): flat
@@ -105,7 +88,6 @@ def rc_filter(cfg: GfdmConfig, alpha: float) -> PrototypeFilter:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
-    k, m = cfg.n_subcarriers, cfg.n_subsymbols
     d = k * m
     shift = (d - math.ceil(-m / 2)) % d
     center = shift + (m - 1) / 2.0
@@ -120,7 +102,7 @@ def rc_filter(cfg: GfdmConfig, alpha: float) -> PrototypeFilter:
         roll = (x > flat) & (x < edge)
         g_f[roll] = 0.5 * (1.0 + np.cos(np.pi * (x[roll] - flat) / (alpha * m)))
     g_f = g_f.astype(complex) * (math.sqrt(d) / np.linalg.norm(g_f))
-    return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, support=None)
+    return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k)
 
 
 def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
@@ -136,9 +118,7 @@ def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return g_f[(start + np.arange(m)) % d].copy(), start
 
 
-def ici_free_support(
-    f: PrototypeFilter, n_subsymbols: int, tol: float = 1e-12
-) -> tuple[np.ndarray, int] | None:
+def ici_free_support(f: PrototypeFilter, tol: float = 1e-12) -> tuple[np.ndarray, int] | None:
     """Locate an M-bin cyclic window holding essentially all of ``f.g_f``.
 
     Returns (g_1, l) where g_1 is the window contents and l its start index,
@@ -149,7 +129,7 @@ def ici_free_support(
     """
     g_f = np.asarray(f.g_f)
     d = len(g_f)
-    m = n_subsymbols
+    m = f.n_subsymbols
     if m >= d:
         return g_f.copy(), 0
     total = np.sum(np.abs(g_f) ** 2)
@@ -165,16 +145,13 @@ def ici_free_support(
     return g_1, start
 
 
-def build_transmitter_matrix(cfg: GfdmConfig, f: PrototypeFilter) -> np.ndarray:
+def build_transmitter_matrix(f: PrototypeFilter) -> np.ndarray:
     """Assemble the dense D x D GFDM matrix A column by column.
 
     Column m*K + k pulse-shapes subsymbol m of subcarrier k:
     A[n, m*K + k] = g[(n - m*K) % D] * exp(2j*pi*k*n/K).
     """
-    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
-    d = k_sc * m_ss
-    if f.length != d:
-        raise ValueError(f"filter length {f.length} does not match block length {d}")
+    k_sc, d = f.n_subcarriers, f.length
     n = np.arange(d)
     cols = np.arange(d)
     m_idx = cols // k_sc
@@ -192,7 +169,7 @@ def modulate(d: np.ndarray, a: np.ndarray) -> np.ndarray:
     return a @ d
 
 
-def fast_modulate(d: np.ndarray, f: PrototypeFilter, cfg: GfdmConfig) -> np.ndarray:
+def fast_modulate(d: np.ndarray, f: PrototypeFilter) -> np.ndarray:
     """FFT-based modulation for filters with an M-bin frequency window.
 
     Equivalent to ``modulate(d, A)`` but in O(D log D): one M-point FFT per
@@ -202,8 +179,7 @@ def fast_modulate(d: np.ndarray, f: PrototypeFilter, cfg: GfdmConfig) -> np.ndar
     """
     if f.support is None:
         raise ValueError("fast modulation requires a filter with an M-bin window")
-    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
-    d_len = k_sc * m_ss
+    k_sc, m_ss, d_len = f.n_subcarriers, f.n_subsymbols, f.length
     d = np.asarray(d, dtype=complex)
     if d.shape != (d_len,):
         raise ValueError(f"data length {d.shape} does not match block length {d_len}")

@@ -15,9 +15,8 @@ from gfdmsim.cli import main as cli_main
 from gfdmsim.constellation import qpsk
 from gfdmsim.decoupling import compute_blocks, receive_transform, verify_decomposition
 from gfdmsim.detect import detect_ofdm, detect_proposed, exhaustive_ml, sphere_decode, sqrd
-from gfdmsim.simulate import SimConfig, run_sweep, closed_form_cm
+from gfdmsim.simulate import SimConfig, closed_form_cm, default_cp_len, run_sweep
 from gfdmsim.waveform import (
-    GfdmConfig,
     build_transmitter_matrix,
     dirichlet_filter,
     fast_modulate,
@@ -40,13 +39,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_block_factorization_residual():
     worst = 0.0
     for k, m, t, r in DIMENSION_GRID:
-        cfg = GfdmConfig(k, m)
-        filt = dirichlet_filter(cfg)
-        pdp = exponential_pdp(cfg.cp_len)
+        filt = dirichlet_filter(k, m)
+        pdp = exponential_pdp(default_cp_len(k * m))
         for idx in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([k, m, t, r, idx]))
-            ch = generate_channel(t, r, pdp, rng, cfg.block_len)
-            worst = max(worst, verify_decomposition(ch, filt, cfg))
+            ch = generate_channel(t, r, pdp, rng, k * m)
+            worst = max(worst, verify_decomposition(ch, filt))
     report(
         "1",
         worst <= 1e-10,
@@ -58,10 +56,9 @@ def test_criterion_1_block_factorization_residual():
 def test_criterion_2_ici_free_classifier():
     ok = True
     for k, m in FILTER_GRID:
-        cfg = GfdmConfig(k, m)
-        ok &= ici_free_support(dirichlet_filter(cfg), m) is not None
-        ok &= ici_free_support(rc_filter(cfg, 0.9), m) is None
-        ok &= ici_free_support(rc_filter(cfg, 0.0), m) is not None
+        ok &= ici_free_support(dirichlet_filter(k, m)) is not None
+        ok &= ici_free_support(rc_filter(k, m, 0.9)) is None
+        ok &= ici_free_support(rc_filter(k, m, 0.0)) is not None
     report(
         "2",
         ok,
@@ -72,20 +69,17 @@ def test_criterion_2_ici_free_classifier():
 
 def test_criterion_3_proposed_equals_global_ml():
     k, m, t, r = 2, 2, 2, 2
-    cfg = GfdmConfig(k, m)
-    filt = dirichlet_filter(cfg)
-    a = build_transmitter_matrix(cfg, filt)
-    pdp = exponential_pdp(cfg.cp_len)
+    filt = dirichlet_filter(k, m)
+    a = build_transmitter_matrix(filt)
+    pdp = exponential_pdp(default_cp_len(k * m))
     snrs = np.linspace(0.0, 20.0, 200)
     agree = 0
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
-        ch = generate_channel(t, r, pdp, rng, cfg.block_len)
-        blocks = compute_blocks(ch, filt, cfg)
-        data = CS.points[rng.integers(0, CS.size, t * cfg.block_len)]
-        x = np.stack(
-            [fast_modulate(data[i * 4 : (i + 1) * 4], filt, cfg) for i in range(t)]
-        )
+        ch = generate_channel(t, r, pdp, rng, k * m)
+        blocks = compute_blocks(ch, filt)
+        data = CS.points[rng.integers(0, CS.size, t * k * m)]
+        x = np.stack([fast_modulate(data[i * 4 : (i + 1) * 4], filt) for i in range(t)])
         noise_power = 10.0 ** (-snrs[trial] / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
         fast = detect_proposed(receive_transform(y, blocks.shift, k, m), blocks, CS)
@@ -111,20 +105,18 @@ def test_criterion_4_sphere_decoder_equals_brute_force():
 def test_criterion_5_ofdm_reduction():
     entrywise = 0.0
     for k in (4, 8, 16):
-        cfg = GfdmConfig(k, 1)
-        a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+        a = build_transmitter_matrix(dirichlet_filter(k, 1))
         entrywise = max(entrywise, float(np.abs(a - dft_matrix_ref(k).conj().T).max()))
     k, t, r = 8, 2, 2
-    cfg = GfdmConfig(k, 1)
-    filt = dirichlet_filter(cfg)
-    pdp = exponential_pdp(cfg.cp_len)
+    filt = dirichlet_filter(k, 1)
+    pdp = exponential_pdp(default_cp_len(k))
     agree = 0
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([5, trial]))
         ch = generate_channel(t, r, pdp, rng, k)
-        blocks = compute_blocks(ch, filt, cfg)
+        blocks = compute_blocks(ch, filt)
         data = CS.points[rng.integers(0, CS.size, t * k)]
-        x = np.stack([fast_modulate(data[i * k : (i + 1) * k], filt, cfg) for i in range(t)])
+        x = np.stack([fast_modulate(data[i * k : (i + 1) * k], filt) for i in range(t)])
         noise_power = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
         via_blocks = detect_proposed(receive_transform(y, blocks.shift, k, 1), blocks, CS)
@@ -297,10 +289,9 @@ def test_criterion_10_fast_paths_match_dense_operators():
     worst_mod = 0.0
     worst_rx = 0.0
     for k, m, t, r in DIMENSION_GRID:
-        cfg = GfdmConfig(k, m)
-        filt = dirichlet_filter(cfg)
-        a = build_transmitter_matrix(cfg, filt)
-        d_len = cfg.block_len
+        filt = dirichlet_filter(k, m)
+        a = build_transmitter_matrix(filt)
+        d_len = filt.length
         u = receive_operator_ref(k, m, r, filt.support[1])
         for trial in range(10):
             rng = np.random.default_rng(np.random.SeedSequence([10, k, m, t, r, trial]))
@@ -308,7 +299,7 @@ def test_criterion_10_fast_paths_match_dense_operators():
             dense = a @ data
             worst_mod = max(
                 worst_mod,
-                float(np.linalg.norm(dense - fast_modulate(data, filt, cfg)))
+                float(np.linalg.norm(dense - fast_modulate(data, filt)))
                 / float(np.linalg.norm(dense)),
             )
             y = rng.standard_normal((r, d_len)) + 1j * rng.standard_normal((r, d_len))

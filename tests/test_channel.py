@@ -14,7 +14,8 @@ from gfdmsim.channel import (
     generate_channel,
     snr_db_to_noise_power,
 )
-from gfdmsim.waveform import GfdmConfig, build_transmitter_matrix, dirichlet_filter, rc_filter
+from gfdmsim.simulate import default_cp_len
+from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, rc_filter
 
 from oracles import circulant_ref, dft_matrix_ref
 
@@ -151,20 +152,19 @@ def test_noise_only_variance():
 
 
 def test_assemble_identity_channel_returns_a():
-    cfg = GfdmConfig(4, 2)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(4, 2))
     taps = np.ones((1, 1, 1), dtype=complex)
     ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
     npt.assert_allclose(assemble_full_matrix(ch, a), a, atol=1e-14)
 
 
-@pytest.mark.parametrize("make", [lambda c: dirichlet_filter(c), lambda c: rc_filter(c, 0.9)])
+@pytest.mark.parametrize(
+    "make", [lambda k, m: dirichlet_filter(k, m), lambda k, m: rc_filter(k, m, 0.9)]
+)
 def test_noiseless_chain_matches_full_matrix(make):
-    cfg = GfdmConfig(4, 2)
-    filt = make(cfg)
-    a = build_transmitter_matrix(cfg, filt)
+    a = build_transmitter_matrix(make(4, 2))
     rng = np.random.default_rng(3)
-    ch = generate_channel(2, 2, exponential_pdp(cfg.cp_len), rng, cfg.block_len)
+    ch = generate_channel(2, 2, exponential_pdp(default_cp_len(8)), rng, 8)
     h_full = assemble_full_matrix(ch, a)
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     x = np.stack([a @ d[:8], a @ d[8:]])
@@ -175,8 +175,7 @@ def test_noiseless_chain_matches_full_matrix(make):
 
 def test_ofdm_blocks_are_diagonalized():
     k = 8
-    cfg = GfdmConfig(k, 1)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(k, 1))
     ch = generate_channel(2, 2, exponential_pdp(1), np.random.default_rng(4), k)
     w = dft_matrix_ref(k)
     for r in range(2):
@@ -190,7 +189,3 @@ def test_snr_conversion():
     assert snr_db_to_noise_power(0.0) == pytest.approx(1.0)
     assert snr_db_to_noise_power(10.0) == pytest.approx(0.1)
     assert snr_db_to_noise_power(float("inf")) == 0.0
-    penalized = snr_db_to_noise_power(10.0, cp_penalty=True, cp_len=2, block_len=16)
-    assert penalized == pytest.approx(0.1 * 18 / 16)
-    with pytest.raises(ValueError):
-        snr_db_to_noise_power(10.0, cp_penalty=True)

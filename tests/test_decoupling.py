@@ -13,13 +13,8 @@ from gfdmsim.decoupling import (
     receive_transform,
     verify_decomposition,
 )
-from gfdmsim.waveform import (
-    GfdmConfig,
-    PrototypeFilter,
-    build_transmitter_matrix,
-    dirichlet_filter,
-    rc_filter,
-)
+from gfdmsim.simulate import default_cp_len
+from gfdmsim.waveform import PrototypeFilter, build_transmitter_matrix, dirichlet_filter, rc_filter
 
 from oracles import (
     data_operator_ref,
@@ -33,10 +28,8 @@ GRID = [(4, 2, 2, 2), (8, 2, 2, 2), (4, 4, 2, 2), (8, 4, 2, 3)]
 
 
 def random_channel(k, m, t, r, seed):
-    cfg = GfdmConfig(k, m)
-    pdp = exponential_pdp(cfg.cp_len)
-    ch = generate_channel(t, r, pdp, np.random.default_rng(seed), cfg.block_len)
-    return cfg, ch
+    pdp = exponential_pdp(default_cp_len(k * m))
+    return generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
 
 
 def test_cyclic_shift_basics():
@@ -102,11 +95,9 @@ def test_data_permutation_t1_m1_is_bijection():
 
 def test_compute_blocks_identity_channel_unitary():
     # Dirichlet filter and a flat channel make every per-subcarrier block unitary
-    cfg = GfdmConfig(4, 4)
-    filt = dirichlet_filter(cfg)
     taps = np.ones((1, 1, 1), dtype=complex)
     ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=16, axis=2))
-    blocks = compute_blocks(ch, filt, cfg)
+    blocks = compute_blocks(ch, dirichlet_filter(4, 4))
     for k in range(4):
         npt.assert_allclose(
             blocks.blocks[k].conj().T @ blocks.blocks[k], np.eye(4), atol=1e-10
@@ -115,9 +106,9 @@ def test_compute_blocks_identity_channel_unitary():
 
 def test_compute_blocks_gram_formula():
     # F_k^H F_k = |h_k|^2-weighted Gram of the shared window factor
-    cfg, ch = random_channel(4, 3, 1, 1, seed=2)
-    filt = dirichlet_filter(cfg)
-    blocks = compute_blocks(ch, filt, cfg)
+    ch = random_channel(4, 3, 1, 1, seed=2)
+    filt = dirichlet_filter(4, 3)
+    blocks = compute_blocks(ch, filt)
     g_1, shift = filt.support
     m = 3
     w_m = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / math.sqrt(m)
@@ -130,24 +121,26 @@ def test_compute_blocks_gram_formula():
 
 
 def test_compute_blocks_requires_support():
-    cfg, ch = random_channel(4, 2, 2, 2, seed=3)
+    ch = random_channel(4, 2, 2, 2, seed=3)
     with pytest.raises(ValueError):
-        compute_blocks(ch, rc_filter(cfg, 0.9), cfg)
+        compute_blocks(ch, rc_filter(4, 2, 0.9))
+    with pytest.raises(ValueError):
+        compute_blocks(ch, dirichlet_filter(4, 4))  # 16-sample filter, 8-sample channel
 
 
 def test_compute_blocks_m1_gives_ofdm_channels():
-    cfg, ch = random_channel(8, 1, 2, 3, seed=4)
-    blocks = compute_blocks(ch, dirichlet_filter(cfg), cfg)
+    ch = random_channel(8, 1, 2, 3, seed=4)
+    blocks = compute_blocks(ch, dirichlet_filter(8, 1))
     for k in range(8):
         npt.assert_allclose(blocks.blocks[k], ch.freq[:, :, k], atol=1e-12)
 
 
 @pytest.mark.parametrize("k,m,t,r", GRID)
 def test_blocks_match_dense_factorization(k, m, t, r):
-    cfg, ch = random_channel(k, m, t, r, seed=k + m + t + r)
-    filt = dirichlet_filter(cfg)
-    blocks = compute_blocks(ch, filt, cfg)
-    a = build_transmitter_matrix(cfg, filt)
+    ch = random_channel(k, m, t, r, seed=k + m + t + r)
+    filt = dirichlet_filter(k, m)
+    blocks = compute_blocks(ch, filt)
+    a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
     u = receive_operator_ref(k, m, r, blocks.shift)
     p = data_operator_ref(k, m, t)
@@ -160,12 +153,9 @@ def test_blocks_match_dense_factorization(k, m, t, r):
 
 @pytest.mark.parametrize("k,m,t,r", GRID)
 def test_decomposition_residual_dirichlet(k, m, t, r):
-    cfg = GfdmConfig(k, m)
-    filt = dirichlet_filter(cfg)
-    pdp = exponential_pdp(cfg.cp_len)
+    filt = dirichlet_filter(k, m)
     for seed in range(5):
-        ch = generate_channel(t, r, pdp, np.random.default_rng(seed), cfg.block_len)
-        assert verify_decomposition(ch, filt, cfg) <= 1e-10
+        assert verify_decomposition(random_channel(k, m, t, r, seed), filt) <= 1e-10
 
 
 def test_decomposition_residual_random_window_filters():
@@ -173,7 +163,6 @@ def test_decomposition_residual_random_window_filters():
     # not just the Dirichlet pulse
     rng = np.random.default_rng(17)
     for k, m, t, r in [(4, 2, 2, 2), (4, 4, 2, 2)]:
-        cfg = GfdmConfig(k, m)
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         shift = int(rng.integers(0, d_len))
@@ -181,29 +170,30 @@ def test_decomposition_residual_random_window_filters():
         idx = (shift + np.arange(m)) % d_len
         g_f[idx] = g_1
         g_f *= math.sqrt(d_len) / np.linalg.norm(g_f)
-        filt = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, support=(g_f[idx], shift))
-        ch = generate_channel(t, r, exponential_pdp(cfg.cp_len), rng, d_len)
-        assert verify_decomposition(ch, filt, cfg) <= 1e-10
+        filt = PrototypeFilter(
+            g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k, support=(g_f[idx], shift)
+        )
+        ch = generate_channel(t, r, exponential_pdp(default_cp_len(d_len)), rng, d_len)
+        assert verify_decomposition(ch, filt) <= 1e-10
 
 
 def test_decomposition_residual_rc():
-    cfg, ch = random_channel(8, 4, 2, 2, seed=6)
-    assert verify_decomposition(ch, rc_filter(cfg, 0.9), cfg) > 1e-3
+    ch = random_channel(8, 4, 2, 2, seed=6)
+    assert verify_decomposition(ch, rc_filter(8, 4, 0.9)) > 1e-3
 
 
 def test_decomposition_zero_channel():
-    cfg = GfdmConfig(4, 2)
     taps = np.zeros((2, 2, 1), dtype=complex)
     ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
-    assert verify_decomposition(ch, dirichlet_filter(cfg), cfg) == 0.0
+    assert verify_decomposition(ch, dirichlet_filter(4, 2)) == 0.0
 
 
 def test_off_block_leakage_is_negligible():
     k, m, t, r = 4, 2, 2, 2
-    cfg, ch = random_channel(k, m, t, r, seed=8)
-    filt = dirichlet_filter(cfg)
-    blocks = compute_blocks(ch, filt, cfg)
-    a = build_transmitter_matrix(cfg, filt)
+    ch = random_channel(k, m, t, r, seed=8)
+    filt = dirichlet_filter(k, m)
+    blocks = compute_blocks(ch, filt)
+    a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
     u = receive_operator_ref(k, m, r, blocks.shift)
     p = data_operator_ref(k, m, t)

@@ -24,7 +24,8 @@ from gfdmsim.detect import (
     sphere_decode,
     sqrd,
 )
-from gfdmsim.waveform import GfdmConfig, build_transmitter_matrix, dirichlet_filter, fast_modulate
+from gfdmsim.simulate import default_cp_len
+from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate
 
 from oracles import brute_force_ml_ref
 
@@ -188,40 +189,37 @@ def test_exhaustive_tie_break_is_first_candidate():
 
 
 def proposed_setup(k, m, t, r, seed):
-    cfg = GfdmConfig(k, m)
-    filt = dirichlet_filter(cfg)
-    pdp = exponential_pdp(cfg.cp_len)
-    ch = generate_channel(t, r, pdp, np.random.default_rng(seed), cfg.block_len)
-    blocks = compute_blocks(ch, filt, cfg)
-    return cfg, filt, ch, blocks
+    filt = dirichlet_filter(k, m)
+    pdp = exponential_pdp(default_cp_len(k * m))
+    ch = generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
+    blocks = compute_blocks(ch, filt)
+    return filt, ch, blocks
 
 
-def transmit(data, filt, cfg, n_tx):
-    d_len = cfg.block_len
-    return np.stack(
-        [fast_modulate(data[t * d_len : (t + 1) * d_len], filt, cfg) for t in range(n_tx)]
-    )
+def transmit(data, filt, n_tx):
+    d_len = filt.length
+    return np.stack([fast_modulate(data[t * d_len : (t + 1) * d_len], filt) for t in range(n_tx)])
 
 
 def test_detect_proposed_noiseless():
-    cfg, filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=10)
+    filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=10)
     rng = np.random.default_rng(11)
-    data = CS.points[rng.integers(0, 4, 2 * cfg.block_len)]
-    y = apply_channel(transmit(data, filt, cfg, 2), ch, 0.0)
+    data = CS.points[rng.integers(0, 4, 2 * filt.length)]
+    y = apply_channel(transmit(data, filt, 2), ch, 0.0)
     ybar = receive_transform(y, blocks.shift, 4, 2)
     npt.assert_array_equal(detect_proposed(ybar, blocks, CS), data)
 
 
 def test_detect_proposed_equals_global_exhaustive():
-    cfg, filt, ch, blocks = proposed_setup(2, 2, 2, 2, seed=12)
-    a = build_transmitter_matrix(cfg, filt)
+    filt, ch, blocks = proposed_setup(2, 2, 2, 2, seed=12)
+    a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
     factors = factorize_blocks(blocks)
     rng = np.random.default_rng(13)
     for trial in range(50):
         data = CS.points[rng.integers(0, 4, 8)]
         n0 = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
-        y = apply_channel(transmit(data, filt, cfg, 2), ch, n0, rng)
+        y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
         fast = detect_proposed(
             receive_transform(y, blocks.shift, 2, 2), blocks, CS, factors=factors
         )
@@ -230,11 +228,11 @@ def test_detect_proposed_equals_global_exhaustive():
 
 
 def test_detect_proposed_m1_equals_detect_ofdm():
-    cfg, filt, ch, blocks = proposed_setup(8, 1, 2, 2, seed=14)
+    filt, ch, blocks = proposed_setup(8, 1, 2, 2, seed=14)
     rng = np.random.default_rng(15)
     for _ in range(20):
         data = CS.points[rng.integers(0, 4, 16)]
-        y = apply_channel(transmit(data, filt, cfg, 2), ch, 0.2, rng)
+        y = apply_channel(transmit(data, filt, 2), ch, 0.2, rng)
         via_blocks = detect_proposed(receive_transform(y, blocks.shift, 8, 1), blocks, CS)
         via_ofdm = detect_ofdm(y, ch, CS)
         npt.assert_array_equal(via_blocks, via_ofdm)
@@ -242,12 +240,11 @@ def test_detect_proposed_m1_equals_detect_ofdm():
 
 def test_detect_ofdm_single_antenna_nearest_point():
     k = 8
-    cfg = GfdmConfig(k, 1)
-    filt = dirichlet_filter(cfg)
+    filt = dirichlet_filter(k, 1)
     ch = generate_channel(1, 1, exponential_pdp(1), np.random.default_rng(16), k)
     rng = np.random.default_rng(17)
     data = CS.points[rng.integers(0, 4, k)]
-    y = apply_channel(transmit(data, filt, cfg, 1), ch, 0.05, rng)
+    y = apply_channel(transmit(data, filt, 1), ch, 0.05, rng)
     out = detect_ofdm(y, ch, CS)
     yf = np.fft.fft(y[0]) / math.sqrt(k)
     for i in range(k):
@@ -264,13 +261,13 @@ def test_detect_baseline_noiseless_diagonal():
 
 def test_detect_baseline_full_group_is_ml_on_rotated_system():
     rng = np.random.default_rng(18)
-    cfg, filt, ch, _ = proposed_setup(2, 2, 2, 2, seed=19)
-    a = build_transmitter_matrix(cfg, filt)
+    filt, ch, _ = proposed_setup(2, 2, 2, 2, seed=19)
+    a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
     n0 = 0.15
     fact = baseline_factorization(h_full, n0, 1.0)
     data = CS.points[rng.integers(0, 4, 8)]
-    y = apply_channel(transmit(data, filt, cfg, 2), ch, n0, rng).reshape(-1)
+    y = apply_channel(transmit(data, filt, 2), ch, n0, rng).reshape(-1)
     joint = detect_baseline_near_ml(y, h_full, CS, n0, group_size=None, factor=fact)
     z = fact.q[: h_full.shape[0]].conj().T @ y
     oracle_sorted = exhaustive_ml(z, fact.r, CS)
@@ -292,23 +289,22 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
     # grouped SIC is near-ML: pooled over seeds at low SNR (many errors, so
     # the paired margin is well above Monte Carlo noise) it must lose to the
     # exact per-subcarrier ML receiver
-    cfg = GfdmConfig(2, 2)
-    filt = dirichlet_filter(cfg)
-    a = build_transmitter_matrix(cfg, filt)
-    pdp = exponential_pdp(cfg.cp_len)
+    filt = dirichlet_filter(2, 2)
+    a = build_transmitter_matrix(filt)
+    pdp = exponential_pdp(default_cp_len(4))
     n0 = 10.0 ** (-0.3)  # 3 dB
     err_ml = err_sic = 0
     for master in range(3):
         for c in range(150):
             rng = np.random.default_rng([master, c])
             ch = generate_channel(2, 2, pdp, rng, 4)
-            blocks = compute_blocks(ch, filt, cfg)
+            blocks = compute_blocks(ch, filt)
             factors = factorize_blocks(blocks)
             h_full = assemble_full_matrix(ch, a)
             fact = baseline_factorization(h_full, n0, 1.0)
             for _ in range(5):
                 data = CS.points[rng.integers(0, 4, 8)]
-                y = apply_channel(transmit(data, filt, cfg, 2), ch, n0, rng)
+                y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
                 d_ml = detect_proposed(
                     receive_transform(y, blocks.shift, 2, 2), blocks, CS, factors=factors
                 )
@@ -321,10 +317,10 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
 
 
 def test_detectors_accumulate_stats():
-    cfg, filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=20)
+    filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=20)
     rng = np.random.default_rng(21)
     data = CS.points[rng.integers(0, 4, 16)]
-    y = apply_channel(transmit(data, filt, cfg, 2), ch, 0.1, rng)
+    y = apply_channel(transmit(data, filt, 2), ch, 0.1, rng)
     stats = DetectionStats()
     detect_proposed(receive_transform(y, blocks.shift, 4, 2), blocks, CS, stats=stats)
     assert stats.sd_nodes_visited >= 4 * 4  # K sphere calls of size MT

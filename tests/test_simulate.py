@@ -4,6 +4,7 @@ from gfdmsim.simulate import (
     CSV_HEADER,
     ConfigError,
     SimConfig,
+    default_cp_len,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -94,7 +95,8 @@ def test_parse_config_minimal_defaults(tmp_path):
         "snr_db = 0, 10\nn_channels = 5\nn_blocks = 5\n"
     )
     cfg = parse_config(str(path))
-    assert cfg.cp_len == 2  # D // 8
+    assert cfg.cp_len == default_cp_len(16) == 2  # D // 8
+    assert default_cp_len(4) == 1
     assert cfg.block_len == 16
     assert cfg.constellation == "qpsk"
     assert cfg.seed == 0
@@ -129,11 +131,23 @@ def test_parse_config_flag_overrides(tmp_path):
         parse_config(str(path), {"snr_db": "a,b"})
 
 
-def test_cp_must_cover_channel_memory():
-    cfg = small_config(n_subcarriers=3, cp_len=1, snr_db=(0.0,))
-    cfg.validate()  # own channel uses cp_len taps: fine
-    with pytest.raises(ConfigError, match="channel memory"):
-        cfg.validate(n_channel_taps=2)
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_subcarriers", 0),
+        ("n_subsymbols", 0),
+        ("n_tx", 0),
+        ("n_rx", 0),
+        ("cp_len", 0),
+        ("n_channels", 0),
+        ("n_blocks", 0),
+        ("cp_len", 17),  # L = D + 1
+    ],
+)
+def test_validate_rejects_out_of_range_dimensions(field, value):
+    small_config().validate()
+    with pytest.raises(ConfigError):
+        small_config(**{field: value}).validate()
 
 
 def test_ofdm_requires_single_subsymbol():

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import (
-    GfdmConfig,
     PrototypeFilter,
     build_transmitter_matrix,
     dirichlet_filter,
@@ -27,25 +27,38 @@ def random_data(d, seed):
 
 
 def test_config_dimensions_and_defaults():
-    cfg = GfdmConfig(8, 2)
-    assert cfg.block_len == 16
-    assert cfg.cp_len == 2  # max(1, D // 8)
-    assert GfdmConfig(2, 2).cp_len == 1
-    with pytest.raises(ValueError):
-        GfdmConfig(0, 4)
-    with pytest.raises(ValueError):
-        GfdmConfig(4, 4, cp_len=17)
+    f = dirichlet_filter(8, 2)
+    assert (f.n_subcarriers, f.n_subsymbols, f.length) == (8, 2, 16)
+    assert rc_filter(3, 5, 0.5).n_subsymbols == 5
+    g = np.ones(8, dtype=complex) / math.sqrt(8)
+    assert PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=8).n_subsymbols == 1
+    assert default_cp_len(f.length) == 2  # max(1, D // 8)
+    assert default_cp_len(dirichlet_filter(2, 2).length) == 1
+    for k_sc, length in ((0, 8), (-2, 8), (4, 0)):
+        g = np.zeros(length, dtype=complex)
+        with pytest.raises(ValueError):
+            PrototypeFilter(g=g, g_f=g, n_subcarriers=k_sc)
+
+
+def test_transmitter_matrix_dimension_mismatch():
+    # the grid comes from the filter, so a filter whose length is not a
+    # multiple of K cannot be built, and the matrix is always D x D
+    assert build_transmitter_matrix(dirichlet_filter(4, 4)).shape == (16, 16)
+    for k_sc, length in ((3, 8), (16, 8)):
+        g = np.zeros(length, dtype=complex)
+        with pytest.raises(ValueError):
+            PrototypeFilter(g=g, g_f=g, n_subcarriers=k_sc)
 
 
 def test_dirichlet_k2_m1():
-    f = dirichlet_filter(GfdmConfig(2, 1))
+    f = dirichlet_filter(2, 1)
     npt.assert_allclose(f.g_f, math.sqrt(2) * np.array([1, 0]), atol=1e-12)
     npt.assert_allclose(f.g, np.array([1, 1]) / math.sqrt(2), atol=1e-12)
     assert f.support[1] == 0
 
 
 def test_dirichlet_k2_m2():
-    f = dirichlet_filter(GfdmConfig(2, 2))
+    f = dirichlet_filter(2, 2)
     g_1, shift = f.support
     assert shift == 1
     npt.assert_allclose(f.g_f, math.sqrt(2) * np.array([0, 1, 1, 0]), atol=1e-12)
@@ -54,59 +67,47 @@ def test_dirichlet_k2_m2():
 
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_dirichlet_m1_gives_inverse_dft_matrix(k):
-    cfg = GfdmConfig(k, 1)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(k, 1))
     npt.assert_allclose(a, dft_matrix_ref(k).conj().T, atol=1e-12)
 
 
 @pytest.mark.parametrize("k,m", GRID)
 def test_unit_energy_and_column_norms(k, m):
-    cfg = GfdmConfig(k, m)
-    for f in (dirichlet_filter(cfg), rc_filter(cfg, 0.5)):
+    for f in (dirichlet_filter(k, m), rc_filter(k, m, 0.5)):
         assert abs(np.linalg.norm(f.g) - 1.0) < 1e-12
-        a = build_transmitter_matrix(cfg, f)
+        a = build_transmitter_matrix(f)
         npt.assert_allclose(np.linalg.norm(a, axis=0), np.ones(k * m), atol=1e-12)
 
 
 @pytest.mark.parametrize("k,m", GRID)
 def test_dirichlet_matrix_is_orthogonal(k, m):
-    cfg = GfdmConfig(k, m)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(k, m))
     npt.assert_allclose(a.conj().T @ a, np.eye(k * m), atol=1e-10)
 
 
 @pytest.mark.parametrize("k,m", GRID)
 def test_parseval_for_dirichlet(k, m):
-    cfg = GfdmConfig(k, m)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(k, m))
     d = random_data(k * m, seed=k * 31 + m)
     assert abs(np.linalg.norm(a @ d) - np.linalg.norm(d)) < 1e-10
 
 
 def test_transmitter_matrix_k1_m1():
-    cfg = GfdmConfig(1, 1)
-    f = PrototypeFilter(g=np.array([1.0 + 0j]), g_f=np.array([1.0 + 0j]))
-    npt.assert_allclose(build_transmitter_matrix(cfg, f), np.array([[1.0]]), atol=1e-15)
+    f = PrototypeFilter(g=np.array([1.0 + 0j]), g_f=np.array([1.0 + 0j]), n_subcarriers=1)
+    npt.assert_allclose(build_transmitter_matrix(f), np.array([[1.0]]), atol=1e-15)
 
 
 @pytest.mark.parametrize("k,m", [(4, 2), (3, 5)])
 def test_transmitter_matrix_matches_entry_formula(k, m):
     g = random_data(k * m, seed=7)
     g = g / np.linalg.norm(g)
-    f = PrototypeFilter(g=g, g_f=np.fft.fft(g))
-    a = build_transmitter_matrix(GfdmConfig(k, m), f)
+    f = PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=k)
+    a = build_transmitter_matrix(f)
     npt.assert_allclose(a, transmitter_matrix_ref(g, k, m), atol=1e-12)
 
 
-def test_transmitter_matrix_dimension_mismatch():
-    cfg = GfdmConfig(4, 2)
-    with pytest.raises(ValueError):
-        build_transmitter_matrix(cfg, dirichlet_filter(GfdmConfig(4, 4)))
-
-
 def test_modulate_basis_and_zero():
-    cfg = GfdmConfig(4, 2)
-    a = build_transmitter_matrix(cfg, dirichlet_filter(cfg))
+    a = build_transmitter_matrix(dirichlet_filter(4, 2))
     e0 = np.zeros(8, dtype=complex)
     e0[0] = 1.0
     npt.assert_allclose(modulate(e0, a), a[:, 0], atol=1e-14)
@@ -117,13 +118,12 @@ def test_modulate_basis_and_zero():
 
 @pytest.mark.parametrize("k,m", [(2, 2), (4, 4), (8, 2), (3, 5)])
 def test_fast_modulate_matches_dense(k, m):
-    cfg = GfdmConfig(k, m)
-    f = dirichlet_filter(cfg)
-    a = build_transmitter_matrix(cfg, f)
+    f = dirichlet_filter(k, m)
+    a = build_transmitter_matrix(f)
     for seed in range(5):
         d = random_data(k * m, seed=seed)
         dense = a @ d
-        fast = fast_modulate(d, f, cfg)
+        fast = fast_modulate(d, f)
         assert np.linalg.norm(dense - fast) <= 1e-10 * np.linalg.norm(dense)
 
 
@@ -137,36 +137,33 @@ def test_fast_modulate_random_window_filters():
         g_f = np.zeros(d_len, dtype=complex)
         g_f[(shift + np.arange(m)) % d_len] = g_1
         g_f *= math.sqrt(d_len) / np.linalg.norm(g_f)
-        f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, support=(g_f[(shift + np.arange(m)) % d_len], shift))
-        cfg = GfdmConfig(k, m)
-        a = build_transmitter_matrix(cfg, f)
+        support = (g_f[(shift + np.arange(m)) % d_len], shift)
+        f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k, support=support)
+        a = build_transmitter_matrix(f)
         d = random_data(d_len, seed=int(rng.integers(1 << 30)))
-        assert np.linalg.norm(a @ d - fast_modulate(d, f, cfg)) < 1e-10
+        assert np.linalg.norm(a @ d - fast_modulate(d, f)) < 1e-10
 
 
 def test_fast_modulate_zero_and_errors():
-    cfg = GfdmConfig(4, 4)
-    f = dirichlet_filter(cfg)
-    npt.assert_allclose(fast_modulate(np.zeros(16), f, cfg), np.zeros(16), atol=1e-14)
+    f = dirichlet_filter(4, 4)
+    npt.assert_allclose(fast_modulate(np.zeros(16), f), np.zeros(16), atol=1e-14)
     with pytest.raises(ValueError):
-        fast_modulate(np.zeros(15), f, cfg)
+        fast_modulate(np.zeros(15), f)
     with pytest.raises(ValueError):
-        fast_modulate(np.zeros(16), rc_filter(cfg, 0.9), cfg)
+        fast_modulate(np.zeros(16), rc_filter(4, 4, 0.9))
 
 
 def test_fast_modulate_m1_reduces_to_inverse_dft():
     k = 8
-    cfg = GfdmConfig(k, 1)
-    f = dirichlet_filter(cfg)
+    f = dirichlet_filter(k, 1)
     d = random_data(k, seed=11)
-    npt.assert_allclose(fast_modulate(d, f, cfg), math.sqrt(k) * np.fft.ifft(d), atol=1e-12)
+    npt.assert_allclose(fast_modulate(d, f), math.sqrt(k) * np.fft.ifft(d), atol=1e-12)
 
 
 def test_support_recovery_is_identity_on_dirichlet():
     for k, m in GRID:
-        cfg = GfdmConfig(k, m)
-        f = dirichlet_filter(cfg)
-        recovered = ici_free_support(f, m)
+        f = dirichlet_filter(k, m)
+        recovered = ici_free_support(f)
         assert recovered is not None
         g_1, shift = recovered
         assert shift == f.support[1]
@@ -184,34 +181,32 @@ def test_dominant_window_ties_go_to_smallest_start():
 
 def test_rc_zero_rolloff_equals_dirichlet_rectangle():
     for k, m in GRID:
-        cfg = GfdmConfig(k, m)
-        f = rc_filter(cfg, 0.0)
-        ref = dirichlet_filter(cfg)
+        f = rc_filter(k, m, 0.0)
+        ref = dirichlet_filter(k, m)
         npt.assert_allclose(f.g_f, ref.g_f, atol=1e-12)
-        assert ici_free_support(f, m) is not None
+        assert ici_free_support(f) is not None
 
 
 @pytest.mark.parametrize("k,m", [(8, 4), (8, 2), (4, 4)])
 def test_rc_large_rolloff_is_not_ici_free(k, m):
-    f = rc_filter(GfdmConfig(k, m), 0.9)
+    f = rc_filter(k, m, 0.9)
     assert f.support is None
-    assert ici_free_support(f, m) is None
+    assert ici_free_support(f) is None
 
 
 def test_rc_rolloff_range():
-    cfg = GfdmConfig(4, 4)
     for alpha in (-0.1, 1.5):
         with pytest.raises(ValueError):
-            rc_filter(cfg, alpha)
+            rc_filter(4, 4, alpha)
 
 
 def test_all_ones_spectrum_is_not_ici_free():
     d = 8
     g_f = np.ones(d, dtype=complex) * math.sqrt(d) / math.sqrt(d)
-    f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f)
-    assert ici_free_support(f, 2) is None
+    f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=4)
+    assert ici_free_support(f) is None
 
 
 def test_zero_spectrum_has_no_support():
-    f = PrototypeFilter(g=np.zeros(8, dtype=complex), g_f=np.zeros(8, dtype=complex))
-    assert ici_free_support(f, 2) is None
+    f = PrototypeFilter(g=np.zeros(8, dtype=complex), g_f=np.zeros(8, dtype=complex), n_subcarriers=4)
+    assert ici_free_support(f) is None
