@@ -2,7 +2,7 @@
 
 Sweeps share one master seed, so every scheme sees identical channels, data,
 and noise; differences in the table are purely algorithmic. Writes the CSV
-report next to this script. Takes roughly half a minute.
+report ser_sweep.csv to the current directory. Takes roughly half a minute.
 """
 
 from gfdmsim import SimConfig, run_sweep, write_report
@@ -13,7 +13,6 @@ COMMON = dict(
     n_subsymbols=2,
     n_tx=2,
     n_rx=2,
-    cp_len=2,
     snr_db=SNR_GRID,
     n_channels=30,
     n_blocks=10,
@@ -32,7 +31,7 @@ header = "snr_db " + "".join(f"{s:>22s}" for s in ("proposed_dirichlet", "baseli
 print(header)
 for snr in SNR_GRID:
     row = [r for r in records if r.snr_db == snr]
-    by_scheme = {r.scheme: r for r in row}
+    by_scheme = {r.config.scheme: r for r in row}
     cells = "".join(
         f"{by_scheme[s].ser:>22.5f}"
         for s in ("proposed_dirichlet", "baseline_dirichlet", "baseline_rc")

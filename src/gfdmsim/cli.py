@@ -49,7 +49,7 @@ def _cmd_simulate(args) -> int:
     write_report(records, out)
     for rec in records:
         print(
-            f"snr={rec.snr_db:g} dB  scheme={rec.scheme}  ser={rec.ser:.6g}  "
+            f"snr={rec.snr_db:g} dB  scheme={rec.config.scheme}  ser={rec.ser:.6g}  "
             f"sd_nodes_avg={rec.sd_nodes_avg:.6g}"
         )
     print(f"wrote {out}")

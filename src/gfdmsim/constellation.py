@@ -37,13 +37,3 @@ def qpsk() -> Constellation:
     im = np.array([1, -1, 1, -1], dtype=float)
     points = (re + 1j * im) / np.sqrt(2.0)
     return Constellation(name="qpsk", points=points)
-
-
-_BY_NAME = {"qpsk": qpsk}
-
-
-def by_name(name: str) -> Constellation:
-    try:
-        return _BY_NAME[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown constellation '{name}'") from None

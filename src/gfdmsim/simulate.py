@@ -24,7 +24,7 @@ import numpy as np
 from . import channel as chan
 from . import detect
 from . import waveform
-from .constellation import by_name as constellation_by_name
+from .constellation import qpsk
 from .decoupling import compute_blocks, receive_transform
 
 SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
@@ -36,21 +36,6 @@ DEFAULT_RC_ROLLOFF = 0.9
 _STREAM_CHANNEL = 0
 _STREAM_DATA = 1
 _STREAM_NOISE = 2
-
-CONFIG_KEYS = (
-    "scheme",
-    "K",
-    "M",
-    "T",
-    "R",
-    "L",
-    "constellation",
-    "snr_db",
-    "n_channels",
-    "n_blocks",
-    "seed",
-    "out",
-)
 
 
 class ConfigError(ValueError):
@@ -89,12 +74,10 @@ class SimConfig:
     n_subsymbols: int
     n_tx: int
     n_rx: int
-    cp_len: int
     snr_db: tuple[float, ...]
     n_channels: int
     n_blocks: int
     alpha: float | None = None
-    constellation: str = "qpsk"
     seed: int = 0
     out: str | None = None
 
@@ -119,16 +102,11 @@ class SimConfig:
             ("M", self.n_subsymbols),
             ("T", self.n_tx),
             ("R", self.n_rx),
-            ("L", self.cp_len),
             ("n_channels", self.n_channels),
             ("n_blocks", self.n_blocks),
         ):
             if value < 1:
                 raise ConfigError(f"{label} must be positive, got {value}")
-        if self.cp_len > self.block_len:
-            raise ConfigError(
-                f"L = {self.cp_len} exceeds the block length D = {self.block_len}"
-            )
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
         if self.scheme not in SCHEMES:
@@ -142,7 +120,6 @@ class SimConfig:
             )
         if self.scheme == "baseline_rc" and self.alpha is None:
             raise ConfigError("scheme 'baseline_rc' requires a roll-off")
-        constellation_by_name(self.constellation)
 
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
@@ -155,8 +132,9 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_INT_KEYS = {"K", "M", "T", "R", "L", "n_channels", "n_blocks", "seed"}
+_INT_KEYS = {"K", "M", "T", "R", "n_channels", "n_blocks", "seed"}
 _REQUIRED_KEYS = {"scheme", "K", "M", "T", "R", "snr_db", "n_channels", "n_blocks"}
+CONFIG_KEYS = _REQUIRED_KEYS | {"seed", "out"}
 
 
 def _typed(key: str, text: str, where: str):
@@ -171,7 +149,7 @@ def _typed(key: str, text: str, where: str):
 
 
 def default_cp_len(block_len: int) -> int:
-    """Default CP length L, which also sets the number of channel taps: max(1, D // 8)."""
+    """CP length L of a D-sample block, which is also the channel's tap count: max(1, D // 8)."""
     return max(1, block_len // 8)
 
 
@@ -181,9 +159,9 @@ def parse_config(
     """Read a key-value config file, apply flag overrides, and validate.
 
     The format is one ``key = value`` pair per line; '#' starts a comment.
-    Allowed keys: scheme, K, M, T, R, L, constellation, snr_db, n_channels,
-    n_blocks, seed, out. Defaults: L = default_cp_len(D), constellation =
-    qpsk, seed = 0. Error messages carry the offending file line or flag.
+    Allowed keys: scheme, K, M, T, R, snr_db, n_channels, n_blocks, seed,
+    out; seed defaults to 0. Symbols are QPSK and the channel has
+    default_cp_len(D) taps. Errors carry the offending file line or flag.
     """
     values: dict[str, object] = {}
     if path is not None:
@@ -210,7 +188,6 @@ def parse_config(
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     scheme, alpha = parse_scheme(str(values["scheme"]))
-    d = int(values["K"]) * int(values["M"])
     cfg = SimConfig(
         scheme=scheme,
         alpha=alpha,
@@ -218,8 +195,6 @@ def parse_config(
         n_subsymbols=int(values["M"]),
         n_tx=int(values["T"]),
         n_rx=int(values["R"]),
-        cp_len=int(values.get("L", default_cp_len(d))),
-        constellation=str(values.get("constellation", "qpsk")),
         snr_db=tuple(values["snr_db"]),
         n_channels=int(values["n_channels"]),
         n_blocks=int(values["n_blocks"]),
@@ -238,8 +213,6 @@ def serialize_config(cfg: SimConfig) -> str:
         f"M = {cfg.n_subsymbols}",
         f"T = {cfg.n_tx}",
         f"R = {cfg.n_rx}",
-        f"L = {cfg.cp_len}",
-        f"constellation = {cfg.constellation}",
         f"snr_db = {', '.join(repr(s) for s in cfg.snr_db)}",
         f"n_channels = {cfg.n_channels}",
         f"n_blocks = {cfg.n_blocks}",
@@ -283,42 +256,44 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Aggregated outcome of one (SNR point, scheme) cell of a sweep."""
+    """Measured outcome of one SNR point of the sweep run with `config`."""
 
+    config: SimConfig
     snr_db: float
-    scheme: str
-    filter_label: str
-    n_subcarriers: int
-    n_subsymbols: int
-    n_tx: int
-    n_rx: int
     errors: int
-    symbols: int
-    cm_sqrd: int
-    cm_sic: int
     cm_sd: int
     sd_nodes: int
-    n_channels: int
-    n_blocks: int
     wall_time: float
+
+    @property
+    def symbols(self) -> int:
+        cfg = self.config
+        return cfg.n_channels * cfg.n_blocks * cfg.n_tx * cfg.block_len
 
     @property
     def ser(self) -> float:
         return self.errors / self.symbols
 
     @property
+    def closed_form(self) -> tuple[int, int]:
+        """The configured receiver's (cm_sqrd, cm_sic), from :func:`closed_form_cm`."""
+        cfg = self.config
+        return closed_form_cm(cfg.scheme, cfg.n_subcarriers, cfg.n_subsymbols, cfg.n_tx, cfg.n_rx)
+
+    @property
     def cm_sd_avg(self) -> float:
-        return self.cm_sd / (self.n_channels * self.n_blocks)
+        return self.cm_sd / (self.config.n_channels * self.config.n_blocks)
 
     @property
     def sd_nodes_avg(self) -> float:
-        return self.sd_nodes / (self.n_channels * self.n_blocks)
+        return self.sd_nodes / (self.config.n_channels * self.config.n_blocks)
 
     @property
     def total_cm_avg(self) -> float:
         # per-block total: factorization once per channel realization,
         # amortized over its blocks; SIC and sphere decoding per block
-        return self.cm_sqrd / self.n_blocks + self.cm_sic + self.cm_sd_avg
+        cm_sqrd, cm_sic = self.closed_form
+        return cm_sqrd / self.config.n_blocks + cm_sic + self.cm_sd_avg
 
 
 def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
@@ -334,23 +309,21 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     function of cfg.
     """
     cfg.validate()
-    cs = constellation_by_name(cfg.constellation)
+    cs = qpsk()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
     if cfg.scheme == "baseline_rc":
         filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
     else:
         filt = waveform.dirichlet_filter(k_sc, m_ss)
-    pdp = chan.exponential_pdp(cfg.cp_len)
+    pdp = chan.exponential_pdp(default_cp_len(d))
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
-    cm_sqrd, cm_sic = closed_form_cm(cfg.scheme, k_sc, m_ss, n_tx, cfg.n_rx)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
         noise_power = chan.snr_db_to_noise_power(snr, cs.energy)
         stats = detect.DetectionStats()
         errors = 0
-        symbols = 0
         start = time.perf_counter()
         for c_idx in range(cfg.n_channels):
             rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c_idx)
@@ -391,24 +364,13 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                     ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
                     d_hat = detect.detect_proposed(ybar, blocks, cs, stats=stats, factors=factors)
                 errors += int(np.sum(d_hat != data))
-                symbols += n_tx * d
         records.append(
             TrialRecord(
+                config=cfg,
                 snr_db=float(snr),
-                scheme=cfg.scheme,
-                filter_label=cfg.filter_label(),
-                n_subcarriers=k_sc,
-                n_subsymbols=m_ss,
-                n_tx=n_tx,
-                n_rx=n_rx,
                 errors=errors,
-                symbols=symbols,
-                cm_sqrd=cm_sqrd,
-                cm_sic=cm_sic,
                 cm_sd=stats.cm_count,
                 sd_nodes=stats.sd_nodes_visited,
-                n_channels=cfg.n_channels,
-                n_blocks=cfg.n_blocks,
                 wall_time=time.perf_counter() - start,
             )
         )
@@ -434,24 +396,26 @@ def write_report(records: list[TrialRecord], path: str) -> None:
     """
     if not records:
         raise ValueError("no records to write")
-    rows = sorted(records, key=lambda rec: (rec.snr_db, rec.scheme))
+    rows = sorted(records, key=lambda rec: (rec.snr_db, rec.config.scheme))
     lines = [CSV_HEADER]
     for rec in rows:
+        cfg = rec.config
+        cm_sqrd, cm_sic = rec.closed_form
         lines.append(
             ",".join(
                 [
                     _g6(rec.snr_db),
-                    rec.scheme,
-                    rec.filter_label,
-                    str(rec.n_subcarriers),
-                    str(rec.n_subsymbols),
-                    str(rec.n_tx),
-                    str(rec.n_rx),
+                    cfg.scheme,
+                    cfg.filter_label(),
+                    str(cfg.n_subcarriers),
+                    str(cfg.n_subsymbols),
+                    str(cfg.n_tx),
+                    str(cfg.n_rx),
                     _g6(rec.ser),
                     str(rec.errors),
                     str(rec.symbols),
-                    str(rec.cm_sqrd),
-                    str(rec.cm_sic),
+                    str(cm_sqrd),
+                    str(cm_sic),
                     _g6(rec.cm_sd_avg),
                     _g6(rec.sd_nodes_avg),
                     _g6(rec.total_cm_avg),

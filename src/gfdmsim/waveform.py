@@ -64,6 +64,14 @@ def _filter_from_window(g_1: np.ndarray, shift: int, k_sc: int) -> PrototypeFilt
     )
 
 
+def _window_start(k: int, m: int) -> int:
+    """Start l = (D - ceil(-M/2)) mod D of the M-bin window the constructors center on."""
+    if k < 1 or m < 1:
+        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
+    d = k * m
+    return (d - math.ceil(-m / 2)) % d
+
+
 def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     """Flat M-bin frequency window: the orthogonal, ICI-free GFDM pulse.
 
@@ -72,9 +80,7 @@ def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     inverse DFT. For M = 1 this is the OFDM rectangular pulse and A equals
     the inverse DFT matrix.
     """
-    d = k * m
-    shift = (d - math.ceil(-m / 2)) % d
-    return _filter_from_window(np.ones(m, dtype=complex), shift, k)
+    return _filter_from_window(np.ones(m, dtype=complex), _window_start(k, m), k)
 
 
 def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
@@ -89,8 +95,7 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
     d = k * m
-    shift = (d - math.ceil(-m / 2)) % d
-    center = shift + (m - 1) / 2.0
+    center = _window_start(k, m) + (m - 1) / 2.0
     # signed cyclic bin distance from the window center, in (-D/2, D/2]
     offsets = (np.arange(d) - center + d / 2.0) % d - d / 2.0
     x = np.abs(offsets)

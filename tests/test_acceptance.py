@@ -161,7 +161,6 @@ def desk_scale_sweeps():
                 n_subsymbols=2,
                 n_tx=2,
                 n_rx=2,
-                cp_len=2,
                 snr_db=SWEEP_GRID,
                 n_channels=50,
                 n_blocks=20,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gfdmsim.simulate import (
@@ -21,7 +23,6 @@ def small_config(**kw):
         n_subsymbols=2,
         n_tx=2,
         n_rx=2,
-        cp_len=2,
         snr_db=(0.0, 10.0),
         n_channels=3,
         n_blocks=3,
@@ -95,10 +96,9 @@ def test_parse_config_minimal_defaults(tmp_path):
         "snr_db = 0, 10\nn_channels = 5\nn_blocks = 5\n"
     )
     cfg = parse_config(str(path))
-    assert cfg.cp_len == default_cp_len(16) == 2  # D // 8
+    assert default_cp_len(cfg.block_len) == 2  # D // 8
     assert default_cp_len(4) == 1
     assert cfg.block_len == 16
-    assert cfg.constellation == "qpsk"
     assert cfg.seed == 0
 
 
@@ -116,6 +116,22 @@ def test_parse_config_error_messages(tmp_path):
     path.write_text("K = 8\nK = 4\n")
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config(str(path))
+    # the CP length and the constellation are fixed, not configured
+    for line in ("L = 2", "constellation = qpsk"):
+        path.write_text(f"scheme = proposed_dirichlet\nK = 8\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"sim\.cfg:3: unknown key '{key}'"):
+            parse_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
+    ids=lambda p: p.name,
+)
+def test_shipped_configs_parse(path):
+    cfg = parse_config(str(path))
+    assert cfg.out == f"{path.stem}.csv"
 
 
 def test_parse_config_flag_overrides(tmp_path):
@@ -138,10 +154,8 @@ def test_parse_config_flag_overrides(tmp_path):
         ("n_subsymbols", 0),
         ("n_tx", 0),
         ("n_rx", 0),
-        ("cp_len", 0),
         ("n_channels", 0),
         ("n_blocks", 0),
-        ("cp_len", 17),  # L = D + 1
     ],
 )
 def test_validate_rejects_out_of_range_dimensions(field, value):
@@ -216,9 +230,10 @@ def test_sweep_is_deterministic():
 def test_sweep_records_carry_formula_counts():
     cfg = small_config(scheme="baseline_dirichlet", snr_db=(8.0,))
     rec = run_sweep(cfg)[0]
-    assert (rec.cm_sqrd, rec.cm_sic) == closed_form_cm("baseline", 8, 2, 2, 2)
+    assert rec.closed_form == closed_form_cm("baseline", 8, 2, 2, 2)
     assert rec.cm_sd > 0 and rec.sd_nodes > 0
-    assert rec.total_cm_avg == rec.cm_sqrd / rec.n_blocks + rec.cm_sic + rec.cm_sd_avg
+    cm_sqrd, cm_sic = rec.closed_form
+    assert rec.total_cm_avg == cm_sqrd / cfg.n_blocks + cm_sic + rec.cm_sd_avg
 
 
 def test_sweep_exact_ml_beats_rc_baseline_at_low_snr():
@@ -227,7 +242,7 @@ def test_sweep_exact_ml_beats_rc_baseline_at_low_snr():
     # than the near-ML receiver on the leaky RC filter
     total_p = total_r = 0
     for seed in range(5):
-        base = dict(n_subcarriers=8, n_subsymbols=2, n_tx=2, n_rx=2, cp_len=2,
+        base = dict(n_subcarriers=8, n_subsymbols=2, n_tx=2, n_rx=2,
                     snr_db=(4.0,), n_channels=10, n_blocks=10, seed=seed)
         total_p += run_sweep(SimConfig(scheme="proposed_dirichlet", **base))[0].errors
         total_r += run_sweep(SimConfig(scheme="baseline_rc", alpha=0.9, **base))[0].errors

@@ -50,6 +50,21 @@ def test_transmitter_matrix_dimension_mismatch():
             PrototypeFilter(g=g, g_f=g, n_subcarriers=k_sc)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dirichlet_filter(0, 4),
+        lambda: dirichlet_filter(4, 0),
+        lambda: dirichlet_filter(-1, 4),
+        lambda: rc_filter(4, 0, 0.5),
+    ],
+    ids=["dirichlet-k0", "dirichlet-m0", "dirichlet-k-1", "rc-m0"],
+)
+def test_filter_constructors_reject_empty_grid(make):
+    with pytest.raises(ValueError, match="K and M must be positive"):
+        make()
+
+
 def test_dirichlet_k2_m1():
     f = dirichlet_filter(2, 1)
     npt.assert_allclose(f.g_f, math.sqrt(2) * np.array([1, 0]), atol=1e-12)
