@@ -13,6 +13,7 @@ from gfdmsim import (
     DetectionStats,
     apply_channel,
     assemble_full_matrix,
+    baseline_factorization,
     build_transmitter_matrix,
     compute_blocks,
     default_cp_len,
@@ -21,6 +22,7 @@ from gfdmsim import (
     dirichlet_filter,
     exhaustive_ml,
     exponential_pdp,
+    factorize_blocks,
     fast_modulate,
     generate_channel,
     qpsk,
@@ -42,9 +44,12 @@ x = np.stack([fast_modulate(data[t * 4 : (t + 1) * 4], filt) for t in range(n_tx
 noise_power = 10.0 ** (-8.0 / 10.0)  # 8 dB
 y = apply_channel(x, ch, noise_power, rng)
 
+# factor once per channel realization, then detect the block
+factors = factorize_blocks(blocks)
+factor = baseline_factorization(h_full, noise_power)
 stats = DetectionStats()
-d_fast = detect_proposed(receive_transform(y, blocks.shift, k_sc, m_ss), blocks, cs, stats=stats)
-d_base = detect_baseline_near_ml(y.reshape(-1), h_full, cs, noise_power, group_size=m_ss * n_tx)
+d_fast = detect_proposed(receive_transform(y, blocks.shift, k_sc, m_ss), blocks, factors, cs, stats)
+d_base = detect_baseline_near_ml(y, factor, cs, m_ss * n_tx)
 d_ml = exhaustive_ml(y.reshape(-1), h_full, cs)
 
 print("sent:                ", np.round(data, 3))

@@ -30,6 +30,7 @@ from .decoupling import (
 from .detect import (
     DetectionStats,
     SqrdFactorization,
+    baseline_factorization,
     detect_baseline_near_ml,
     detect_ofdm,
     detect_proposed,
@@ -55,7 +56,6 @@ from .waveform import (
     dirichlet_filter,
     fast_modulate,
     ici_free_support,
-    modulate,
     rc_filter,
 )
 

@@ -35,8 +35,8 @@ class PdpProfile:
         return len(self.powers)
 
 
-def exponential_pdp(n_taps: int, span_db: float = 10.0) -> PdpProfile:
-    """Exponentially decaying profile, 0 dB at tap 0 down to -span_db at the last tap.
+def exponential_pdp(n_taps: int) -> PdpProfile:
+    """Exponentially decaying profile, 0 dB at tap 0 down to -10 dB at the last tap.
 
     Powers follow a linear-in-dB ramp and are normalized to unit total power;
     a single tap degenerates to [1.0].
@@ -45,7 +45,7 @@ def exponential_pdp(n_taps: int, span_db: float = 10.0) -> PdpProfile:
         raise ValueError("need at least one tap")
     if n_taps == 1:
         return PdpProfile(np.ones(1))
-    ramp = 10.0 ** (-(span_db / (n_taps - 1)) * np.arange(n_taps) / 10.0)
+    ramp = 10.0 ** (-(10.0 / (n_taps - 1)) * np.arange(n_taps) / 10.0)
     return PdpProfile(ramp / ramp.sum())
 
 
@@ -146,12 +146,13 @@ def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def snr_db_to_noise_power(snr_db: float, symbol_energy: float = 1.0) -> float:
-    """Noise power N0 for a target per-antenna SNR = Es/N0.
+def snr_db_to_noise_power(snr_db: float) -> float:
+    """Noise power N0 for a target per-antenna SNR = Es/N0 with unit symbol energy Es.
 
     Channels have unit average power and the prototype filter unit energy, so
-    Es/N0 is the receive-side symbol SNR. CP overhead is excluded.
+    Es/N0 is the receive-side symbol SNR. CP overhead is excluded; +inf dB
+    gives N0 = 0.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return 0.0
-    return symbol_energy * 10.0 ** (-snr_db / 10.0)
+    return 10.0 ** (-snr_db / 10.0)

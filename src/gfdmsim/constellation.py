@@ -10,20 +10,19 @@ class Constellation:
     """A finite symbol alphabet.
 
     `points` fixes the canonical symbol order used everywhere (data generation,
-    detector tie-breaking, error counting). Sweeps count symbol errors, so
-    symbols carry no bit labels.
+    detector tie-breaking, error counting) and must have unit average energy,
+    which the SNR-to-noise conversion and the MMSE regularization assume.
+    Sweeps count symbol errors, so symbols carry no bit labels.
     """
 
     name: str
     points: np.ndarray
-    energy: float = 1.0
 
     def __post_init__(self):
         avg = float(np.mean(np.abs(self.points) ** 2))
-        if abs(avg - self.energy) > 1e-12:
+        if abs(avg - 1.0) > 1e-12:
             raise ValueError(
-                f"constellation '{self.name}' has average energy {avg!r}, "
-                f"expected {self.energy!r}"
+                f"constellation '{self.name}' has average energy {avg!r}, expected 1"
             )
 
     @property

@@ -98,18 +98,16 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     return SqrdFactorization(q=q, r=r, perm=perm)
 
 
-def mmse_sqrd(
-    h: np.ndarray, noise_power: float, symbol_energy: float = 1.0
-) -> SqrdFactorization:
-    """Sorted QR of the noise-regularized extension [H; sqrt(N0/Es) * I].
+def mmse_sqrd(h: np.ndarray, noise_power: float) -> SqrdFactorization:
+    """Sorted QR of the noise-regularized extension [H; sqrt(N0) * I].
 
-    The factorization satisfies R^H R = perm'(H^H H + (N0/Es) I)perm; the top
-    rows of Q apply to the received vector. With N0 = 0 it reduces to plain
-    ``sqrd(h)``.
+    Symbols have unit energy, so the factorization satisfies
+    R^H R = perm'(H^H H + N0 I)perm; the top rows of Q apply to the received
+    vector. With N0 = 0 it reduces to plain ``sqrd(h)``.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[1]
-    sigma = math.sqrt(noise_power / symbol_energy)
+    sigma = math.sqrt(noise_power)
     ext = np.vstack([h, sigma * np.eye(n, dtype=complex)])
     return sqrd(ext)
 
@@ -193,22 +191,20 @@ def sphere_decode(
     return points[best_idx]
 
 
-def exhaustive_ml(
-    y: np.ndarray, h: np.ndarray, cs: Constellation, budget: int = 2**20
-) -> np.ndarray:
+def exhaustive_ml(y: np.ndarray, h: np.ndarray, cs: Constellation) -> np.ndarray:
     """Brute-force argmin of ||y - H d||^2 over all constellation vectors.
 
     Candidates are enumerated with the first coordinate as the most
     significant digit; ties keep the lexicographically smallest candidate
-    index. Refuses instances with more than ``budget`` candidates. Test
-    oracle only.
+    index. Refuses instances with more than 2**20 candidates (ten QPSK
+    symbols). Test oracle only.
     """
     y = np.asarray(y)
     h = np.asarray(h)
     n = h.shape[1]
     total = cs.size**n
-    if total > budget:
-        raise ValueError(f"{total} candidates exceed the enumeration budget {budget}")
+    if total > 2**20:
+        raise ValueError(f"{total} candidates exceed the enumeration limit of 2**20")
     weights = cs.size ** np.arange(n - 1, -1, -1)
     best_metric = math.inf
     best_first = 0
@@ -228,23 +224,24 @@ def exhaustive_ml(
 
 
 def factorize_blocks(blocks: BlockSystem) -> list[SqrdFactorization]:
-    """Sorted QR of every per-subcarrier block (reusable across data blocks)."""
+    """Sorted QR of every per-subcarrier block, computed once per channel realization."""
     return [sqrd(blocks.blocks[k]) for k in range(blocks.n_subcarriers)]
 
 
 def detect_proposed(
     ybar: np.ndarray,
     blocks: BlockSystem,
+    factors: list[SqrdFactorization],
     cs: Constellation,
     stats: DetectionStats | None = None,
-    factors: list[SqrdFactorization] | None = None,
 ) -> np.ndarray:
     """Per-subcarrier ML detection on the decoupled system.
 
-    ``ybar`` is the receive-transformed observation; each of the K
-    subproblems is solved exactly by sorted QR plus one sphere-decoder call
-    of size MT, then the data permutation is undone. The QR is plain and
-    unregularized, so no noise power enters.
+    ``ybar`` is the receive-transformed observation and ``factors`` the
+    :func:`factorize_blocks` output for ``blocks``. Each of the K
+    subproblems is solved exactly by one sphere-decoder call of size MT,
+    then the data permutation is undone. The QR is plain and unregularized,
+    so no noise power enters.
     """
     k_sc, m_ss = blocks.n_subcarriers, blocks.n_subsymbols
     n_tx, n_rx = blocks.n_tx, blocks.n_rx
@@ -252,8 +249,6 @@ def detect_proposed(
     ybar = np.asarray(ybar)
     if ybar.shape[0] != k_sc * rows:
         raise ValueError("observation length does not match the block system")
-    if factors is None:
-        factors = factorize_blocks(blocks)
     dbar = np.empty(k_sc * cols, dtype=complex)
     for k in range(k_sc):
         fact = factors[k]
@@ -264,46 +259,44 @@ def detect_proposed(
     return inverse_data_permutation(dbar, k_sc, m_ss, n_tx)
 
 
-def baseline_factorization(
-    h_full: np.ndarray, noise_power: float, symbol_energy: float = 1.0
-) -> SqrdFactorization:
-    """MMSE-SQRD of the full stacked matrix, with a tiny-regularization fallback."""
+def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:
+    """MMSE-SQRD of the full stacked matrix, with a tiny-regularization fallback.
+
+    Computed once per channel realization and SNR; a rank-deficient noiseless
+    system falls back to a 1e-12 regularization with a logged warning.
+    """
     try:
-        return mmse_sqrd(h_full, noise_power, symbol_energy)
+        return mmse_sqrd(h_full, noise_power)
     except np.linalg.LinAlgError:
         logger.warning(
             "rank-deficient system at noise power %g; retrying with 1e-12 regularization",
             noise_power,
         )
-        return mmse_sqrd(h_full, 1e-12, symbol_energy)
+        return mmse_sqrd(h_full, 1e-12)
 
 
 def detect_baseline_near_ml(
     y: np.ndarray,
-    h_full: np.ndarray,
+    factor: SqrdFactorization,
     cs: Constellation,
-    noise_power: float,
-    group_size: int | None = None,
+    group_size: int,
     stats: DetectionStats | None = None,
-    factor: SqrdFactorization | None = None,
 ) -> np.ndarray:
-    """Near-ML detection of the full stacked system: MMSE-SQRD + grouped DFSD + SIC.
+    """Near-ML detection of the full stacked system: grouped DFSD + SIC.
 
-    The triangular system is processed bottom-up in groups of ``group_size``
-    symbols (default: one single group, i.e. exact ML on the rotated
+    ``y`` is the received (R, D) array or its flattening and ``factor`` the
+    :func:`baseline_factorization` of the full RD x TD matrix. The
+    triangular system is processed bottom-up in groups of ``group_size``
+    symbols (TD gives one single group, i.e. exact ML on the rotated
     system). Each group is sphere-decoded jointly, then its contribution is
-    cancelled from the remaining rows. A rank-deficient noiseless system
-    falls back to a 1e-12 regularization with a logged warning.
+    cancelled from the remaining rows.
     """
     y = np.asarray(y).reshape(-1)
-    h_full = np.asarray(h_full)
-    n = h_full.shape[1]
-    if factor is None:
-        factor = baseline_factorization(h_full, noise_power, cs.energy)
-    group = n if group_size is None else int(group_size)
+    n = factor.r.shape[0]
+    group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
-    z = factor.q[: h_full.shape[0]].conj().T @ y
+    z = factor.q[: len(y)].conj().T @ y
     s_sorted = np.zeros(n, dtype=complex)
     hi = n
     while hi > 0:
@@ -323,7 +316,6 @@ def detect_ofdm(
     ch: MimoChannel,
     cs: Constellation,
     stats: DetectionStats | None = None,
-    factors: list[SqrdFactorization] | None = None,
 ) -> np.ndarray:
     """Per-subcarrier detection for M = 1 blocks (A = inverse DFT matrix).
 
@@ -338,11 +330,9 @@ def detect_ofdm(
     if y.shape != (ch.n_rx, d):
         raise ValueError(f"expected received array of shape {(ch.n_rx, d)}, got {y.shape}")
     yf = np.fft.fft(y, axis=1) / math.sqrt(d)
-    if factors is None:
-        factors = [sqrd(ch.freq[:, :, i]) for i in range(d)]
     d_hat = np.empty(ch.n_tx * d, dtype=complex)
     for i in range(d):
-        fact = factors[i]
+        fact = sqrd(ch.freq[:, :, i])
         z = fact.q.conj().T @ yf[:, i]
         s_sorted = sphere_decode(fact.r, z, cs, stats)
         d_hat[fact.perm * d + i] = s_sorted

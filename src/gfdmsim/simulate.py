@@ -15,6 +15,7 @@ the factorization charged once per channel realization and amortized over
 its blocks.
 """
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -109,6 +110,11 @@ class SimConfig:
                 raise ConfigError(f"{label} must be positive, got {value}")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
+        for snr in self.snr_db:
+            if math.isnan(snr) or snr == -math.inf:
+                raise ConfigError(f"snr_db points must be finite or +inf, got {snr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme '{self.scheme}'")
         if self.scheme == "ofdm" and self.n_subsymbols != 1:
@@ -321,7 +327,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
-        noise_power = chan.snr_db_to_noise_power(snr, cs.energy)
+        noise_power = chan.snr_db_to_noise_power(snr)
         stats = detect.DetectionStats()
         errors = 0
         start = time.perf_counter()
@@ -330,7 +336,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
             ch = chan.generate_channel(n_tx, n_rx, pdp, rng_ch, d)
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
-                factor = detect.baseline_factorization(h_full, noise_power, cs.energy)
+                factor = detect.baseline_factorization(h_full, noise_power)
             else:
                 blocks = compute_blocks(ch, filt)
                 factors = detect.factorize_blocks(blocks)
@@ -351,18 +357,10 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 rng_n = _trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b_idx)
                 y = chan.apply_channel(x, ch, noise_power, rng_n)
                 if dense:
-                    d_hat = detect.detect_baseline_near_ml(
-                        y.reshape(-1),
-                        h_full,
-                        cs,
-                        noise_power,
-                        group_size=m_ss * n_tx,
-                        stats=stats,
-                        factor=factor,
-                    )
+                    d_hat = detect.detect_baseline_near_ml(y, factor, cs, m_ss * n_tx, stats)
                 else:
                     ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
-                    d_hat = detect.detect_proposed(ybar, blocks, cs, stats=stats, factors=factors)
+                    d_hat = detect.detect_proposed(ybar, blocks, factors, cs, stats)
                 errors += int(np.sum(d_hat != data))
         records.append(
             TrialRecord(

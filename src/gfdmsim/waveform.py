@@ -123,14 +123,14 @@ def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return g_f[(start + np.arange(m)) % d].copy(), start
 
 
-def ici_free_support(f: PrototypeFilter, tol: float = 1e-12) -> tuple[np.ndarray, int] | None:
+def ici_free_support(f: PrototypeFilter) -> tuple[np.ndarray, int] | None:
     """Locate an M-bin cyclic window holding essentially all of ``f.g_f``.
 
     Returns (g_1, l) where g_1 is the window contents and l its start index,
     or None when no window of M consecutive (cyclic) bins captures at least
-    (1 - tol) of the filter's frequency-domain energy. The default tolerance
-    is machine-precision level: filters are either in the class by
-    construction or not at all.
+    (1 - 1e-12) of the filter's frequency-domain energy. The tolerance is
+    machine-precision level: filters are either in the class by construction
+    or not at all.
     """
     g_f = np.asarray(f.g_f)
     d = len(g_f)
@@ -142,10 +142,10 @@ def ici_free_support(f: PrototypeFilter, tol: float = 1e-12) -> tuple[np.ndarray
         return None
     g_1, start = dominant_window(g_f, m)
     inside = np.sum(np.abs(g_1) ** 2)
-    if inside < (1.0 - tol) * total:
+    if inside < (1.0 - 1e-12) * total:
         return None
     outside_peak = math.sqrt(max(total - inside, 0.0))
-    if outside_peak > math.sqrt(tol) * math.sqrt(total):
+    if outside_peak > math.sqrt(1e-12) * math.sqrt(total):
         return None
     return g_1, start
 
@@ -166,21 +166,13 @@ def build_transmitter_matrix(f: PrototypeFilter) -> np.ndarray:
     return f.g[shifts] * phase
 
 
-def modulate(d: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Dense modulation A @ d of one block of D data symbols."""
-    d = np.asarray(d)
-    if d.shape != (a.shape[1],):
-        raise ValueError(f"data length {d.shape} does not match matrix {a.shape}")
-    return a @ d
-
-
 def fast_modulate(d: np.ndarray, f: PrototypeFilter) -> np.ndarray:
     """FFT-based modulation for filters with an M-bin frequency window.
 
-    Equivalent to ``modulate(d, A)`` but in O(D log D): one M-point FFT per
-    subcarrier, the window scaling, and a single D-point inverse FFT. Data
-    ordering matches the dense matrix (index m*K + k holds subsymbol m of
-    subcarrier k).
+    Equivalent to the dense product ``A @ d`` but in O(D log D): one M-point
+    FFT per subcarrier, the window scaling, and a single D-point inverse FFT.
+    Data ordering matches the dense matrix (index m*K + k holds subsymbol m
+    of subcarrier k).
     """
     if f.support is None:
         raise ValueError("fast modulation requires a filter with an M-bin window")

@@ -14,7 +14,14 @@ from gfdmsim.channel import apply_channel, assemble_full_matrix, exponential_pdp
 from gfdmsim.cli import main as cli_main
 from gfdmsim.constellation import qpsk
 from gfdmsim.decoupling import compute_blocks, receive_transform, verify_decomposition
-from gfdmsim.detect import detect_ofdm, detect_proposed, exhaustive_ml, sphere_decode, sqrd
+from gfdmsim.detect import (
+    detect_ofdm,
+    detect_proposed,
+    exhaustive_ml,
+    factorize_blocks,
+    sphere_decode,
+    sqrd,
+)
 from gfdmsim.simulate import SimConfig, closed_form_cm, default_cp_len, run_sweep
 from gfdmsim.waveform import (
     build_transmitter_matrix,
@@ -82,7 +89,8 @@ def test_criterion_3_proposed_equals_global_ml():
         x = np.stack([fast_modulate(data[i * 4 : (i + 1) * 4], filt) for i in range(t)])
         noise_power = 10.0 ** (-snrs[trial] / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        fast = detect_proposed(receive_transform(y, blocks.shift, k, m), blocks, CS)
+        ybar = receive_transform(y, blocks.shift, k, m)
+        fast = detect_proposed(ybar, blocks, factorize_blocks(blocks), CS)
         oracle = exhaustive_ml(y.reshape(-1), assemble_full_matrix(ch, a), CS)
         agree += bool(np.array_equal(fast, oracle))
     report("3", agree == 200, f"per-subcarrier detector matched exhaustive ML in {agree}/200 trials")
@@ -119,7 +127,8 @@ def test_criterion_5_ofdm_reduction():
         x = np.stack([fast_modulate(data[i * k : (i + 1) * k], filt) for i in range(t)])
         noise_power = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        via_blocks = detect_proposed(receive_transform(y, blocks.shift, k, 1), blocks, CS)
+        ybar = receive_transform(y, blocks.shift, k, 1)
+        via_blocks = detect_proposed(ybar, blocks, factorize_blocks(blocks), CS)
         agree += bool(np.array_equal(via_blocks, detect_ofdm(y, ch, CS)))
     ok = entrywise <= 1e-12 and agree == 100
     report(

@@ -53,6 +53,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scheme = warp\n" + BASE_CFG.split("\n", 1)[1])
     assert main(["simulate", "--config", cfg]) == 2
     assert "unknown scheme" in capsys.readouterr().err
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_simulate_gates_full_scale(tmp_path, capsys):

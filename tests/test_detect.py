@@ -87,7 +87,7 @@ def test_mmse_sqrd_zero_noise_reduces_to_sqrd():
 
 
 def test_mmse_sqrd_zero_matrix():
-    fact = mmse_sqrd(np.zeros((4, 3), dtype=complex), 0.25, 1.0)
+    fact = mmse_sqrd(np.zeros((4, 3), dtype=complex), 0.25)
     npt.assert_allclose(fact.r, 0.5 * np.eye(3), atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_mmse_sqrd_normal_equations():
     for _ in range(5):
         h = random_complex((8, 5), rng)
         n0 = float(rng.uniform(0.01, 1.0))
-        fact = mmse_sqrd(h, n0, 1.0)
+        fact = mmse_sqrd(h, n0)
         gram = h.conj().T @ h + n0 * np.eye(5)
         expected = gram[np.ix_(fact.perm, fact.perm)]
         npt.assert_allclose(fact.r.conj().T @ fact.r, expected, atol=1e-8)
@@ -175,7 +175,7 @@ def test_exhaustive_identity_and_budget():
     y = CS.points[np.array([0, 3, 1])]
     npt.assert_array_equal(exhaustive_ml(y, np.eye(3, dtype=complex), CS), y)
     with pytest.raises(ValueError):
-        exhaustive_ml(np.zeros(11), np.eye(11, dtype=complex), CS, budget=2**20)
+        exhaustive_ml(np.zeros(11), np.eye(11, dtype=complex), CS)
 
 
 def test_exhaustive_tie_break_is_first_candidate():
@@ -207,7 +207,7 @@ def test_detect_proposed_noiseless():
     data = CS.points[rng.integers(0, 4, 2 * filt.length)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.0)
     ybar = receive_transform(y, blocks.shift, 4, 2)
-    npt.assert_array_equal(detect_proposed(ybar, blocks, CS), data)
+    npt.assert_array_equal(detect_proposed(ybar, blocks, factorize_blocks(blocks), CS), data)
 
 
 def test_detect_proposed_equals_global_exhaustive():
@@ -220,20 +220,20 @@ def test_detect_proposed_equals_global_exhaustive():
         data = CS.points[rng.integers(0, 4, 8)]
         n0 = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
-        fast = detect_proposed(
-            receive_transform(y, blocks.shift, 2, 2), blocks, CS, factors=factors
-        )
+        fast = detect_proposed(receive_transform(y, blocks.shift, 2, 2), blocks, factors, CS)
         oracle = exhaustive_ml(y.reshape(-1), h_full, CS)
         npt.assert_array_equal(fast, oracle)
 
 
 def test_detect_proposed_m1_equals_detect_ofdm():
     filt, ch, blocks = proposed_setup(8, 1, 2, 2, seed=14)
+    factors = factorize_blocks(blocks)
     rng = np.random.default_rng(15)
     for _ in range(20):
         data = CS.points[rng.integers(0, 4, 16)]
         y = apply_channel(transmit(data, filt, 2), ch, 0.2, rng)
-        via_blocks = detect_proposed(receive_transform(y, blocks.shift, 8, 1), blocks, CS)
+        ybar = receive_transform(y, blocks.shift, 8, 1)
+        via_blocks = detect_proposed(ybar, blocks, factors, CS)
         via_ofdm = detect_ofdm(y, ch, CS)
         npt.assert_array_equal(via_blocks, via_ofdm)
 
@@ -255,7 +255,7 @@ def test_detect_ofdm_single_antenna_nearest_point():
 def test_detect_baseline_noiseless_diagonal():
     h = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
     data = CS.points[np.array([1, 2, 0, 3])]
-    out = detect_baseline_near_ml(h @ data, h, CS, 0.0, group_size=2)
+    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), CS, 2)
     npt.assert_array_equal(out, data)
 
 
@@ -265,10 +265,10 @@ def test_detect_baseline_full_group_is_ml_on_rotated_system():
     a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
     n0 = 0.15
-    fact = baseline_factorization(h_full, n0, 1.0)
+    fact = baseline_factorization(h_full, n0)
     data = CS.points[rng.integers(0, 4, 8)]
     y = apply_channel(transmit(data, filt, 2), ch, n0, rng).reshape(-1)
-    joint = detect_baseline_near_ml(y, h_full, CS, n0, group_size=None, factor=fact)
+    joint = detect_baseline_near_ml(y, fact, CS, 8)  # one group of all T * D = 8 symbols
     z = fact.q[: h_full.shape[0]].conj().T @ y
     oracle_sorted = exhaustive_ml(z, fact.r, CS)
     expected = np.empty(8, dtype=complex)
@@ -281,7 +281,7 @@ def test_detect_baseline_noiseless_rank_deficient_falls_back():
     h[:, 0] = [1.0, 1.0, 0.0, 0.0]
     h[:, 1] = [1.0, 1.0, 0.0, 0.0]  # rank 1
     data = CS.points[np.array([2, 2])]
-    out = detect_baseline_near_ml(h @ data, h, CS, 0.0, group_size=1)
+    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), CS, 1)
     assert out.shape == (2,)  # regularized fallback still returns a decision
 
 
@@ -301,16 +301,13 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
             blocks = compute_blocks(ch, filt)
             factors = factorize_blocks(blocks)
             h_full = assemble_full_matrix(ch, a)
-            fact = baseline_factorization(h_full, n0, 1.0)
+            fact = baseline_factorization(h_full, n0)
             for _ in range(5):
                 data = CS.points[rng.integers(0, 4, 8)]
                 y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
-                d_ml = detect_proposed(
-                    receive_transform(y, blocks.shift, 2, 2), blocks, CS, factors=factors
-                )
-                d_sic = detect_baseline_near_ml(
-                    y.reshape(-1), h_full, CS, n0, group_size=4, factor=fact
-                )
+                ybar = receive_transform(y, blocks.shift, 2, 2)
+                d_ml = detect_proposed(ybar, blocks, factors, CS)
+                d_sic = detect_baseline_near_ml(y, fact, CS, 4)
                 err_ml += int(np.sum(d_ml != data))
                 err_sic += int(np.sum(d_sic != data))
     assert err_sic >= err_ml
@@ -322,6 +319,7 @@ def test_detectors_accumulate_stats():
     data = CS.points[rng.integers(0, 4, 16)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.1, rng)
     stats = DetectionStats()
-    detect_proposed(receive_transform(y, blocks.shift, 4, 2), blocks, CS, stats=stats)
+    ybar = receive_transform(y, blocks.shift, 4, 2)
+    detect_proposed(ybar, blocks, factorize_blocks(blocks), CS, stats)
     assert stats.sd_nodes_visited >= 4 * 4  # K sphere calls of size MT
     assert stats.cm_count > 0

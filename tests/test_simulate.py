@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,9 @@ def test_parse_config_flag_overrides(tmp_path):
         ("n_rx", 0),
         ("n_channels", 0),
         ("n_blocks", 0),
+        ("seed", -1),
+        ("snr_db", (math.nan,)),
+        ("snr_db", (-math.inf,)),
     ],
 )
 def test_validate_rejects_out_of_range_dimensions(field, value):

@@ -12,7 +12,6 @@ from gfdmsim.waveform import (
     dominant_window,
     fast_modulate,
     ici_free_support,
-    modulate,
     rc_filter,
 )
 
@@ -119,16 +118,6 @@ def test_transmitter_matrix_matches_entry_formula(k, m):
     f = PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=k)
     a = build_transmitter_matrix(f)
     npt.assert_allclose(a, transmitter_matrix_ref(g, k, m), atol=1e-12)
-
-
-def test_modulate_basis_and_zero():
-    a = build_transmitter_matrix(dirichlet_filter(4, 2))
-    e0 = np.zeros(8, dtype=complex)
-    e0[0] = 1.0
-    npt.assert_allclose(modulate(e0, a), a[:, 0], atol=1e-14)
-    npt.assert_allclose(modulate(np.zeros(8), a), np.zeros(8), atol=1e-14)
-    with pytest.raises(ValueError):
-        modulate(np.zeros(7), a)
 
 
 @pytest.mark.parametrize("k,m", [(2, 2), (4, 4), (8, 2), (3, 5)])
