@@ -33,12 +33,12 @@ for name, filt in [
 
 filt = dirichlet_filter(k_sc, m_ss)
 blocks = compute_blocks(ch, filt)
-print(f"\nper-subcarrier blocks: {blocks.blocks.shape[0]} matrices of "
-      f"{blocks.blocks.shape[1]}x{blocks.blocks.shape[2]}")
+print(f"\nper-subcarrier blocks: {blocks.shape[0]} matrices of "
+      f"{blocks.shape[1]}x{blocks.shape[2]}")
 print("condition numbers:",
-      np.array2string(np.linalg.cond(blocks.blocks), precision=1))
+      np.array2string(np.linalg.cond(blocks), precision=1))
 
 print("\nOFDM special case (M = 1): each block is just the per-subcarrier channel")
 ch1 = generate_channel(2, 2, exponential_pdp(default_cp_len(8)), np.random.default_rng(2), 8)
 b1 = compute_blocks(ch1, dirichlet_filter(8, 1))
-print("max |block - H_f|:", np.abs(b1.blocks - np.moveaxis(ch1.freq, 2, 0)).max())
+print("max |block - H_f|:", np.abs(b1 - np.moveaxis(ch1.freq, 2, 0)).max())

@@ -36,7 +36,6 @@ rng = np.random.default_rng(7)
 
 filt = dirichlet_filter(k_sc, m_ss)
 ch = generate_channel(n_tx, n_rx, exponential_pdp(default_cp_len(d_len)), rng, d_len)
-blocks = compute_blocks(ch, filt)
 h_full = assemble_full_matrix(ch, build_transmitter_matrix(filt))
 
 data = cs.points[rng.integers(0, cs.size, n_tx * d_len)]
@@ -45,10 +44,10 @@ noise_power = 10.0 ** (-8.0 / 10.0)  # 8 dB
 y = apply_channel(x, ch, noise_power, rng)
 
 # factor once per channel realization, then detect the block
-factors = factorize_blocks(blocks)
+factors = factorize_blocks(compute_blocks(ch, filt))
 factor = baseline_factorization(h_full, noise_power)
 stats = DetectionStats()
-d_fast = detect_proposed(receive_transform(y, blocks.shift, k_sc, m_ss), blocks, factors, cs, stats)
+d_fast = detect_proposed(receive_transform(y, filt), factors, filt, cs, stats)
 d_base = detect_baseline_near_ml(y, factor, cs, m_ss * n_tx)
 d_ml = exhaustive_ml(y.reshape(-1), h_full, cs)
 

@@ -20,7 +20,6 @@ from .channel import (
 )
 from .constellation import Constellation, qpsk
 from .decoupling import (
-    BlockSystem,
     compute_blocks,
     data_permutation,
     inverse_data_permutation,

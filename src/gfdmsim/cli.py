@@ -69,6 +69,10 @@ def _cmd_complexity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value, least in (("--channels", args.channels, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     worst = 0.0
     for k, m, t, r in VERIFY_GRID:
         filt = dirichlet_filter(k, m)

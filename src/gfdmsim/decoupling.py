@@ -1,19 +1,20 @@
 """Frequency-domain decoupling of the stacked MIMO-GFDM system.
 
 For a prototype filter whose frequency response lives in M consecutive
-(cyclic) bins starting at index l, the RD x TD end-to-end matrix factors as
-U^H * blkdiag(F_0 .. F_{K-1}) * P: U combines per-antenna FFTs, an l-bin
-cyclic shift, and a subcarrier/antenna interleave; P is a pure reordering of
-the transmit symbols; and each F_k is the MR x MT matrix coupling only the
-symbols of subcarrier k. Both U and P are unitary, so white noise stays
-white and per-subcarrier ML detection equals joint ML detection.
+(cyclic) bins starting at index l, its ``support`` (g_1, l), the RD x TD
+end-to-end matrix factors as U^H * blkdiag(F_0 .. F_{K-1}) * P: U combines
+per-antenna FFTs, an l-bin cyclic shift, and a subcarrier/antenna interleave;
+P is a pure reordering of the transmit symbols; and each F_k is the MR x MT
+matrix coupling only the symbols of subcarrier k. Both U and P are unitary,
+so white noise stays white and per-subcarrier ML detection equals joint ML
+detection. The filter is the only grid: K, M and l are all read from it.
 
 Permutations are index maps applied in O(1) per element; dense matrices are
 built only by the diagnostic/verification helpers.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,37 +22,23 @@ from .channel import MimoChannel, assemble_full_matrix
 from .waveform import PrototypeFilter, build_transmitter_matrix, dominant_window
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """The K per-subcarrier coupling matrices of one channel realization.
-
-    blocks[k] is MR x MT; ``shift`` is the filter's frequency-window start,
-    shared with the receive transform that produces the matching observation
-    vector.
-    """
-
-    blocks: np.ndarray  # (K, M*R, M*T) complex
-    shift: int
-    n_subcarriers: int
-    n_subsymbols: int
-    n_tx: int
-    n_rx: int
-
-
-def receive_transform(y: np.ndarray, shift: int, k_sc: int, m_ss: int) -> np.ndarray:
+def receive_transform(y: np.ndarray, f: PrototypeFilter) -> np.ndarray:
     """Apply the unitary receive-side transform to R blocks of D samples.
 
     Each antenna stream is FFT'd (unitary normalization) and cyclically
-    shifted up by ``shift``; the R spectra are then interleaved so that the
-    k-th group of M*R entries collects the M bins of subcarrier k from every
-    antenna. Costs O(R D log D).
+    shifted up by the window start l of ``f``; the R spectra are then
+    interleaved so that the k-th group of M*R entries collects the M bins of
+    subcarrier k from every antenna. Costs O(R D log D); raises
+    ``ValueError`` for a filter without an M-bin window.
     """
+    if f.support is None:
+        raise ValueError("the receive transform requires a filter with an M-bin window")
+    k_sc, m_ss, d = f.n_subcarriers, f.n_subsymbols, f.length
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    d = k_sc * m_ss
     if y.shape[1] != d:
         raise ValueError(f"expected blocks of {d} samples, got {y.shape[1]}")
     spec = np.fft.fft(y, axis=1) / math.sqrt(d)
-    spec = np.roll(spec, -shift, axis=1)
+    spec = np.roll(spec, -f.support[1], axis=1)
     n_rx = y.shape[0]
     return spec.reshape(n_rx, k_sc, m_ss).transpose(1, 0, 2).reshape(n_rx * d)
 
@@ -82,37 +69,25 @@ def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
     return g_1[:, None] * np.roll(w_m, -shift, axis=0) / math.sqrt(k_sc)
 
 
-def _blocks_from_window(ch: MimoChannel, g_1: np.ndarray, shift: int, k_sc: int) -> BlockSystem:
-    m_ss = len(g_1)
-    r, t = ch.n_rx, ch.n_tx
-    core = _window_diag_dft(g_1, shift, k_sc)
-    gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
-    blocks = gains[..., None] * core[None, None, None, :, :]  # (R, T, K, M, M)
-    blocks = blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)
-    return BlockSystem(
-        blocks=blocks,
-        shift=shift,
-        n_subcarriers=k_sc,
-        n_subsymbols=m_ss,
-        n_tx=t,
-        n_rx=r,
-    )
-
-
-def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> BlockSystem:
+def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     """Per-subcarrier MR x MT matrices from the analytic window formula.
 
-    Block k stacks, over antenna pairs, diag of the M channel-frequency
-    gains at subcarrier k times the shared window/DFT factor. Costs
-    O(K M^2 T R) given the channel's precomputed frequency response; no
-    dense D x D products are formed.
+    Returns the (K, M*R, M*T) stack whose block k stacks, over antenna
+    pairs, diag of the M channel-frequency gains at subcarrier k times the
+    shared window/DFT factor. Costs O(K M^2 T R) given the channel's
+    precomputed frequency response; no dense D x D products are formed.
     """
     if f.support is None:
         raise ValueError("per-subcarrier blocks require a filter with an M-bin window")
     if ch.block_len != f.length:
         raise ValueError("channel block length does not match the filter length")
     g_1, shift = f.support
-    return _blocks_from_window(ch, g_1, shift, f.n_subcarriers)
+    k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
+    r, t = ch.n_rx, ch.n_tx
+    core = _window_diag_dft(g_1, shift, k_sc)
+    gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
+    blocks = gains[..., None] * core[None, None, None, :, :]  # (R, T, K, M, M)
+    return blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -128,28 +103,22 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     """Relative Frobenius residual ||U H - B P|| / ||H|| of the block factorization.
 
     H is the dense RD x TD end-to-end matrix from circulant blocks and the
-    dense transmitter matrix; U and P are the receiver's own
-    :func:`receive_transform` and :func:`data_permutation`. Filters without
-    an exact M-bin window are projected onto their dominant window, so the
-    residual measures how far they are from the decoupling class. Returns 0
-    for an all-zero channel by convention. Diagnostic/test use only.
+    dense transmitter matrix; U, B and P are the receiver's own
+    :func:`receive_transform`, :func:`compute_blocks` and :func:`data_permutation`.
+    A filter without an exact M-bin window gets its dominant window as
+    ``support``, so the residual measures how far it is from the decoupling
+    class. Returns 0 for an all-zero channel by convention. Diagnostic/test use only.
     """
     k_sc, m_ss, d = f.n_subcarriers, f.n_subsymbols, f.length
     h_full = assemble_full_matrix(ch, build_transmitter_matrix(f))
     denom = np.linalg.norm(h_full)
     if denom == 0.0:
         return 0.0
-    if f.support is not None:
-        g_1, shift = f.support
-    else:
-        g_1, shift = dominant_window(f.g_f, m_ss)
-    system = _blocks_from_window(ch, g_1, shift, k_sc)
-    lhs = np.stack(
-        [receive_transform(col.reshape(ch.n_rx, d), shift, k_sc, m_ss) for col in h_full.T],
-        axis=1,
-    )
+    if f.support is None:
+        f = dataclasses.replace(f, support=dominant_window(f.g_f, m_ss))
+    lhs = np.stack([receive_transform(col.reshape(ch.n_rx, d), f) for col in h_full.T], axis=1)
     # B P holds column i of B at column perm[i]
     perm = data_permutation(np.arange(ch.n_tx * d), k_sc, m_ss, ch.n_tx)
     rhs = np.empty_like(lhs)
-    rhs[:, perm] = block_diagonal(system.blocks)
+    rhs[:, perm] = block_diagonal(compute_blocks(ch, f))
     return float(np.linalg.norm(lhs - rhs) / denom)

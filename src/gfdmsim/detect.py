@@ -25,7 +25,8 @@ import numpy as np
 
 from .channel import MimoChannel
 from .constellation import Constellation
-from .decoupling import BlockSystem, inverse_data_permutation
+from .decoupling import inverse_data_permutation
+from .waveform import PrototypeFilter
 
 logger = logging.getLogger(__name__)
 
@@ -223,29 +224,30 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray, cs: Constellation) -> np.ndarray
     return cs.points[digits]
 
 
-def factorize_blocks(blocks: BlockSystem) -> list[SqrdFactorization]:
-    """Sorted QR of every per-subcarrier block, computed once per channel realization."""
-    return [sqrd(blocks.blocks[k]) for k in range(blocks.n_subcarriers)]
+def factorize_blocks(blocks: np.ndarray) -> list[SqrdFactorization]:
+    """Sorted QR of every block of a (K, MR, MT) stack, computed once per channel realization."""
+    return [sqrd(b) for b in blocks]
 
 
 def detect_proposed(
     ybar: np.ndarray,
-    blocks: BlockSystem,
     factors: list[SqrdFactorization],
+    f: PrototypeFilter,
     cs: Constellation,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
     """Per-subcarrier ML detection on the decoupled system.
 
-    ``ybar`` is the receive-transformed observation and ``factors`` the
-    :func:`factorize_blocks` output for ``blocks``. Each of the K
-    subproblems is solved exactly by one sphere-decoder call of size MT,
-    then the data permutation is undone. The QR is plain and unregularized,
-    so no noise power enters.
+    ``ybar`` and ``factors`` are the receive-transformed observation and the
+    :func:`factorize_blocks` output under the filter ``f``, which gives K and
+    M (T comes from the factors). Each of the K subproblems is solved exactly
+    by one sphere-decoder call of size MT, then the data permutation is
+    undone. The QR is plain and unregularized, so no noise power enters.
     """
-    k_sc, m_ss = blocks.n_subcarriers, blocks.n_subsymbols
-    n_tx, n_rx = blocks.n_tx, blocks.n_rx
-    rows, cols = m_ss * n_rx, m_ss * n_tx
+    k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
+    if len(factors) != k_sc:
+        raise ValueError(f"expected {k_sc} block factorizations, got {len(factors)}")
+    rows, cols = factors[0].q.shape
     ybar = np.asarray(ybar)
     if ybar.shape[0] != k_sc * rows:
         raise ValueError("observation length does not match the block system")
@@ -256,7 +258,7 @@ def detect_proposed(
         s_sorted = sphere_decode(fact.r, z, cs, stats)
         seg = dbar[k * cols : (k + 1) * cols]
         seg[fact.perm] = s_sorted
-    return inverse_data_permutation(dbar, k_sc, m_ss, n_tx)
+    return inverse_data_permutation(dbar, k_sc, m_ss, cols // m_ss)
 
 
 def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:

@@ -124,8 +124,10 @@ class SimConfig:
                 f"scheme '{self.scheme}' requires R >= T (got R = {self.n_rx}, T = {self.n_tx}): "
                 "its per-subcarrier sorted QR needs tall or square blocks"
             )
-        if self.scheme == "baseline_rc" and self.alpha is None:
-            raise ConfigError("scheme 'baseline_rc' requires a roll-off")
+        if self.scheme != "baseline_rc" and self.alpha is not None:
+            raise ConfigError(f"scheme '{self.scheme}' takes no roll-off, got {self.alpha}")
+        if self.scheme == "baseline_rc" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"scheme 'baseline_rc' needs a roll-off in [0, 1], got {self.alpha}")
 
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
@@ -338,8 +340,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power)
             else:
-                blocks = compute_blocks(ch, filt)
-                factors = detect.factorize_blocks(blocks)
+                factors = detect.factorize_blocks(compute_blocks(ch, filt))
             for b_idx in range(cfg.n_blocks):
                 rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
                 data = cs.points[rng_d.integers(0, cs.size, size=n_tx * d)]
@@ -359,8 +360,8 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 if dense:
                     d_hat = detect.detect_baseline_near_ml(y, factor, cs, m_ss * n_tx, stats)
                 else:
-                    ybar = receive_transform(y, blocks.shift, k_sc, m_ss)
-                    d_hat = detect.detect_proposed(ybar, blocks, factors, cs, stats)
+                    ybar = receive_transform(y, filt)
+                    d_hat = detect.detect_proposed(ybar, factors, filt, cs, stats)
                 errors += int(np.sum(d_hat != data))
         records.append(
             TrialRecord(

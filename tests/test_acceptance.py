@@ -84,13 +84,12 @@ def test_criterion_3_proposed_equals_global_ml():
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
         ch = generate_channel(t, r, pdp, rng, k * m)
-        blocks = compute_blocks(ch, filt)
+        factors = factorize_blocks(compute_blocks(ch, filt))
         data = CS.points[rng.integers(0, CS.size, t * k * m)]
         x = np.stack([fast_modulate(data[i * 4 : (i + 1) * 4], filt) for i in range(t)])
         noise_power = 10.0 ** (-snrs[trial] / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        ybar = receive_transform(y, blocks.shift, k, m)
-        fast = detect_proposed(ybar, blocks, factorize_blocks(blocks), CS)
+        fast = detect_proposed(receive_transform(y, filt), factors, filt, CS)
         oracle = exhaustive_ml(y.reshape(-1), assemble_full_matrix(ch, a), CS)
         agree += bool(np.array_equal(fast, oracle))
     report("3", agree == 200, f"per-subcarrier detector matched exhaustive ML in {agree}/200 trials")
@@ -122,13 +121,12 @@ def test_criterion_5_ofdm_reduction():
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([5, trial]))
         ch = generate_channel(t, r, pdp, rng, k)
-        blocks = compute_blocks(ch, filt)
+        factors = factorize_blocks(compute_blocks(ch, filt))
         data = CS.points[rng.integers(0, CS.size, t * k)]
         x = np.stack([fast_modulate(data[i * k : (i + 1) * k], filt) for i in range(t)])
         noise_power = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        ybar = receive_transform(y, blocks.shift, k, 1)
-        via_blocks = detect_proposed(ybar, blocks, factorize_blocks(blocks), CS)
+        via_blocks = detect_proposed(receive_transform(y, filt), factors, filt, CS)
         agree += bool(np.array_equal(via_blocks, detect_ofdm(y, ch, CS)))
     ok = entrywise <= 1e-12 and agree == 100
     report(
@@ -258,6 +256,7 @@ def test_criterion_7b_proposed_beats_rc_at_high_snr(desk_scale_sweeps):
 def test_criterion_8_receive_transform_keeps_noise_white():
     k, m, r = 4, 2, 2
     d = k * m
+    filt = dirichlet_filter(k, m)  # window start 1
     noise_power = 0.5
     draws = 10_000
     rng = np.random.default_rng(8)
@@ -265,7 +264,7 @@ def test_criterion_8_receive_transform_keeps_noise_white():
     scale = math.sqrt(noise_power / 2.0)
     for i in range(draws):
         n = scale * (rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
-        samples[i] = receive_transform(n, 1, k, m)
+        samples[i] = receive_transform(n, filt)
     cov = samples.conj().T @ samples / draws
     diag = np.real(np.diag(cov))
     off = cov - np.diag(np.diag(cov))
@@ -314,7 +313,7 @@ def test_criterion_10_fast_paths_match_dense_operators():
             ref = u @ y.reshape(-1)
             worst_rx = max(
                 worst_rx,
-                float(np.linalg.norm(ref - receive_transform(y, filt.support[1], k, m)))
+                float(np.linalg.norm(ref - receive_transform(y, filt)))
                 / float(np.linalg.norm(ref)),
             )
     ok = worst_mod <= 1e-10 and worst_rx <= 1e-10

@@ -1,3 +1,5 @@
+import pytest
+
 from gfdmsim.cli import main
 
 BASE_CFG = (
@@ -97,3 +99,19 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--channels", "3"]) == 0
     out = capsys.readouterr().out
     assert "max residual" in out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--channels", "0"], "--channels must be at least 1, got 0"),
+        (["--channels", "-3"], "--channels must be at least 1, got -3"),
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    ],
+    ids=["channels_zero", "channels_negative", "seed_negative"],
+)
+def test_verify_rejects_bad_flags(capsys, flags, message):
+    assert main(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "max residual" not in captured.out

@@ -32,6 +32,16 @@ def random_channel(k, m, t, r, seed):
     return generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
 
 
+def window_filter(k, m, shift, g_1=None):
+    """Unit-energy K x M filter whose M-bin window, flat unless g_1 is given, starts at shift."""
+    d_len = k * m
+    idx = (shift + np.arange(m)) % d_len
+    g_f = np.zeros(d_len, dtype=complex)
+    g_f[idx] = 1.0 if g_1 is None else g_1
+    g_f *= math.sqrt(d_len) / np.linalg.norm(g_f)
+    return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k, support=(g_f[idx], shift))
+
+
 def test_cyclic_shift_basics():
     npt.assert_array_equal(perm_cyclic_ref(2) @ np.array([1.0, 2.0]), [2.0, 1.0])
     for a in (2, 3, 5):
@@ -45,7 +55,7 @@ def test_interleave_2_3_example():
 def test_receive_transform_degenerates_to_dft():
     d = 8
     y = np.random.default_rng(1).standard_normal((1, d)) + 0j
-    out = receive_transform(y, 0, d, 1)
+    out = receive_transform(y, window_filter(d, 1, 0))
     npt.assert_allclose(out, np.fft.fft(y[0]) / math.sqrt(d), atol=1e-12)
 
 
@@ -55,13 +65,13 @@ def test_receive_transform_matches_dense_operator(k, m, r, shift):
     rng = np.random.default_rng(5)
     y = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     expected = receive_operator_ref(k, m, r, shift) @ y.reshape(-1)
-    npt.assert_allclose(receive_transform(y, shift, k, m), expected, atol=1e-10)
+    npt.assert_allclose(receive_transform(y, window_filter(k, m, shift)), expected, atol=1e-10)
 
 
 def test_receive_transform_is_unitary():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-    out = receive_transform(y, 3, 4, 2)
+    out = receive_transform(y, window_filter(4, 2, 3))
     assert abs(np.linalg.norm(out) - np.linalg.norm(y)) < 1e-10
 
 
@@ -99,9 +109,7 @@ def test_compute_blocks_identity_channel_unitary():
     ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=16, axis=2))
     blocks = compute_blocks(ch, dirichlet_filter(4, 4))
     for k in range(4):
-        npt.assert_allclose(
-            blocks.blocks[k].conj().T @ blocks.blocks[k], np.eye(4), atol=1e-10
-        )
+        npt.assert_allclose(blocks[k].conj().T @ blocks[k], np.eye(4), atol=1e-10)
 
 
 def test_compute_blocks_gram_formula():
@@ -117,7 +125,7 @@ def test_compute_blocks_gram_formula():
     for k in range(4):
         w = np.diag(gains[k * m : (k + 1) * m])
         expected = core.conj().T @ w.conj().T @ w @ core
-        npt.assert_allclose(blocks.blocks[k].conj().T @ blocks.blocks[k], expected, atol=1e-10)
+        npt.assert_allclose(blocks[k].conj().T @ blocks[k], expected, atol=1e-10)
 
 
 def test_compute_blocks_requires_support():
@@ -126,13 +134,15 @@ def test_compute_blocks_requires_support():
         compute_blocks(ch, rc_filter(4, 2, 0.9))
     with pytest.raises(ValueError):
         compute_blocks(ch, dirichlet_filter(4, 4))  # 16-sample filter, 8-sample channel
+    with pytest.raises(ValueError):
+        receive_transform(np.zeros((2, 8)), rc_filter(4, 2, 0.9))
 
 
 def test_compute_blocks_m1_gives_ofdm_channels():
     ch = random_channel(8, 1, 2, 3, seed=4)
     blocks = compute_blocks(ch, dirichlet_filter(8, 1))
     for k in range(8):
-        npt.assert_allclose(blocks.blocks[k], ch.freq[:, :, k], atol=1e-12)
+        npt.assert_allclose(blocks[k], ch.freq[:, :, k], atol=1e-12)
 
 
 @pytest.mark.parametrize("k,m,t,r", GRID)
@@ -142,13 +152,13 @@ def test_blocks_match_dense_factorization(k, m, t, r):
     blocks = compute_blocks(ch, filt)
     a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
-    u = receive_operator_ref(k, m, r, blocks.shift)
+    u = receive_operator_ref(k, m, r, filt.support[1])
     p = data_operator_ref(k, m, t)
     transformed = u @ h_full @ p.conj().T
     extracted = np.stack(
         [transformed[i * m * r : (i + 1) * m * r, i * m * t : (i + 1) * m * t] for i in range(k)]
     )
-    npt.assert_allclose(extracted, blocks.blocks, atol=1e-10)
+    npt.assert_allclose(extracted, blocks, atol=1e-10)
 
 
 @pytest.mark.parametrize("k,m,t,r", GRID)
@@ -165,14 +175,7 @@ def test_decomposition_residual_random_window_filters():
     for k, m, t, r in [(4, 2, 2, 2), (4, 4, 2, 2)]:
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        shift = int(rng.integers(0, d_len))
-        g_f = np.zeros(d_len, dtype=complex)
-        idx = (shift + np.arange(m)) % d_len
-        g_f[idx] = g_1
-        g_f *= math.sqrt(d_len) / np.linalg.norm(g_f)
-        filt = PrototypeFilter(
-            g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k, support=(g_f[idx], shift)
-        )
+        filt = window_filter(k, m, int(rng.integers(0, d_len)), g_1)
         ch = generate_channel(t, r, exponential_pdp(default_cp_len(d_len)), rng, d_len)
         assert verify_decomposition(ch, filt) <= 1e-10
 
@@ -195,7 +198,7 @@ def test_off_block_leakage_is_negligible():
     blocks = compute_blocks(ch, filt)
     a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
-    u = receive_operator_ref(k, m, r, blocks.shift)
+    u = receive_operator_ref(k, m, r, filt.support[1])
     p = data_operator_ref(k, m, t)
     transformed = u @ h_full @ p.conj().T
     mask = np.zeros_like(transformed, dtype=bool)

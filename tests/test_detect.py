@@ -192,8 +192,7 @@ def proposed_setup(k, m, t, r, seed):
     filt = dirichlet_filter(k, m)
     pdp = exponential_pdp(default_cp_len(k * m))
     ch = generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
-    blocks = compute_blocks(ch, filt)
-    return filt, ch, blocks
+    return filt, ch, factorize_blocks(compute_blocks(ch, filt))
 
 
 def transmit(data, filt, n_tx):
@@ -202,38 +201,40 @@ def transmit(data, filt, n_tx):
 
 
 def test_detect_proposed_noiseless():
-    filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=10)
+    filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=10)
     rng = np.random.default_rng(11)
     data = CS.points[rng.integers(0, 4, 2 * filt.length)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.0)
-    ybar = receive_transform(y, blocks.shift, 4, 2)
-    npt.assert_array_equal(detect_proposed(ybar, blocks, factorize_blocks(blocks), CS), data)
+    ybar = receive_transform(y, filt)
+    npt.assert_array_equal(detect_proposed(ybar, factors, filt, CS), data)
+    with pytest.raises(ValueError):  # factors of a K = 2 system for a K = 4 filter
+        detect_proposed(ybar, proposed_setup(2, 2, 2, 2, seed=10)[2], filt, CS)
+    with pytest.raises(ValueError):
+        detect_proposed(ybar[:-1], factors, filt, CS)
 
 
 def test_detect_proposed_equals_global_exhaustive():
-    filt, ch, blocks = proposed_setup(2, 2, 2, 2, seed=12)
+    filt, ch, factors = proposed_setup(2, 2, 2, 2, seed=12)
     a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
-    factors = factorize_blocks(blocks)
     rng = np.random.default_rng(13)
     for trial in range(50):
         data = CS.points[rng.integers(0, 4, 8)]
         n0 = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
-        fast = detect_proposed(receive_transform(y, blocks.shift, 2, 2), blocks, factors, CS)
+        fast = detect_proposed(receive_transform(y, filt), factors, filt, CS)
         oracle = exhaustive_ml(y.reshape(-1), h_full, CS)
         npt.assert_array_equal(fast, oracle)
 
 
 def test_detect_proposed_m1_equals_detect_ofdm():
-    filt, ch, blocks = proposed_setup(8, 1, 2, 2, seed=14)
-    factors = factorize_blocks(blocks)
+    filt, ch, factors = proposed_setup(8, 1, 2, 2, seed=14)
     rng = np.random.default_rng(15)
     for _ in range(20):
         data = CS.points[rng.integers(0, 4, 16)]
         y = apply_channel(transmit(data, filt, 2), ch, 0.2, rng)
-        ybar = receive_transform(y, blocks.shift, 8, 1)
-        via_blocks = detect_proposed(ybar, blocks, factors, CS)
+        ybar = receive_transform(y, filt)
+        via_blocks = detect_proposed(ybar, factors, filt, CS)
         via_ofdm = detect_ofdm(y, ch, CS)
         npt.assert_array_equal(via_blocks, via_ofdm)
 
@@ -298,15 +299,14 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
         for c in range(150):
             rng = np.random.default_rng([master, c])
             ch = generate_channel(2, 2, pdp, rng, 4)
-            blocks = compute_blocks(ch, filt)
-            factors = factorize_blocks(blocks)
+            factors = factorize_blocks(compute_blocks(ch, filt))
             h_full = assemble_full_matrix(ch, a)
             fact = baseline_factorization(h_full, n0)
             for _ in range(5):
                 data = CS.points[rng.integers(0, 4, 8)]
                 y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
-                ybar = receive_transform(y, blocks.shift, 2, 2)
-                d_ml = detect_proposed(ybar, blocks, factors, CS)
+                ybar = receive_transform(y, filt)
+                d_ml = detect_proposed(ybar, factors, filt, CS)
                 d_sic = detect_baseline_near_ml(y, fact, CS, 4)
                 err_ml += int(np.sum(d_ml != data))
                 err_sic += int(np.sum(d_sic != data))
@@ -314,12 +314,12 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
 
 
 def test_detectors_accumulate_stats():
-    filt, ch, blocks = proposed_setup(4, 2, 2, 2, seed=20)
+    filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=20)
     rng = np.random.default_rng(21)
     data = CS.points[rng.integers(0, 4, 16)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.1, rng)
     stats = DetectionStats()
-    ybar = receive_transform(y, blocks.shift, 4, 2)
-    detect_proposed(ybar, blocks, factorize_blocks(blocks), CS, stats)
+    ybar = receive_transform(y, filt)
+    detect_proposed(ybar, factors, filt, CS, stats)
     assert stats.sd_nodes_visited >= 4 * 4  # K sphere calls of size MT
     assert stats.cm_count > 0

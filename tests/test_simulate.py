@@ -168,6 +168,22 @@ def test_validate_rejects_out_of_range_dimensions(field, value):
         small_config(**{field: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "scheme,alpha",
+    [
+        ("baseline_rc", 1.5),
+        ("baseline_rc", -0.1),
+        ("baseline_rc", math.nan),
+        ("proposed_dirichlet", 0.5),
+        ("baseline_dirichlet", 0.9),
+    ],
+)
+def test_validate_rejects_misplaced_or_out_of_range_rolloff(scheme, alpha):
+    small_config(scheme="baseline_rc", alpha=0.9).validate()
+    with pytest.raises(ConfigError, match="roll-off"):
+        small_config(scheme=scheme, alpha=alpha).validate()
+
+
 def test_ofdm_requires_single_subsymbol():
     with pytest.raises(ConfigError, match="M = 1"):
         small_config(scheme="ofdm").validate()
