@@ -130,37 +130,53 @@ def sphere_decode(
     Bookkeeping per call: one node per child that survives the radius test,
     one complex-multiplication unit per off-diagonal product in the partial
     residuals and per candidate-symbol metric evaluation.
+
+    The search state lives in Python scalars and lists: a search visits a
+    few dozen nodes on average, each with one child per constellation point,
+    too few for array calls to pay off. Partial residuals are summed left to
+    right in Python complex arithmetic, so the result does not depend on the
+    BLAS build.
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
-    points = cs.points
-    nq = len(points)
+    if z.ndim != 1 or len(z) == 0:
+        raise ValueError(f"expected a nonempty 1-D received vector, got shape {z.shape}")
     n = len(z)
     if r_mat.shape != (n, n):
         raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
-    order = np.empty((n, nq), dtype=np.intp)
-    inc = np.empty((n, nq))
-    ptr = np.zeros(n, dtype=np.intp)
-    base = np.zeros(n)
-    s_idx = np.zeros(n, dtype=np.intp)
-    s_pts = np.zeros(n, dtype=complex)
+    rows = r_mat.tolist()
+    zs = z.tolist()
+    points = cs.points.tolist()
+    nq = len(points)
+    labels = range(nq)
+    # R[l, l] * point for every level and candidate, as (real, imag) pairs;
+    # the diagonal is real, so these are the complex products exactly
+    parts = [(p.real, p.imag) for p in points]
+    scaled = [[(d * pr, d * pi) for pr, pi in parts] for d in (rows[l][l].real for l in range(n))]
+    children = [None] * n  # per level: (incremental metric, candidate) pairs, best first
+    ptr = [0] * n
+    base = [0.0] * n
+    s_idx = [0] * n
+    s_pts = [0j] * n
     best = math.inf
-    best_idx = s_idx.copy()
+    best_idx = [0] * n
     nodes = 0
     cms = 0
 
     def expand(level: int, acc: float) -> None:
         nonlocal cms
-        rhs = z[level]
+        rhs = zs[level]
         if level < n - 1:
-            rhs = rhs - r_mat[level, level + 1 :] @ s_pts[level + 1 :]
+            row = rows[level]
+            off = 0j
+            for j in range(level + 1, n):
+                off += row[j] * s_pts[j]
+            rhs -= off
             cms += n - 1 - level
-        diff = rhs - r_mat[level, level] * points
-        vals = diff.real**2 + diff.imag**2
+        re, im = rhs.real, rhs.imag
+        vals = [(re - cr) * (re - cr) + (im - ci) * (im - ci) for cr, ci in scaled[level]]
         cms += nq
-        idx = np.argsort(vals, kind="stable")
-        order[level] = idx
-        inc[level] = vals[idx]
+        children[level] = sorted(zip(vals, labels))
         ptr[level] = 0
         base[level] = acc
 
@@ -172,12 +188,13 @@ def sphere_decode(
             if i == n:
                 break
             continue
-        metric = base[i] + inc[i, ptr[i]]
+        val, q = children[i][ptr[i]]
+        metric = base[i] + val
         if metric >= best:
             ptr[i] = nq  # children are sorted: the rest cannot beat the radius
             continue
-        s_idx[i] = order[i, ptr[i]]
-        s_pts[i] = points[s_idx[i]]
+        s_idx[i] = q
+        s_pts[i] = points[q]
         ptr[i] += 1
         nodes += 1
         if i == 0:
@@ -189,7 +206,7 @@ def sphere_decode(
     if stats is not None:
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
-    return points[best_idx]
+    return cs.points[best_idx]
 
 
 def exhaustive_ml(y: np.ndarray, h: np.ndarray, cs: Constellation) -> np.ndarray:
@@ -295,10 +312,13 @@ def detect_baseline_near_ml(
     """
     y = np.asarray(y).reshape(-1)
     n = factor.r.shape[0]
+    n_obs = factor.q.shape[0] - n  # the rows of Q below these belong to the MMSE extension
+    if len(y) != n_obs:
+        raise ValueError(f"expected {n_obs} received samples, got {len(y)}")
     group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
-    z = factor.q[: len(y)].conj().T @ y
+    z = factor.q[:n_obs].conj().T @ y
     s_sorted = np.zeros(n, dtype=complex)
     hi = n
     while hi > 0:

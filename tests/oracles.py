@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from gfdmsim.constellation import Constellation
+from gfdmsim.detect import DetectionStats
+
 
 def dft_matrix_ref(p: int) -> np.ndarray:
     w = np.empty((p, p), dtype=complex)
@@ -112,3 +115,84 @@ def sign_flip_p_value(diffs) -> float:
     n = len(diffs)
     signs = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     return float(np.mean(signs @ np.abs(diffs) >= diffs.sum()))
+
+
+# The numpy-array implementation that gfdmsim.detect.sphere_decode replaced:
+# same traversal, so decisions and node/CM counts must match node for node.
+def sphere_decode_ref(
+    r_mat: np.ndarray,
+    z: np.ndarray,
+    cs: Constellation,
+    stats: DetectionStats | None = None,
+) -> np.ndarray:
+    """Exact ML solve of min_s ||z - R s||^2 over constellation vectors.
+
+    Depth-first search from the last coordinate with Schnorr-Euchner child
+    ordering (children sorted by increasing incremental metric, ties by
+    constellation index), infinite initial radius, and radius shrinking at
+    every improved leaf. Equal-metric leaves keep the first one found. R
+    must be upper triangular with positive diagonal.
+
+    Bookkeeping per call: one node per child that survives the radius test,
+    one complex-multiplication unit per off-diagonal product in the partial
+    residuals and per candidate-symbol metric evaluation.
+    """
+    r_mat = np.asarray(r_mat)
+    z = np.asarray(z)
+    points = cs.points
+    nq = len(points)
+    n = len(z)
+    if r_mat.shape != (n, n):
+        raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
+    order = np.empty((n, nq), dtype=np.intp)
+    inc = np.empty((n, nq))
+    ptr = np.zeros(n, dtype=np.intp)
+    base = np.zeros(n)
+    s_idx = np.zeros(n, dtype=np.intp)
+    s_pts = np.zeros(n, dtype=complex)
+    best = math.inf
+    best_idx = s_idx.copy()
+    nodes = 0
+    cms = 0
+
+    def expand(level: int, acc: float) -> None:
+        nonlocal cms
+        rhs = z[level]
+        if level < n - 1:
+            rhs = rhs - r_mat[level, level + 1 :] @ s_pts[level + 1 :]
+            cms += n - 1 - level
+        diff = rhs - r_mat[level, level] * points
+        vals = diff.real**2 + diff.imag**2
+        cms += nq
+        idx = np.argsort(vals, kind="stable")
+        order[level] = idx
+        inc[level] = vals[idx]
+        ptr[level] = 0
+        base[level] = acc
+
+    expand(n - 1, 0.0)
+    i = n - 1
+    while True:
+        if ptr[i] >= nq:
+            i += 1
+            if i == n:
+                break
+            continue
+        metric = base[i] + inc[i, ptr[i]]
+        if metric >= best:
+            ptr[i] = nq  # children are sorted: the rest cannot beat the radius
+            continue
+        s_idx[i] = order[i, ptr[i]]
+        s_pts[i] = points[s_idx[i]]
+        ptr[i] += 1
+        nodes += 1
+        if i == 0:
+            best = metric
+            best_idx = s_idx.copy()
+        else:
+            i -= 1
+            expand(i, metric)
+    if stats is not None:
+        stats.sd_nodes_visited += nodes
+        stats.cm_count += cms
+    return points[best_idx]

@@ -27,7 +27,7 @@ from gfdmsim.detect import (
 from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate
 
-from oracles import brute_force_ml_ref
+from oracles import brute_force_ml_ref, sphere_decode_ref
 
 CS = qpsk()
 
@@ -136,6 +136,40 @@ def test_sphere_matches_exhaustive_and_reference():
         npt.assert_array_equal(fast, oracle)
         if trial < 10:
             npt.assert_array_equal(fast, brute_force_ml_ref(z, fact.r, CS.points))
+
+
+def test_sphere_decode_matches_reference_traversal():
+    # the scalar decoder walks the numpy-array oracle's tree node for node
+    rng = np.random.default_rng(30)
+    cases = []
+    for n in (1, 2, 3, 4, 8):
+        for snr_db in (0.0, 8.0, 20.0, math.inf):
+            n0 = 10.0 ** (-snr_db / 10.0)
+            for _ in range(25):
+                fact = sqrd(random_complex((n, n), rng))
+                s = CS.points[rng.integers(0, 4, n)]
+                cases.append((fact.r, fact.r @ s + math.sqrt(n0 / 2) * random_complex(n, rng)))
+    # exact ties: all four children equal (z = 0), on a point, midway between two
+    for n in (1, 3, 4):
+        eye = np.eye(n, dtype=complex)
+        for z in (0j, CS.points[2], (CS.points[0] + CS.points[1]) / 2):
+            cases.append((eye, np.full(n, z)))
+    for r, z in cases:
+        fast, ref = DetectionStats(), DetectionStats()
+        npt.assert_array_equal(sphere_decode(r, z, CS, fast), sphere_decode_ref(r, z, CS, ref))
+        assert (fast.sd_nodes_visited, fast.cm_count) == (ref.sd_nodes_visited, ref.cm_count)
+    stats = DetectionStats()
+    sphere_decode(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), CS, stats)
+    assert (stats.sd_nodes_visited, stats.cm_count) == (21, 120)
+
+
+def test_sphere_decode_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="1-D"):
+        sphere_decode(np.zeros((0, 0)), np.zeros(0, dtype=complex), CS)
+    with pytest.raises(ValueError, match="1-D"):
+        sphere_decode(np.eye(2), np.zeros((2, 1), dtype=complex), CS)
+    with pytest.raises(ValueError, match="does not match"):
+        sphere_decode(np.eye(3), np.zeros(2, dtype=complex), CS)
 
 
 def test_sphere_counters_are_deterministic_and_monotone():
@@ -275,6 +309,18 @@ def test_detect_baseline_full_group_is_ml_on_rotated_system():
     expected = np.empty(8, dtype=complex)
     expected[fact.perm] = oracle_sorted
     npt.assert_array_equal(joint, expected)
+
+
+def test_detect_baseline_rejects_wrong_received_length():
+    rng = np.random.default_rng(31)
+    h = random_complex((8, 4), rng)
+    fact = baseline_factorization(h, 0.1)
+    assert fact.q.shape == (12, 4)  # 8 received rows plus 4 MMSE extension rows
+    for length in (6, 12):
+        with pytest.raises(ValueError, match="received samples"):
+            detect_baseline_near_ml(np.zeros(length, dtype=complex), fact, CS, 2)
+    data = CS.points[np.array([0, 3, 1, 2])]
+    assert detect_baseline_near_ml(h @ data, fact, CS, 2).shape == (4,)
 
 
 def test_detect_baseline_noiseless_rank_deficient_falls_back():
