@@ -11,9 +11,7 @@ import numpy as np
 
 from gfdmsim import (
     compute_blocks,
-    default_cp_len,
     dirichlet_filter,
-    exponential_pdp,
     generate_channel,
     rc_filter,
     verify_decomposition,
@@ -21,8 +19,7 @@ from gfdmsim import (
 
 k_sc, m_ss, n_tx, n_rx = 8, 2, 2, 2
 d_len = k_sc * m_ss
-pdp = exponential_pdp(default_cp_len(d_len))
-ch = generate_channel(n_tx, n_rx, pdp, np.random.default_rng(1), d_len)
+ch = generate_channel(n_tx, n_rx, np.random.default_rng(1), d_len)
 
 for name, filt in [
     ("dirichlet", dirichlet_filter(k_sc, m_ss)),
@@ -39,6 +36,6 @@ print("condition numbers:",
       np.array2string(np.linalg.cond(blocks), precision=1))
 
 print("\nOFDM special case (M = 1): each block is just the per-subcarrier channel")
-ch1 = generate_channel(2, 2, exponential_pdp(default_cp_len(8)), np.random.default_rng(2), 8)
+ch1 = generate_channel(2, 2, np.random.default_rng(2), 8)
 b1 = compute_blocks(ch1, dirichlet_filter(8, 1))
 print("max |block - H_f|:", np.abs(b1 - np.moveaxis(ch1.freq, 2, 0)).max())

@@ -16,12 +16,10 @@ from gfdmsim import (
     baseline_factorization,
     build_transmitter_matrix,
     compute_blocks,
-    default_cp_len,
     detect_baseline_near_ml,
     detect_proposed,
     dirichlet_filter,
     exhaustive_ml,
-    exponential_pdp,
     factorize_blocks,
     fast_modulate,
     generate_channel,
@@ -35,11 +33,11 @@ cs = qpsk()
 rng = np.random.default_rng(7)
 
 filt = dirichlet_filter(k_sc, m_ss)
-ch = generate_channel(n_tx, n_rx, exponential_pdp(default_cp_len(d_len)), rng, d_len)
+ch = generate_channel(n_tx, n_rx, rng, d_len)
 h_full = assemble_full_matrix(ch, build_transmitter_matrix(filt))
 
 data = cs.points[rng.integers(0, cs.size, n_tx * d_len)]
-x = np.stack([fast_modulate(data[t * 4 : (t + 1) * 4], filt) for t in range(n_tx)])
+x = fast_modulate(data.reshape(n_tx, d_len), filt)
 noise_power = 10.0 ** (-8.0 / 10.0)  # 8 dB
 y = apply_channel(x, ch, noise_power, rng)
 

@@ -10,12 +10,11 @@ Monte Carlo harness with CSV reporting (:mod:`gfdmsim.simulate`). The
 
 from .channel import (
     MimoChannel,
-    PdpProfile,
     apply_channel,
     assemble_full_matrix,
     build_circulant,
-    exponential_pdp,
     generate_channel,
+    power_delay_profile,
     snr_db_to_noise_power,
 )
 from .constellation import Constellation, qpsk
@@ -35,7 +34,6 @@ from .detect import (
     detect_proposed,
     exhaustive_ml,
     factorize_blocks,
-    mmse_sqrd,
     sphere_decode,
     sqrd,
 )
@@ -46,7 +44,6 @@ from .simulate import (
     run_sweep,
     serialize_config,
     closed_form_cm,
-    default_cp_len,
     write_report,
 )
 from .waveform import (

@@ -3,7 +3,9 @@
 Channels are modeled after cyclic-prefix removal, where the dispersive link
 between each transmit/receive antenna pair is exactly a circular convolution
 with its impulse response. Every antenna pair fades independently (Rayleigh)
-with a common power delay profile normalized to unit total power.
+with a common exponential power delay profile of max(1, D // 8) taps,
+normalized to unit total power; the circular model stands for a cyclic
+prefix that covers this memory.
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 streams; identical streams reproduce channels and noise bit for bit.
@@ -14,39 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PdpProfile:
-    """Per-tap average powers (linear scale), positive and summing to one."""
+def power_delay_profile(block_len: int) -> np.ndarray:
+    """Tap powers of a ``block_len``-sample block's channel, summing to one.
 
-    powers: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.powers, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("power delay profile must be a nonempty 1-D array")
-        if np.any(p <= 0.0):
-            raise ValueError("tap powers must be positive")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"tap powers must sum to 1, got {p.sum()!r}")
-        object.__setattr__(self, "powers", p)
-
-    @property
-    def n_taps(self) -> int:
-        return len(self.powers)
-
-
-def exponential_pdp(n_taps: int) -> PdpProfile:
-    """Exponentially decaying profile, 0 dB at tap 0 down to -10 dB at the last tap.
-
-    Powers follow a linear-in-dB ramp and are normalized to unit total power;
-    a single tap degenerates to [1.0].
+    The channel has max(1, D // 8) taps, the memory a D // 8 cyclic prefix
+    covers. Powers fall linearly in dB from 0 dB at tap 0 to -10 dB at the
+    last tap and are normalized to unit total power; a single tap is [1.0].
     """
-    if n_taps < 1:
-        raise ValueError("need at least one tap")
-    if n_taps == 1:
-        return PdpProfile(np.ones(1))
-    ramp = 10.0 ** (-(10.0 / (n_taps - 1)) * np.arange(n_taps) / 10.0)
-    return PdpProfile(ramp / ramp.sum())
+    n = max(1, block_len // 8)
+    if n == 1:
+        return np.ones(1)
+    ramp = 10.0 ** (-(10.0 / (n - 1)) * np.arange(n) / 10.0)
+    return ramp / ramp.sum()
 
 
 @dataclass(frozen=True)
@@ -77,19 +58,18 @@ class MimoChannel:
 def generate_channel(
     n_tx: int,
     n_rx: int,
-    pdp: PdpProfile,
     rng: np.random.Generator,
     block_len: int,
 ) -> MimoChannel:
-    """Draw spatially uncorrelated Rayleigh taps shaped by ``pdp``.
+    """Draw spatially uncorrelated Rayleigh taps for ``block_len``-sample blocks.
 
     Tap i of every antenna pair is circularly-symmetric complex Gaussian with
-    variance pdp.powers[i], so the expected total power per pair is one.
+    variance ``power_delay_profile(block_len)[i]``, so the expected total
+    power per pair is one.
     """
-    if pdp.n_taps > block_len:
-        raise ValueError("channel memory exceeds the block length")
-    shape = (n_rx, n_tx, pdp.n_taps)
-    scale = np.sqrt(pdp.powers / 2.0)
+    powers = power_delay_profile(block_len)
+    shape = (n_rx, n_tx, len(powers))
+    scale = np.sqrt(powers / 2.0)
     taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     freq = np.fft.fft(taps, n=block_len, axis=2)
     return MimoChannel(taps=taps, freq=freq)

@@ -1,13 +1,14 @@
 """Command-line front end: `simulate`, `complexity`, and `verify` subcommands."""
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import channel as chan
 from .decoupling import verify_decomposition
-from .simulate import ConfigError, default_cp_len, parse_config, run_sweep, closed_form_cm, write_report
+from .simulate import ConfigError, parse_config, run_sweep, closed_form_cm, write_report
 from .waveform import dirichlet_filter
 
 # block lengths beyond this run the full-matrix baseline into minutes-to-hours
@@ -45,6 +46,10 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
     out = args.out or cfg.out or "results.csv"
+    out_dir = os.path.dirname(out) or "."
+    if not os.path.isdir(out_dir):
+        print(f"error: output directory '{out_dir}' does not exist", file=sys.stderr)
+        return 2
     records = run_sweep(cfg)
     write_report(records, out)
     for rec in records:
@@ -76,11 +81,10 @@ def _cmd_verify(args) -> int:
     worst = 0.0
     for k, m, t, r in VERIFY_GRID:
         filt = dirichlet_filter(k, m)
-        pdp = chan.exponential_pdp(default_cp_len(k * m))
         peak = 0.0
         for idx in range(args.channels):
             rng = np.random.default_rng(np.random.SeedSequence([args.seed, k, m, t, r, idx]))
-            ch = chan.generate_channel(t, r, pdp, rng, k * m)
+            ch = chan.generate_channel(t, r, rng, k * m)
             peak = max(peak, verify_decomposition(ch, filt))
         print(f"K={k} M={m} T={t} R={r}: max residual {peak:.3e} over {args.channels} channels")
         worst = max(worst, peak)

@@ -65,7 +65,8 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     next (ties go to the lowest index), which pushes weak columns early in
     the triangular system and strong ones to the bottom where detection
     starts. Raises ``numpy.linalg.LinAlgError`` when a residual column norm
-    falls below 1e-12 times the Frobenius norm of the input.
+    is at most 1e-12 times the Frobenius norm of the input, which includes
+    every column of an all-zero matrix.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
@@ -85,7 +86,7 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
             norms_sq[[i, j]] = norms_sq[[j, i]]
             perm[[i, j]] = perm[[j, i]]
         norm = np.linalg.norm(v[:, i])
-        if norm < 1e-12 * fro:
+        if norm <= 1e-12 * fro:
             raise np.linalg.LinAlgError(
                 f"column {perm[i]} is numerically rank deficient (norm {norm:.3e})"
             )
@@ -97,20 +98,6 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
             v[:, i + 1 :] -= np.outer(q[:, i], proj)
             norms_sq[i + 1 :] = np.maximum(norms_sq[i + 1 :] - np.abs(proj) ** 2, 0.0)
     return SqrdFactorization(q=q, r=r, perm=perm)
-
-
-def mmse_sqrd(h: np.ndarray, noise_power: float) -> SqrdFactorization:
-    """Sorted QR of the noise-regularized extension [H; sqrt(N0) * I].
-
-    Symbols have unit energy, so the factorization satisfies
-    R^H R = perm'(H^H H + N0 I)perm; the top rows of Q apply to the received
-    vector. With N0 = 0 it reduces to plain ``sqrd(h)``.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[1]
-    sigma = math.sqrt(noise_power)
-    ext = np.vstack([h, sigma * np.eye(n, dtype=complex)])
-    return sqrd(ext)
 
 
 def sphere_decode(
@@ -281,17 +268,23 @@ def detect_proposed(
 def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:
     """MMSE-SQRD of the full stacked matrix, with a tiny-regularization fallback.
 
-    Computed once per channel realization and SNR; a rank-deficient noiseless
-    system falls back to a 1e-12 regularization with a logged warning.
+    Sorted QR of the noise-regularized extension [H; sqrt(N0) * I]. Symbols
+    have unit energy, so R^H R = perm'(H^H H + N0 I)perm; the top rows of Q
+    apply to the received vector, and with N0 = 0 the factors are those of
+    plain ``sqrd(h_full)``. Computed once per channel realization and SNR; a
+    rank-deficient noiseless system falls back to a 1e-12 regularization
+    with a logged warning.
     """
+    h_full = np.asarray(h_full, dtype=complex)
+    eye = np.eye(h_full.shape[1], dtype=complex)
     try:
-        return mmse_sqrd(h_full, noise_power)
+        return sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
     except np.linalg.LinAlgError:
         logger.warning(
             "rank-deficient system at noise power %g; retrying with 1e-12 regularization",
             noise_power,
         )
-        return mmse_sqrd(h_full, 1e-12)
+        return sqrd(np.vstack([h_full, math.sqrt(1e-12) * eye]))
 
 
 def detect_baseline_near_ml(

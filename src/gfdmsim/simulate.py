@@ -156,11 +156,6 @@ def _typed(key: str, text: str, where: str):
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from None
 
 
-def default_cp_len(block_len: int) -> int:
-    """CP length L of a D-sample block, which is also the channel's tap count: max(1, D // 8)."""
-    return max(1, block_len // 8)
-
-
 def parse_config(
     path: str | None = None, overrides: dict[str, str] | None = None
 ) -> SimConfig:
@@ -168,8 +163,9 @@ def parse_config(
 
     The format is one ``key = value`` pair per line; '#' starts a comment.
     Allowed keys: scheme, K, M, T, R, snr_db, n_channels, n_blocks, seed,
-    out; seed defaults to 0. Symbols are QPSK and the channel has
-    default_cp_len(D) taps. Errors carry the offending file line or flag.
+    out; seed defaults to 0. Symbols are QPSK and the channel model is
+    fixed by :func:`gfdmsim.channel.generate_channel` (max(1, D // 8) taps).
+    Errors carry the offending file line or flag.
     """
     values: dict[str, object] = {}
     if path is not None:
@@ -324,7 +320,6 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
     else:
         filt = waveform.dirichlet_filter(k_sc, m_ss)
-    pdp = chan.exponential_pdp(default_cp_len(d))
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     records = []
@@ -335,7 +330,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         start = time.perf_counter()
         for c_idx in range(cfg.n_channels):
             rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c_idx)
-            ch = chan.generate_channel(n_tx, n_rx, pdp, rng_ch, d)
+            ch = chan.generate_channel(n_tx, n_rx, rng_ch, d)
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power)
@@ -345,12 +340,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
                 data = cs.points[rng_d.integers(0, cs.size, size=n_tx * d)]
                 if filt.support is not None:
-                    x = np.stack(
-                        [
-                            waveform.fast_modulate(data[t * d : (t + 1) * d], filt)
-                            for t in range(n_tx)
-                        ]
-                    )
+                    x = waveform.fast_modulate(data.reshape(n_tx, d), filt)
                 else:
                     x = np.stack(
                         [a_mat @ data[t * d : (t + 1) * d] for t in range(n_tx)]

@@ -171,6 +171,8 @@ def fast_modulate(d: np.ndarray, f: PrototypeFilter) -> np.ndarray:
 
     Equivalent to the dense product ``A @ d`` but in O(D log D): one M-point
     FFT per subcarrier, the window scaling, and a single D-point inverse FFT.
+    ``d`` is one block of D symbols or a ``(..., D)`` stack of them (one row
+    per transmit antenna, say); every block is modulated along the last axis.
     Data ordering matches the dense matrix (index m*K + k holds subsymbol m
     of subcarrier k).
     """
@@ -178,12 +180,13 @@ def fast_modulate(d: np.ndarray, f: PrototypeFilter) -> np.ndarray:
         raise ValueError("fast modulation requires a filter with an M-bin window")
     k_sc, m_ss, d_len = f.n_subcarriers, f.n_subsymbols, f.length
     d = np.asarray(d, dtype=complex)
-    if d.shape != (d_len,):
-        raise ValueError(f"data length {d.shape} does not match block length {d_len}")
+    if d.shape[-1:] != (d_len,):
+        raise ValueError(f"data shape {d.shape} does not end in the block length {d_len}")
+    lead = d.shape[:-1]
     g_1, shift = f.support
     # regroup subsymbol-major data into per-subcarrier rows
-    blocks = d.reshape(m_ss, k_sc).T
-    spec = np.fft.fft(blocks, axis=1) / math.sqrt(m_ss)
-    spec = np.roll(spec, -shift, axis=1) * g_1[None, :] / math.sqrt(k_sc)
-    full = np.roll(spec.reshape(d_len), shift)
-    return np.fft.ifft(full) * math.sqrt(d_len)
+    blocks = np.swapaxes(d.reshape(*lead, m_ss, k_sc), -1, -2)
+    spec = np.fft.fft(blocks, axis=-1) / math.sqrt(m_ss)
+    spec = np.roll(spec, -shift, axis=-1) * g_1 / math.sqrt(k_sc)
+    full = np.roll(spec.reshape(*lead, d_len), shift, axis=-1)
+    return np.fft.ifft(full, axis=-1) * math.sqrt(d_len)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gfdmsim.channel import apply_channel, assemble_full_matrix, exponential_pdp, generate_channel
+from gfdmsim.channel import apply_channel, assemble_full_matrix, generate_channel
 from gfdmsim.cli import main as cli_main
 from gfdmsim.constellation import qpsk
 from gfdmsim.decoupling import compute_blocks, receive_transform, verify_decomposition
@@ -22,7 +22,7 @@ from gfdmsim.detect import (
     sphere_decode,
     sqrd,
 )
-from gfdmsim.simulate import SimConfig, closed_form_cm, default_cp_len, run_sweep
+from gfdmsim.simulate import SimConfig, closed_form_cm, run_sweep
 from gfdmsim.waveform import (
     build_transmitter_matrix,
     dirichlet_filter,
@@ -47,10 +47,9 @@ def test_criterion_1_block_factorization_residual():
     worst = 0.0
     for k, m, t, r in DIMENSION_GRID:
         filt = dirichlet_filter(k, m)
-        pdp = exponential_pdp(default_cp_len(k * m))
         for idx in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([k, m, t, r, idx]))
-            ch = generate_channel(t, r, pdp, rng, k * m)
+            ch = generate_channel(t, r, rng, k * m)
             worst = max(worst, verify_decomposition(ch, filt))
     report(
         "1",
@@ -78,15 +77,14 @@ def test_criterion_3_proposed_equals_global_ml():
     k, m, t, r = 2, 2, 2, 2
     filt = dirichlet_filter(k, m)
     a = build_transmitter_matrix(filt)
-    pdp = exponential_pdp(default_cp_len(k * m))
     snrs = np.linspace(0.0, 20.0, 200)
     agree = 0
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
-        ch = generate_channel(t, r, pdp, rng, k * m)
+        ch = generate_channel(t, r, rng, k * m)
         factors = factorize_blocks(compute_blocks(ch, filt))
         data = CS.points[rng.integers(0, CS.size, t * k * m)]
-        x = np.stack([fast_modulate(data[i * 4 : (i + 1) * 4], filt) for i in range(t)])
+        x = fast_modulate(data.reshape(t, k * m), filt)
         noise_power = 10.0 ** (-snrs[trial] / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
         fast = detect_proposed(receive_transform(y, filt), factors, filt, CS)
@@ -116,14 +114,13 @@ def test_criterion_5_ofdm_reduction():
         entrywise = max(entrywise, float(np.abs(a - dft_matrix_ref(k).conj().T).max()))
     k, t, r = 8, 2, 2
     filt = dirichlet_filter(k, 1)
-    pdp = exponential_pdp(default_cp_len(k))
     agree = 0
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([5, trial]))
-        ch = generate_channel(t, r, pdp, rng, k)
+        ch = generate_channel(t, r, rng, k)
         factors = factorize_blocks(compute_blocks(ch, filt))
         data = CS.points[rng.integers(0, CS.size, t * k)]
-        x = np.stack([fast_modulate(data[i * k : (i + 1) * k], filt) for i in range(t)])
+        x = fast_modulate(data.reshape(t, k), filt)
         noise_power = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
         via_blocks = detect_proposed(receive_transform(y, filt), factors, filt, CS)

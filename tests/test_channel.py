@@ -6,55 +6,48 @@ import pytest
 
 from gfdmsim.channel import (
     MimoChannel,
-    PdpProfile,
     apply_channel,
     assemble_full_matrix,
     build_circulant,
-    exponential_pdp,
     generate_channel,
+    power_delay_profile,
     snr_db_to_noise_power,
 )
-from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, rc_filter
 
 from oracles import circulant_ref, dft_matrix_ref
 
 
-def test_exponential_pdp_values():
-    pdp = exponential_pdp(4)
+def test_power_delay_profile_values():
+    powers = power_delay_profile(32)  # 32 // 8 = 4 taps
     # direct evaluation of the linear-in-dB ramp 0 .. -10 dB over 4 taps
     raw = 10.0 ** (-10.0 * np.arange(4) / (3 * 10.0))
-    npt.assert_allclose(pdp.powers, raw / raw.sum(), atol=1e-15)
-    assert abs(pdp.powers.sum() - 1.0) < 1e-12
+    npt.assert_allclose(powers, raw / raw.sum(), atol=1e-15)
+    assert abs(powers.sum() - 1.0) < 1e-12
 
 
-def test_exponential_pdp_single_tap():
-    npt.assert_allclose(exponential_pdp(1).powers, [1.0])
-    with pytest.raises(ValueError):
-        exponential_pdp(0)
+def test_power_delay_profile_single_tap():
+    npt.assert_allclose(power_delay_profile(8), [1.0])
+    npt.assert_allclose(power_delay_profile(4), [1.0])  # D < 8 still has one tap
 
 
-def test_pdp_validation():
-    with pytest.raises(ValueError):
-        PdpProfile(np.array([0.5, 0.4]))  # does not sum to 1
-    with pytest.raises(ValueError):
-        PdpProfile(np.array([1.5, -0.5]))
+def test_generate_channel_tap_count():
+    for d in (4, 16, 1024):
+        ch = generate_channel(2, 3, np.random.default_rng(d), d)
+        assert ch.taps.shape == (3, 2, max(1, d // 8))
+        assert ch.freq.shape == (3, 2, d)
 
 
 def test_generate_channel_deterministic():
-    pdp = exponential_pdp(3)
-    a = generate_channel(2, 2, pdp, np.random.default_rng(123), 16)
-    b = generate_channel(2, 2, pdp, np.random.default_rng(123), 16)
+    a = generate_channel(2, 2, np.random.default_rng(123), 24)
+    b = generate_channel(2, 2, np.random.default_rng(123), 24)
     npt.assert_array_equal(a.taps, b.taps)
     npt.assert_array_equal(a.freq, b.freq)
 
 
 def test_flat_fading_statistics():
-    pdp = exponential_pdp(1)
     rng = np.random.default_rng(0)
-    draws = np.array(
-        [generate_channel(1, 1, pdp, rng, 4).taps[0, 0, 0] for _ in range(10_000)]
-    )
+    draws = np.array([generate_channel(1, 1, rng, 4).taps[0, 0, 0] for _ in range(10_000)])
     energy = np.mean(np.abs(draws) ** 2)
     assert abs(energy - 1.0) < 0.03
     # Rayleigh magnitude: E|h| = sqrt(pi)/2 for unit mean-square
@@ -62,23 +55,21 @@ def test_flat_fading_statistics():
 
 
 def test_channel_energy_multitap():
-    pdp = exponential_pdp(4)
     rng = np.random.default_rng(5)
     total = 0.0
     n = 10_000
     for _ in range(n // 100):
-        ch = generate_channel(10, 10, pdp, rng, 8)
+        ch = generate_channel(10, 10, rng, 32)  # 4 taps
         total += np.sum(np.abs(ch.taps) ** 2)
     assert abs(total / n - 1.0) < 0.03
 
 
 def test_freq_response_matches_taps():
-    pdp = exponential_pdp(3)
-    ch = generate_channel(2, 2, pdp, np.random.default_rng(9), 12)
+    ch = generate_channel(2, 2, np.random.default_rng(9), 24)  # 3 taps
     for r in range(2):
         for t in range(2):
             npt.assert_allclose(
-                ch.freq[r, t], np.fft.fft(ch.taps[r, t], n=12), atol=1e-12
+                ch.freq[r, t], np.fft.fft(ch.taps[r, t], n=24), atol=1e-12
             )
 
 
@@ -116,23 +107,21 @@ def test_apply_channel_identity():
 
 
 def test_apply_channel_matches_circulant_oracle():
-    pdp = exponential_pdp(3)
     rng = np.random.default_rng(14)
-    ch = generate_channel(2, 3, pdp, rng, 8)
-    x = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    ch = generate_channel(2, 3, rng, 24)  # 3 taps
+    x = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
     y = apply_channel(x, ch, 0.0)
     for r in range(3):
-        expected = sum(circulant_ref(ch.taps[r, t], 8) @ x[t] for t in range(2))
+        expected = sum(circulant_ref(ch.taps[r, t], 24) @ x[t] for t in range(2))
         assert np.linalg.norm(y[r] - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_apply_channel_equals_cp_transmission():
     # explicit path: prepend a cyclic prefix, run a linear convolution,
     # drop the prefix; must agree with the circular model
-    pdp = exponential_pdp(4)
     rng = np.random.default_rng(21)
-    d, cp = 16, 4
-    ch = generate_channel(1, 1, pdp, rng, d)
+    d, cp = 32, 4
+    ch = generate_channel(1, 1, rng, d)  # 4 taps, all covered by the prefix
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     with_cp = np.concatenate([x[-cp:], x])
     linear = np.convolve(with_cp, ch.taps[0, 0])[cp : cp + d]
@@ -164,7 +153,7 @@ def test_assemble_identity_channel_returns_a():
 def test_noiseless_chain_matches_full_matrix(make):
     a = build_transmitter_matrix(make(4, 2))
     rng = np.random.default_rng(3)
-    ch = generate_channel(2, 2, exponential_pdp(default_cp_len(8)), rng, 8)
+    ch = generate_channel(2, 2, rng, 8)
     h_full = assemble_full_matrix(ch, a)
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     x = np.stack([a @ d[:8], a @ d[8:]])
@@ -176,7 +165,7 @@ def test_noiseless_chain_matches_full_matrix(make):
 def test_ofdm_blocks_are_diagonalized():
     k = 8
     a = build_transmitter_matrix(dirichlet_filter(k, 1))
-    ch = generate_channel(2, 2, exponential_pdp(1), np.random.default_rng(4), k)
+    ch = generate_channel(2, 2, np.random.default_rng(4), k)
     w = dft_matrix_ref(k)
     for r in range(2):
         for t in range(2):

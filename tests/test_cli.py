@@ -59,6 +59,14 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+def test_simulate_rejects_missing_output_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"output directory '{out.parent}' does not exist" in captured.err
+    assert captured.out == ""  # rejected before the sweep ran
+
+
 def test_simulate_gates_full_scale(tmp_path, capsys):
     text = (
         "scheme = proposed_dirichlet\nK = 256\nM = 4\nT = 2\nR = 2\n"

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gfdmsim.channel import MimoChannel, assemble_full_matrix, exponential_pdp, generate_channel
+from gfdmsim.channel import MimoChannel, assemble_full_matrix, generate_channel
 from gfdmsim.decoupling import (
     block_diagonal,
     compute_blocks,
@@ -13,7 +13,6 @@ from gfdmsim.decoupling import (
     receive_transform,
     verify_decomposition,
 )
-from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import PrototypeFilter, build_transmitter_matrix, dirichlet_filter, rc_filter
 
 from oracles import (
@@ -28,8 +27,7 @@ GRID = [(4, 2, 2, 2), (8, 2, 2, 2), (4, 4, 2, 2), (8, 4, 2, 3)]
 
 
 def random_channel(k, m, t, r, seed):
-    pdp = exponential_pdp(default_cp_len(k * m))
-    return generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
+    return generate_channel(t, r, np.random.default_rng(seed), k * m)
 
 
 def window_filter(k, m, shift, g_1=None):
@@ -176,7 +174,7 @@ def test_decomposition_residual_random_window_filters():
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         filt = window_filter(k, m, int(rng.integers(0, d_len)), g_1)
-        ch = generate_channel(t, r, exponential_pdp(default_cp_len(d_len)), rng, d_len)
+        ch = generate_channel(t, r, rng, d_len)
         assert verify_decomposition(ch, filt) <= 1e-10
 
 

@@ -7,7 +7,6 @@ import pytest
 from gfdmsim.channel import (
     apply_channel,
     assemble_full_matrix,
-    exponential_pdp,
     generate_channel,
 )
 from gfdmsim.constellation import qpsk
@@ -20,11 +19,9 @@ from gfdmsim.detect import (
     detect_proposed,
     exhaustive_ml,
     factorize_blocks,
-    mmse_sqrd,
     sphere_decode,
     sqrd,
 )
-from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate
 
 from oracles import brute_force_ml_ref, sphere_decode_ref
@@ -77,26 +74,37 @@ def test_sqrd_rejects_rank_deficiency_and_wide_input():
         sqrd(np.ones((2, 4), dtype=complex))
 
 
-def test_mmse_sqrd_zero_noise_reduces_to_sqrd():
+def test_sqrd_and_baseline_on_all_zero_matrix(caplog):
+    # the rank check compares against the Frobenius norm, which is 0 here
+    with pytest.raises(np.linalg.LinAlgError):
+        sqrd(np.zeros((2, 2)))
+    with caplog.at_level("WARNING", logger="gfdmsim.detect"):
+        fact = baseline_factorization(np.zeros((4, 2)), 0.0)
+    assert len(caplog.records) == 1
+    assert np.all(np.isfinite(fact.q))
+    npt.assert_allclose(fact.r, 1e-6 * np.eye(2), atol=1e-18)
+
+
+def test_baseline_factorization_zero_noise_reduces_to_sqrd():
     rng = np.random.default_rng(1)
     h = random_complex((6, 4), rng)
     plain = sqrd(h)
-    mmse = mmse_sqrd(h, 0.0)
+    mmse = baseline_factorization(h, 0.0)
     npt.assert_array_equal(plain.perm, mmse.perm)
     npt.assert_allclose(plain.r, mmse.r, atol=1e-10)
 
 
-def test_mmse_sqrd_zero_matrix():
-    fact = mmse_sqrd(np.zeros((4, 3), dtype=complex), 0.25)
+def test_baseline_factorization_zero_matrix():
+    fact = baseline_factorization(np.zeros((4, 3), dtype=complex), 0.25)
     npt.assert_allclose(fact.r, 0.5 * np.eye(3), atol=1e-12)
 
 
-def test_mmse_sqrd_normal_equations():
+def test_baseline_factorization_normal_equations():
     rng = np.random.default_rng(2)
     for _ in range(5):
         h = random_complex((8, 5), rng)
         n0 = float(rng.uniform(0.01, 1.0))
-        fact = mmse_sqrd(h, n0)
+        fact = baseline_factorization(h, n0)
         gram = h.conj().T @ h + n0 * np.eye(5)
         expected = gram[np.ix_(fact.perm, fact.perm)]
         npt.assert_allclose(fact.r.conj().T @ fact.r, expected, atol=1e-8)
@@ -224,14 +232,12 @@ def test_exhaustive_tie_break_is_first_candidate():
 
 def proposed_setup(k, m, t, r, seed):
     filt = dirichlet_filter(k, m)
-    pdp = exponential_pdp(default_cp_len(k * m))
-    ch = generate_channel(t, r, pdp, np.random.default_rng(seed), k * m)
+    ch = generate_channel(t, r, np.random.default_rng(seed), k * m)
     return filt, ch, factorize_blocks(compute_blocks(ch, filt))
 
 
 def transmit(data, filt, n_tx):
-    d_len = filt.length
-    return np.stack([fast_modulate(data[t * d_len : (t + 1) * d_len], filt) for t in range(n_tx)])
+    return fast_modulate(data.reshape(n_tx, filt.length), filt)
 
 
 def test_detect_proposed_noiseless():
@@ -276,7 +282,7 @@ def test_detect_proposed_m1_equals_detect_ofdm():
 def test_detect_ofdm_single_antenna_nearest_point():
     k = 8
     filt = dirichlet_filter(k, 1)
-    ch = generate_channel(1, 1, exponential_pdp(1), np.random.default_rng(16), k)
+    ch = generate_channel(1, 1, np.random.default_rng(16), k)
     rng = np.random.default_rng(17)
     data = CS.points[rng.integers(0, 4, k)]
     y = apply_channel(transmit(data, filt, 1), ch, 0.05, rng)
@@ -338,13 +344,12 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
     # exact per-subcarrier ML receiver
     filt = dirichlet_filter(2, 2)
     a = build_transmitter_matrix(filt)
-    pdp = exponential_pdp(default_cp_len(4))
     n0 = 10.0 ** (-0.3)  # 3 dB
     err_ml = err_sic = 0
     for master in range(3):
         for c in range(150):
             rng = np.random.default_rng([master, c])
-            ch = generate_channel(2, 2, pdp, rng, 4)
+            ch = generate_channel(2, 2, rng, 4)
             factors = factorize_blocks(compute_blocks(ch, filt))
             h_full = assemble_full_matrix(ch, a)
             fact = baseline_factorization(h_full, n0)

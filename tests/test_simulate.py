@@ -7,7 +7,6 @@ from gfdmsim.simulate import (
     CSV_HEADER,
     ConfigError,
     SimConfig,
-    default_cp_len,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -97,8 +96,6 @@ def test_parse_config_minimal_defaults(tmp_path):
         "snr_db = 0, 10\nn_channels = 5\nn_blocks = 5\n"
     )
     cfg = parse_config(str(path))
-    assert default_cp_len(cfg.block_len) == 2  # D // 8
-    assert default_cp_len(4) == 1
     assert cfg.block_len == 16
     assert cfg.seed == 0
 

@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gfdmsim.simulate import default_cp_len
 from gfdmsim.waveform import (
     PrototypeFilter,
     build_transmitter_matrix,
@@ -31,8 +30,6 @@ def test_config_dimensions_and_defaults():
     assert rc_filter(3, 5, 0.5).n_subsymbols == 5
     g = np.ones(8, dtype=complex) / math.sqrt(8)
     assert PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=8).n_subsymbols == 1
-    assert default_cp_len(f.length) == 2  # max(1, D // 8)
-    assert default_cp_len(dirichlet_filter(2, 2).length) == 1
     for k_sc, length in ((0, 8), (-2, 8), (4, 0)):
         g = np.zeros(length, dtype=complex)
         with pytest.raises(ValueError):
@@ -129,6 +126,10 @@ def test_fast_modulate_matches_dense(k, m):
         dense = a @ d
         fast = fast_modulate(d, f)
         assert np.linalg.norm(dense - fast) <= 1e-10 * np.linalg.norm(dense)
+    # a stack of blocks is modulated row by row, with the same arithmetic
+    stack = np.stack([random_data(k * m, seed=s) for s in range(6)]).reshape(2, 3, k * m)
+    rows = np.stack([fast_modulate(row, f) for row in stack.reshape(6, k * m)])
+    npt.assert_array_equal(fast_modulate(stack, f), rows.reshape(2, 3, k * m))
 
 
 def test_fast_modulate_random_window_filters():
@@ -153,6 +154,8 @@ def test_fast_modulate_zero_and_errors():
     npt.assert_allclose(fast_modulate(np.zeros(16), f), np.zeros(16), atol=1e-14)
     with pytest.raises(ValueError):
         fast_modulate(np.zeros(15), f)
+    with pytest.raises(ValueError):
+        fast_modulate(np.zeros((16, 2)), f)  # blocks run along the last axis
     with pytest.raises(ValueError):
         fast_modulate(np.zeros(16), rc_filter(4, 4, 0.9))
 
