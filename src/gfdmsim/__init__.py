@@ -17,7 +17,6 @@ from .channel import (
     power_delay_profile,
     snr_db_to_noise_power,
 )
-from .constellation import Constellation, qpsk
 from .decoupling import (
     compute_blocks,
     data_permutation,
@@ -26,6 +25,7 @@ from .decoupling import (
     verify_decomposition,
 )
 from .detect import (
+    QPSK,
     DetectionStats,
     SqrdFactorization,
     baseline_factorization,

@@ -50,6 +50,9 @@ def _cmd_simulate(args) -> int:
     if not os.path.isdir(out_dir):
         print(f"error: output directory '{out_dir}' does not exist", file=sys.stderr)
         return 2
+    if os.path.isdir(out):
+        print(f"error: output path '{out}' is a directory", file=sys.stderr)
+        return 2
     records = run_sweep(cfg)
     write_report(records, out)
     for rec in records:

@@ -1,6 +1,7 @@
 """MIMO detection: sorted QR, depth-first sphere decoding, and full receivers.
 
-Three receivers share the same sphere-decoder core:
+Every receiver decides over one symbol alphabet, :data:`QPSK`. Three
+receivers share the same sphere-decoder core:
 
 * the per-subcarrier detector, which factors each MR x MT block with plain
   sorted QR and solves K independent ML subproblems;
@@ -24,11 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel
-from .constellation import Constellation
 from .decoupling import inverse_data_permutation
 from .waveform import PrototypeFilter
 
 logger = logging.getLogger(__name__)
+
+# The symbol alphabet, (+-1 +-1j)/sqrt(2). Its unit average energy is what
+# the SNR conversion and the MMSE regularization assume; its order fixes the
+# data draws and every tie-break (ties go to the lower index).
+QPSK = (
+    np.array([1, 1, -1, -1], dtype=float) + 1j * np.array([1, -1, 1, -1], dtype=float)
+) / np.sqrt(2.0)
+QPSK.flags.writeable = False
+# the sphere decoder's Python-scalar copies: the points and their (re, im) pairs
+_POINTS = QPSK.tolist()
+_PARTS = [(p.real, p.imag) for p in _POINTS]
 
 
 @dataclass
@@ -103,14 +114,13 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
 def sphere_decode(
     r_mat: np.ndarray,
     z: np.ndarray,
-    cs: Constellation,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
-    """Exact ML solve of min_s ||z - R s||^2 over constellation vectors.
+    """Exact ML solve of min_s ||z - R s||^2 over QPSK vectors.
 
     Depth-first search from the last coordinate with Schnorr-Euchner child
     ordering (children sorted by increasing incremental metric, ties by
-    constellation index), infinite initial radius, and radius shrinking at
+    :data:`QPSK` index), infinite initial radius, and radius shrinking at
     every improved leaf. Equal-metric leaves keep the first one found. R
     must be upper triangular with positive diagonal.
 
@@ -119,10 +129,10 @@ def sphere_decode(
     residuals and per candidate-symbol metric evaluation.
 
     The search state lives in Python scalars and lists: a search visits a
-    few dozen nodes on average, each with one child per constellation point,
-    too few for array calls to pay off. Partial residuals are summed left to
-    right in Python complex arithmetic, so the result does not depend on the
-    BLAS build.
+    few dozen nodes on average, each with one child per QPSK point, too few
+    for array calls to pay off. The points' Python copies are built once at
+    import. Partial residuals are summed left to right in Python complex
+    arithmetic, so the result does not depend on the BLAS build.
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
@@ -133,13 +143,12 @@ def sphere_decode(
         raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
     rows = r_mat.tolist()
     zs = z.tolist()
-    points = cs.points.tolist()
+    points = _POINTS
     nq = len(points)
     labels = range(nq)
     # R[l, l] * point for every level and candidate, as (real, imag) pairs;
     # the diagonal is real, so these are the complex products exactly
-    parts = [(p.real, p.imag) for p in points]
-    scaled = [[(d * pr, d * pi) for pr, pi in parts] for d in (rows[l][l].real for l in range(n))]
+    scaled = [[(d * pr, d * pi) for pr, pi in _PARTS] for d in (rows[l][l].real for l in range(n))]
     children = [None] * n  # per level: (incremental metric, candidate) pairs, best first
     ptr = [0] * n
     base = [0.0] * n
@@ -193,11 +202,11 @@ def sphere_decode(
     if stats is not None:
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
-    return cs.points[best_idx]
+    return QPSK[best_idx]
 
 
-def exhaustive_ml(y: np.ndarray, h: np.ndarray, cs: Constellation) -> np.ndarray:
-    """Brute-force argmin of ||y - H d||^2 over all constellation vectors.
+def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Brute-force argmin of ||y - H d||^2 over all QPSK vectors.
 
     Candidates are enumerated with the first coordinate as the most
     significant digit; ties keep the lexicographically smallest candidate
@@ -207,25 +216,26 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray, cs: Constellation) -> np.ndarray
     y = np.asarray(y)
     h = np.asarray(h)
     n = h.shape[1]
-    total = cs.size**n
+    nq = len(QPSK)
+    total = nq**n
     if total > 2**20:
         raise ValueError(f"{total} candidates exceed the enumeration limit of 2**20")
-    weights = cs.size ** np.arange(n - 1, -1, -1)
+    weights = nq ** np.arange(n - 1, -1, -1)
     best_metric = math.inf
     best_first = 0
     chunk = 1 << 16
     for lo in range(0, total, chunk):
         cand = np.arange(lo, min(lo + chunk, total))
-        digits = (cand[None, :] // weights[:, None]) % cs.size
-        s = cs.points[digits]
+        digits = (cand[None, :] // weights[:, None]) % nq
+        s = QPSK[digits]
         resid = y[:, None] - h @ s
         metrics = np.sum(resid.real**2 + resid.imag**2, axis=0)
         j = int(np.argmin(metrics))  # first occurrence = smallest index
         if metrics[j] < best_metric:
             best_metric = float(metrics[j])
             best_first = lo + j
-    digits = (best_first // weights) % cs.size
-    return cs.points[digits]
+    digits = (best_first // weights) % nq
+    return QPSK[digits]
 
 
 def factorize_blocks(blocks: np.ndarray) -> list[SqrdFactorization]:
@@ -237,10 +247,9 @@ def detect_proposed(
     ybar: np.ndarray,
     factors: list[SqrdFactorization],
     f: PrototypeFilter,
-    cs: Constellation,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
-    """Per-subcarrier ML detection on the decoupled system.
+    """Per-subcarrier ML detection of the QPSK data on the decoupled system.
 
     ``ybar`` and ``factors`` are the receive-transformed observation and the
     :func:`factorize_blocks` output under the filter ``f``, which gives K and
@@ -259,7 +268,7 @@ def detect_proposed(
     for k in range(k_sc):
         fact = factors[k]
         z = fact.q.conj().T @ ybar[k * rows : (k + 1) * rows]
-        s_sorted = sphere_decode(fact.r, z, cs, stats)
+        s_sorted = sphere_decode(fact.r, z, stats)
         seg = dbar[k * cols : (k + 1) * cols]
         seg[fact.perm] = s_sorted
     return inverse_data_permutation(dbar, k_sc, m_ss, cols // m_ss)
@@ -290,11 +299,10 @@ def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactor
 def detect_baseline_near_ml(
     y: np.ndarray,
     factor: SqrdFactorization,
-    cs: Constellation,
     group_size: int,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
-    """Near-ML detection of the full stacked system: grouped DFSD + SIC.
+    """Near-ML detection of the QPSK data on the full stacked system: grouped DFSD + SIC.
 
     ``y`` is the received (R, D) array or its flattening and ``factor`` the
     :func:`baseline_factorization` of the full RD x TD matrix. The
@@ -319,7 +327,7 @@ def detect_baseline_near_ml(
         z_adj = z[lo:hi]
         if hi < n:
             z_adj = z_adj - factor.r[lo:hi, hi:] @ s_sorted[hi:]
-        s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, cs, stats)
+        s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, stats)
         hi = lo
     d_hat = np.empty(n, dtype=complex)
     d_hat[factor.perm] = s_sorted
@@ -329,13 +337,12 @@ def detect_baseline_near_ml(
 def detect_ofdm(
     y: np.ndarray,
     ch: MimoChannel,
-    cs: Constellation,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
     """Per-subcarrier detection for M = 1 blocks (A = inverse DFT matrix).
 
     Each of the D subcarriers is an R x T system solved by sorted QR plus a
-    size-T sphere-decoder call. Output stacking matches the transmit data
+    size-T sphere-decoder call over QPSK. Output stacking matches the transmit data
     (antenna-major). Built from the channel's frequency response without
     the block factorization, it is the reference that :func:`detect_proposed`
     at M = 1 must match (acceptance criterion 5); sweeps do not call it.
@@ -349,6 +356,6 @@ def detect_ofdm(
     for i in range(d):
         fact = sqrd(ch.freq[:, :, i])
         z = fact.q.conj().T @ yf[:, i]
-        s_sorted = sphere_decode(fact.r, z, cs, stats)
+        s_sorted = sphere_decode(fact.r, z, stats)
         d_hat[fact.perm * d + i] = s_sorted
     return d_hat

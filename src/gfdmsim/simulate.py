@@ -25,8 +25,8 @@ import numpy as np
 from . import channel as chan
 from . import detect
 from . import waveform
-from .constellation import qpsk
 from .decoupling import compute_blocks, receive_transform
+from .detect import QPSK
 
 SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
 # detected on the full matrix; the others (ofdm as M = 1) run the per-subcarrier receiver
@@ -165,25 +165,32 @@ def parse_config(
     Allowed keys: scheme, K, M, T, R, snr_db, n_channels, n_blocks, seed,
     out; seed defaults to 0. Symbols are QPSK and the channel model is
     fixed by :func:`gfdmsim.channel.generate_channel` (max(1, D // 8) taps).
-    Errors carry the offending file line or flag.
+    Errors carry the offending file line or flag; a file that is not UTF-8
+    text raises ConfigError too.
     """
     values: dict[str, object] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}"
-                if "=" not in line:
-                    raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
-                key, _, text = line.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS:
-                    raise ConfigError(f"{where}: unknown key '{key}'")
-                if key in values:
-                    raise ConfigError(f"{where}: duplicate key '{key}'")
-                values[key] = _typed(key, text.strip(), where)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not UTF-8 text (cannot decode byte {exc.object[exc.start]:#04x})"
+            ) from None
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            if "=" not in line:
+                raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            key, _, text = line.partition("=")
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{where}: unknown key '{key}'")
+            if key in values:
+                raise ConfigError(f"{where}: duplicate key '{key}'")
+            values[key] = _typed(key, text.strip(), where)
     for key, text in (overrides or {}).items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"flag --{key}: unknown key '{key}'")
@@ -313,7 +320,6 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     function of cfg.
     """
     cfg.validate()
-    cs = qpsk()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
     if cfg.scheme == "baseline_rc":
@@ -338,7 +344,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 factors = detect.factorize_blocks(compute_blocks(ch, filt))
             for b_idx in range(cfg.n_blocks):
                 rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
-                data = cs.points[rng_d.integers(0, cs.size, size=n_tx * d)]
+                data = QPSK[rng_d.integers(0, len(QPSK), size=n_tx * d)]
                 if filt.support is not None:
                     x = waveform.fast_modulate(data.reshape(n_tx, d), filt)
                 else:
@@ -348,10 +354,10 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 rng_n = _trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b_idx)
                 y = chan.apply_channel(x, ch, noise_power, rng_n)
                 if dense:
-                    d_hat = detect.detect_baseline_near_ml(y, factor, cs, m_ss * n_tx, stats)
+                    d_hat = detect.detect_baseline_near_ml(y, factor, m_ss * n_tx, stats)
                 else:
                     ybar = receive_transform(y, filt)
-                    d_hat = detect.detect_proposed(ybar, factors, filt, cs, stats)
+                    d_hat = detect.detect_proposed(ybar, factors, filt, stats)
                 errors += int(np.sum(d_hat != data))
         records.append(
             TrialRecord(

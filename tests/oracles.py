@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from gfdmsim.constellation import Constellation
-from gfdmsim.detect import DetectionStats
+from gfdmsim.detect import QPSK, DetectionStats
 
 
 def dft_matrix_ref(p: int) -> np.ndarray:
@@ -122,14 +121,13 @@ def sign_flip_p_value(diffs) -> float:
 def sphere_decode_ref(
     r_mat: np.ndarray,
     z: np.ndarray,
-    cs: Constellation,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
-    """Exact ML solve of min_s ||z - R s||^2 over constellation vectors.
+    """Exact ML solve of min_s ||z - R s||^2 over QPSK vectors.
 
     Depth-first search from the last coordinate with Schnorr-Euchner child
     ordering (children sorted by increasing incremental metric, ties by
-    constellation index), infinite initial radius, and radius shrinking at
+    QPSK index), infinite initial radius, and radius shrinking at
     every improved leaf. Equal-metric leaves keep the first one found. R
     must be upper triangular with positive diagonal.
 
@@ -139,7 +137,7 @@ def sphere_decode_ref(
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
-    points = cs.points
+    points = QPSK
     nq = len(points)
     n = len(z)
     if r_mat.shape != (n, n):

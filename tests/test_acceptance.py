@@ -12,9 +12,9 @@ import pytest
 
 from gfdmsim.channel import apply_channel, assemble_full_matrix, generate_channel
 from gfdmsim.cli import main as cli_main
-from gfdmsim.constellation import qpsk
 from gfdmsim.decoupling import compute_blocks, receive_transform, verify_decomposition
 from gfdmsim.detect import (
+    QPSK,
     detect_ofdm,
     detect_proposed,
     exhaustive_ml,
@@ -33,7 +33,6 @@ from gfdmsim.waveform import (
 
 from oracles import dft_matrix_ref, receive_operator_ref, sign_flip_p_value
 
-CS = qpsk()
 DIMENSION_GRID = [(4, 2, 2, 2), (8, 2, 2, 2), (4, 4, 2, 2), (8, 4, 2, 3)]
 FILTER_GRID = [(4, 2), (8, 2), (4, 4), (8, 4)]
 
@@ -83,12 +82,12 @@ def test_criterion_3_proposed_equals_global_ml():
         rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
         ch = generate_channel(t, r, rng, k * m)
         factors = factorize_blocks(compute_blocks(ch, filt))
-        data = CS.points[rng.integers(0, CS.size, t * k * m)]
+        data = QPSK[rng.integers(0, len(QPSK), t * k * m)]
         x = fast_modulate(data.reshape(t, k * m), filt)
         noise_power = 10.0 ** (-snrs[trial] / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        fast = detect_proposed(receive_transform(y, filt), factors, filt, CS)
-        oracle = exhaustive_ml(y.reshape(-1), assemble_full_matrix(ch, a), CS)
+        fast = detect_proposed(receive_transform(y, filt), factors, filt)
+        oracle = exhaustive_ml(y.reshape(-1), assemble_full_matrix(ch, a))
         agree += bool(np.array_equal(fast, oracle))
     report("3", agree == 200, f"per-subcarrier detector matched exhaustive ML in {agree}/200 trials")
 
@@ -100,10 +99,10 @@ def test_criterion_4_sphere_decoder_equals_brute_force():
         n = int(rng.integers(1, 9))
         f = rng.standard_normal((n + 1, n)) + 1j * rng.standard_normal((n + 1, n))
         fact = sqrd(f)
-        s = CS.points[rng.integers(0, CS.size, n)]
+        s = QPSK[rng.integers(0, len(QPSK), n)]
         sigma = float(rng.uniform(0.05, 1.0))
         z = fact.r @ s + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        agree += bool(np.array_equal(sphere_decode(fact.r, z, CS), exhaustive_ml(z, fact.r, CS)))
+        agree += bool(np.array_equal(sphere_decode(fact.r, z), exhaustive_ml(z, fact.r)))
     report("4", agree == 1000, f"sphere decoder matched exhaustive enumeration in {agree}/1000 systems")
 
 
@@ -119,12 +118,12 @@ def test_criterion_5_ofdm_reduction():
         rng = np.random.default_rng(np.random.SeedSequence([5, trial]))
         ch = generate_channel(t, r, rng, k)
         factors = factorize_blocks(compute_blocks(ch, filt))
-        data = CS.points[rng.integers(0, CS.size, t * k)]
+        data = QPSK[rng.integers(0, len(QPSK), t * k)]
         x = fast_modulate(data.reshape(t, k), filt)
         noise_power = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(x, ch, noise_power, rng)
-        via_blocks = detect_proposed(receive_transform(y, filt), factors, filt, CS)
-        agree += bool(np.array_equal(via_blocks, detect_ofdm(y, ch, CS)))
+        via_blocks = detect_proposed(receive_transform(y, filt), factors, filt)
+        agree += bool(np.array_equal(via_blocks, detect_ofdm(y, ch)))
     ok = entrywise <= 1e-12 and agree == 100
     report(
         "5",

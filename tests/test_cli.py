@@ -57,6 +57,10 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "unknown scheme" in capsys.readouterr().err
     assert main(["simulate", "--config", write_cfg(tmp_path), "--seed", "-1"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(BASE_CFG.encode() + b"# \xff\n")
+    assert main(["simulate", "--config", str(binary)]) == 2
+    assert f"error: {binary}: not UTF-8 text (cannot decode byte 0xff)" in capsys.readouterr().err
 
 
 def test_simulate_rejects_missing_output_directory(tmp_path, capsys):
@@ -65,6 +69,19 @@ def test_simulate_rejects_missing_output_directory(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"output directory '{out.parent}' does not exist" in captured.err
     assert captured.out == ""  # rejected before the sweep ran
+
+
+def test_simulate_rejects_output_path_that_is_a_directory(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"output path '{out_dir}' is a directory" in captured.err
+    assert captured.out == ""  # rejected before the sweep ran
+    # the same for a config whose 'out' key names a directory
+    cfg = write_cfg(tmp_path, BASE_CFG + f"out = {out_dir}\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_simulate_gates_full_scale(tmp_path, capsys):

@@ -9,9 +9,9 @@ from gfdmsim.channel import (
     assemble_full_matrix,
     generate_channel,
 )
-from gfdmsim.constellation import qpsk
 from gfdmsim.decoupling import compute_blocks, receive_transform
 from gfdmsim.detect import (
+    QPSK,
     DetectionStats,
     baseline_factorization,
     detect_baseline_near_ml,
@@ -26,11 +26,21 @@ from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_mo
 
 from oracles import brute_force_ml_ref, sphere_decode_ref
 
-CS = qpsk()
-
 
 def random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# ----------------------------------------------------------------- alphabet
+
+
+def test_qpsk_points_order_and_unit_energy():
+    # the order fixes the data draws and the "ties go to the lower index"
+    # rule; unit energy is what the SNR conversion and MMSE regularization assume
+    expected = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
+    npt.assert_array_equal(QPSK, expected)
+    assert abs(float(np.mean(np.abs(QPSK) ** 2)) - 1.0) <= 1e-12
+    assert not QPSK.flags.writeable
 
 
 # ---------------------------------------------------------------- sorted QR
@@ -116,9 +126,9 @@ def test_baseline_factorization_normal_equations():
 def test_sphere_identity_system_first_descent():
     rng = np.random.default_rng(3)
     for n in (1, 4, 6):
-        z = CS.points[rng.integers(0, 4, n)]
+        z = QPSK[rng.integers(0, 4, n)]
         stats = DetectionStats()
-        out = sphere_decode(np.eye(n, dtype=complex), z, CS, stats)
+        out = sphere_decode(np.eye(n, dtype=complex), z, stats)
         npt.assert_array_equal(out, z)
         assert stats.sd_nodes_visited == n
 
@@ -128,8 +138,8 @@ def test_sphere_noiseless_recovery():
     for _ in range(20):
         n = int(rng.integers(1, 7))
         fact = sqrd(random_complex((n + 2, n), rng))
-        s = CS.points[rng.integers(0, 4, n)]
-        out = sphere_decode(fact.r, fact.r @ s, CS)
+        s = QPSK[rng.integers(0, 4, n)]
+        out = sphere_decode(fact.r, fact.r @ s)
         npt.assert_array_equal(out, s)
 
 
@@ -138,12 +148,12 @@ def test_sphere_matches_exhaustive_and_reference():
     for trial in range(60):
         n = int(rng.integers(2, 6))
         fact = sqrd(random_complex((n + 1, n), rng))
-        z = fact.r @ CS.points[rng.integers(0, 4, n)] + 0.8 * random_complex(n, rng)
-        fast = sphere_decode(fact.r, z, CS)
-        oracle = exhaustive_ml(z, fact.r, CS)
+        z = fact.r @ QPSK[rng.integers(0, 4, n)] + 0.8 * random_complex(n, rng)
+        fast = sphere_decode(fact.r, z)
+        oracle = exhaustive_ml(z, fact.r)
         npt.assert_array_equal(fast, oracle)
         if trial < 10:
-            npt.assert_array_equal(fast, brute_force_ml_ref(z, fact.r, CS.points))
+            npt.assert_array_equal(fast, brute_force_ml_ref(z, fact.r, QPSK))
 
 
 def test_sphere_decode_matches_reference_traversal():
@@ -155,41 +165,41 @@ def test_sphere_decode_matches_reference_traversal():
             n0 = 10.0 ** (-snr_db / 10.0)
             for _ in range(25):
                 fact = sqrd(random_complex((n, n), rng))
-                s = CS.points[rng.integers(0, 4, n)]
+                s = QPSK[rng.integers(0, 4, n)]
                 cases.append((fact.r, fact.r @ s + math.sqrt(n0 / 2) * random_complex(n, rng)))
     # exact ties: all four children equal (z = 0), on a point, midway between two
     for n in (1, 3, 4):
         eye = np.eye(n, dtype=complex)
-        for z in (0j, CS.points[2], (CS.points[0] + CS.points[1]) / 2):
+        for z in (0j, QPSK[2], (QPSK[0] + QPSK[1]) / 2):
             cases.append((eye, np.full(n, z)))
     for r, z in cases:
         fast, ref = DetectionStats(), DetectionStats()
-        npt.assert_array_equal(sphere_decode(r, z, CS, fast), sphere_decode_ref(r, z, CS, ref))
+        npt.assert_array_equal(sphere_decode(r, z, fast), sphere_decode_ref(r, z, ref))
         assert (fast.sd_nodes_visited, fast.cm_count) == (ref.sd_nodes_visited, ref.cm_count)
     stats = DetectionStats()
-    sphere_decode(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), CS, stats)
+    sphere_decode(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), stats)
     assert (stats.sd_nodes_visited, stats.cm_count) == (21, 120)
 
 
 def test_sphere_decode_rejects_bad_shapes():
     with pytest.raises(ValueError, match="1-D"):
-        sphere_decode(np.zeros((0, 0)), np.zeros(0, dtype=complex), CS)
+        sphere_decode(np.zeros((0, 0)), np.zeros(0, dtype=complex))
     with pytest.raises(ValueError, match="1-D"):
-        sphere_decode(np.eye(2), np.zeros((2, 1), dtype=complex), CS)
+        sphere_decode(np.eye(2), np.zeros((2, 1), dtype=complex))
     with pytest.raises(ValueError, match="does not match"):
-        sphere_decode(np.eye(3), np.zeros(2, dtype=complex), CS)
+        sphere_decode(np.eye(3), np.zeros(2, dtype=complex))
 
 
 def test_sphere_counters_are_deterministic_and_monotone():
     rng = np.random.default_rng(6)
     fact = sqrd(random_complex((5, 4), rng))
-    z = fact.r @ CS.points[rng.integers(0, 4, 4)] + 0.5 * random_complex(4, rng)
+    z = fact.r @ QPSK[rng.integers(0, 4, 4)] + 0.5 * random_complex(4, rng)
     a, b = DetectionStats(), DetectionStats()
-    sphere_decode(fact.r, z, CS, a)
-    sphere_decode(fact.r, z, CS, b)
+    sphere_decode(fact.r, z, a)
+    sphere_decode(fact.r, z, b)
     assert (a.sd_nodes_visited, a.cm_count) == (b.sd_nodes_visited, b.cm_count)
     before = (a.sd_nodes_visited, a.cm_count)
-    sphere_decode(fact.r, z, CS, a)
+    sphere_decode(fact.r, z, a)
     assert a.sd_nodes_visited >= before[0] and a.cm_count >= before[1]
 
 
@@ -203,9 +213,9 @@ def test_sphere_node_count_decreases_with_snr():
         for _ in range(500):
             h = random_complex((4, 4), rng)
             fact = sqrd(h)
-            s = CS.points[rng.integers(0, 4, 4)]
+            s = QPSK[rng.integers(0, 4, 4)]
             z = fact.q.conj().T @ (h[:, fact.perm] @ s + math.sqrt(n0 / 2) * random_complex(4, rng))
-            sphere_decode(fact.r, z, CS, stats)
+            sphere_decode(fact.r, z, stats)
         averages.append(stats.sd_nodes_visited / 500)
     assert averages[0] >= averages[1] >= averages[2]
 
@@ -214,17 +224,17 @@ def test_sphere_node_count_decreases_with_snr():
 
 
 def test_exhaustive_identity_and_budget():
-    y = CS.points[np.array([0, 3, 1])]
-    npt.assert_array_equal(exhaustive_ml(y, np.eye(3, dtype=complex), CS), y)
+    y = QPSK[np.array([0, 3, 1])]
+    npt.assert_array_equal(exhaustive_ml(y, np.eye(3, dtype=complex)), y)
     with pytest.raises(ValueError):
-        exhaustive_ml(np.zeros(11), np.eye(11, dtype=complex), CS)
+        exhaustive_ml(np.zeros(11), np.eye(11, dtype=complex))
 
 
 def test_exhaustive_tie_break_is_first_candidate():
     # an all-zero system makes every candidate equally good; the documented
     # rule keeps the lexicographically smallest index
-    out = exhaustive_ml(np.zeros(2), np.zeros((2, 2), dtype=complex), CS)
-    npt.assert_array_equal(out, CS.points[[0, 0]])
+    out = exhaustive_ml(np.zeros(2), np.zeros((2, 2), dtype=complex))
+    npt.assert_array_equal(out, QPSK[[0, 0]])
 
 
 # ------------------------------------------------------------ full receivers
@@ -243,14 +253,14 @@ def transmit(data, filt, n_tx):
 def test_detect_proposed_noiseless():
     filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=10)
     rng = np.random.default_rng(11)
-    data = CS.points[rng.integers(0, 4, 2 * filt.length)]
+    data = QPSK[rng.integers(0, 4, 2 * filt.length)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.0)
     ybar = receive_transform(y, filt)
-    npt.assert_array_equal(detect_proposed(ybar, factors, filt, CS), data)
+    npt.assert_array_equal(detect_proposed(ybar, factors, filt), data)
     with pytest.raises(ValueError):  # factors of a K = 2 system for a K = 4 filter
-        detect_proposed(ybar, proposed_setup(2, 2, 2, 2, seed=10)[2], filt, CS)
+        detect_proposed(ybar, proposed_setup(2, 2, 2, 2, seed=10)[2], filt)
     with pytest.raises(ValueError):
-        detect_proposed(ybar[:-1], factors, filt, CS)
+        detect_proposed(ybar[:-1], factors, filt)
 
 
 def test_detect_proposed_equals_global_exhaustive():
@@ -259,11 +269,11 @@ def test_detect_proposed_equals_global_exhaustive():
     h_full = assemble_full_matrix(ch, a)
     rng = np.random.default_rng(13)
     for trial in range(50):
-        data = CS.points[rng.integers(0, 4, 8)]
+        data = QPSK[rng.integers(0, 4, 8)]
         n0 = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
-        fast = detect_proposed(receive_transform(y, filt), factors, filt, CS)
-        oracle = exhaustive_ml(y.reshape(-1), h_full, CS)
+        fast = detect_proposed(receive_transform(y, filt), factors, filt)
+        oracle = exhaustive_ml(y.reshape(-1), h_full)
         npt.assert_array_equal(fast, oracle)
 
 
@@ -271,11 +281,11 @@ def test_detect_proposed_m1_equals_detect_ofdm():
     filt, ch, factors = proposed_setup(8, 1, 2, 2, seed=14)
     rng = np.random.default_rng(15)
     for _ in range(20):
-        data = CS.points[rng.integers(0, 4, 16)]
+        data = QPSK[rng.integers(0, 4, 16)]
         y = apply_channel(transmit(data, filt, 2), ch, 0.2, rng)
         ybar = receive_transform(y, filt)
-        via_blocks = detect_proposed(ybar, factors, filt, CS)
-        via_ofdm = detect_ofdm(y, ch, CS)
+        via_blocks = detect_proposed(ybar, factors, filt)
+        via_ofdm = detect_ofdm(y, ch)
         npt.assert_array_equal(via_blocks, via_ofdm)
 
 
@@ -284,19 +294,19 @@ def test_detect_ofdm_single_antenna_nearest_point():
     filt = dirichlet_filter(k, 1)
     ch = generate_channel(1, 1, np.random.default_rng(16), k)
     rng = np.random.default_rng(17)
-    data = CS.points[rng.integers(0, 4, k)]
+    data = QPSK[rng.integers(0, 4, k)]
     y = apply_channel(transmit(data, filt, 1), ch, 0.05, rng)
-    out = detect_ofdm(y, ch, CS)
+    out = detect_ofdm(y, ch)
     yf = np.fft.fft(y[0]) / math.sqrt(k)
     for i in range(k):
-        nearest = CS.points[np.argmin(np.abs(yf[i] / ch.freq[0, 0, i] - CS.points))]
+        nearest = QPSK[np.argmin(np.abs(yf[i] / ch.freq[0, 0, i] - QPSK))]
         assert out[i] == nearest
 
 
 def test_detect_baseline_noiseless_diagonal():
     h = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
-    data = CS.points[np.array([1, 2, 0, 3])]
-    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), CS, 2)
+    data = QPSK[np.array([1, 2, 0, 3])]
+    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), 2)
     npt.assert_array_equal(out, data)
 
 
@@ -307,11 +317,11 @@ def test_detect_baseline_full_group_is_ml_on_rotated_system():
     h_full = assemble_full_matrix(ch, a)
     n0 = 0.15
     fact = baseline_factorization(h_full, n0)
-    data = CS.points[rng.integers(0, 4, 8)]
+    data = QPSK[rng.integers(0, 4, 8)]
     y = apply_channel(transmit(data, filt, 2), ch, n0, rng).reshape(-1)
-    joint = detect_baseline_near_ml(y, fact, CS, 8)  # one group of all T * D = 8 symbols
+    joint = detect_baseline_near_ml(y, fact, 8)  # one group of all T * D = 8 symbols
     z = fact.q[: h_full.shape[0]].conj().T @ y
-    oracle_sorted = exhaustive_ml(z, fact.r, CS)
+    oracle_sorted = exhaustive_ml(z, fact.r)
     expected = np.empty(8, dtype=complex)
     expected[fact.perm] = oracle_sorted
     npt.assert_array_equal(joint, expected)
@@ -324,17 +334,17 @@ def test_detect_baseline_rejects_wrong_received_length():
     assert fact.q.shape == (12, 4)  # 8 received rows plus 4 MMSE extension rows
     for length in (6, 12):
         with pytest.raises(ValueError, match="received samples"):
-            detect_baseline_near_ml(np.zeros(length, dtype=complex), fact, CS, 2)
-    data = CS.points[np.array([0, 3, 1, 2])]
-    assert detect_baseline_near_ml(h @ data, fact, CS, 2).shape == (4,)
+            detect_baseline_near_ml(np.zeros(length, dtype=complex), fact, 2)
+    data = QPSK[np.array([0, 3, 1, 2])]
+    assert detect_baseline_near_ml(h @ data, fact, 2).shape == (4,)
 
 
 def test_detect_baseline_noiseless_rank_deficient_falls_back():
     h = np.zeros((4, 2), dtype=complex)
     h[:, 0] = [1.0, 1.0, 0.0, 0.0]
     h[:, 1] = [1.0, 1.0, 0.0, 0.0]  # rank 1
-    data = CS.points[np.array([2, 2])]
-    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), CS, 1)
+    data = QPSK[np.array([2, 2])]
+    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), 1)
     assert out.shape == (2,)  # regularized fallback still returns a decision
 
 
@@ -354,11 +364,11 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
             h_full = assemble_full_matrix(ch, a)
             fact = baseline_factorization(h_full, n0)
             for _ in range(5):
-                data = CS.points[rng.integers(0, 4, 8)]
+                data = QPSK[rng.integers(0, 4, 8)]
                 y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
                 ybar = receive_transform(y, filt)
-                d_ml = detect_proposed(ybar, factors, filt, CS)
-                d_sic = detect_baseline_near_ml(y, fact, CS, 4)
+                d_ml = detect_proposed(ybar, factors, filt)
+                d_sic = detect_baseline_near_ml(y, fact, 4)
                 err_ml += int(np.sum(d_ml != data))
                 err_sic += int(np.sum(d_sic != data))
     assert err_sic >= err_ml
@@ -367,10 +377,10 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
 def test_detectors_accumulate_stats():
     filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=20)
     rng = np.random.default_rng(21)
-    data = CS.points[rng.integers(0, 4, 16)]
+    data = QPSK[rng.integers(0, 4, 16)]
     y = apply_channel(transmit(data, filt, 2), ch, 0.1, rng)
     stats = DetectionStats()
     ybar = receive_transform(y, filt)
-    detect_proposed(ybar, factors, filt, CS, stats)
+    detect_proposed(ybar, factors, filt, stats)
     assert stats.sd_nodes_visited >= 4 * 4  # K sphere calls of size MT
     assert stats.cm_count > 0

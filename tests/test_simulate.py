@@ -114,6 +114,9 @@ def test_parse_config_error_messages(tmp_path):
     path.write_text("K = 8\nK = 4\n")
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config(str(path))
+    path.write_bytes(b"K = 8\nM = \xff\n")
+    with pytest.raises(ConfigError, match=r"sim\.cfg: not UTF-8 text"):
+        parse_config(str(path))
     # the CP length and the constellation are fixed, not configured
     for line in ("L = 2", "constellation = qpsk"):
         path.write_text(f"scheme = proposed_dirichlet\nK = 8\n{line}\n")
