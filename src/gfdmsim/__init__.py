@@ -53,6 +53,7 @@ from .waveform import (
     fast_modulate,
     ici_free_support,
     rc_filter,
+    window_filter,
 )
 
 __version__ = "0.1.0"

@@ -114,7 +114,7 @@ def build_circulant(taps: np.ndarray, d: int) -> np.ndarray:
 
 
 def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:
-    """Dense RD x TD end-to-end matrix with blocks H_{r,t} @ A (test/diagnostic path)."""
+    """Dense RD x TD end-to-end matrix with blocks H_{r,t} @ A; the baseline detects on it."""
     d = ch.block_len
     if a.shape != (d, d):
         raise ValueError(f"modulation matrix must be {d} x {d}, got {a.shape}")

@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_complexity(args) -> int:
     try:
         cm_sqrd, cm_sic = closed_form_cm(args.scheme, args.K, args.M, args.T, args.R)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"scheme={args.scheme} K={args.K} M={args.M} T={args.T} R={args.R}")

@@ -134,10 +134,17 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = [p.strip() for p in body.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in body.split(",")]
+    if parts == [""]:
         raise ValueError("empty SNR list")
-    return tuple(float(p) for p in parts)
+    if "" in parts:
+        raise ValueError("empty item in SNR list")
+    values = tuple(float(p) for p in parts)
+    for p, value in zip(parts, values):
+        # float() rounds a finite literal too large for a double to inf
+        if math.isinf(value) and p.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise ValueError(f"{p} overflows to {value}")
+    return values
 
 
 _INT_KEYS = {"K", "M", "T", "R", "n_channels", "n_blocks", "seed"}
@@ -166,12 +173,12 @@ def parse_config(
     out; seed defaults to 0. Symbols are QPSK and the channel model is
     fixed by :func:`gfdmsim.channel.generate_channel` (max(1, D // 8) taps).
     Errors carry the offending file line or flag; a file that is not UTF-8
-    text raises ConfigError too.
+    text raises ConfigError too (a leading byte-order mark is skipped).
     """
     values: dict[str, object] = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 lines = list(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(
@@ -257,12 +264,11 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
         n = k * m * t
         sqrd_cm = k**3 * m**3 * t * t * r + k * k * m * m * t * r + n * (n + 1) * (2 * n + 1) // 6
         return sqrd_cm, k * k * m * m * t * t
-    if name in ("proposed", "proposed_dirichlet", "ofdm"):
-        return (
-            k * m**3 * t * t * r + k * m * m * t * r + (k * m * m * t * t - k * m * t) // 2,
-            0,
-        )
-    raise ValueError(f"unknown scheme '{scheme}'")
+    # proposed, proposed_dirichlet, or ofdm
+    return (
+        k * m**3 * t * t * r + k * m * m * t * r + (k * m * m * t * t - k * m * t) // 2,
+        0,
+    )
 
 
 @dataclass(frozen=True)

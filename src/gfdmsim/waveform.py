@@ -4,8 +4,9 @@ A GFDM block carries K subcarriers times M subsymbols in D = K*M samples.
 Every pulse is a time/frequency shift of one prototype filter g, collected
 column-wise into the D x D transmitter matrix A. Filters whose frequency
 response occupies at most M consecutive (cyclic) DFT bins admit an
-FFT-based modulator and, downstream, a per-subcarrier receiver; the
-Dirichlet filter is the canonical member of that class.
+FFT-based modulator and, downstream, a per-subcarrier receiver;
+:func:`window_filter` builds any member of that class, and the Dirichlet
+filter is its flat, orthogonal member.
 
 Conventions: the DFT matrix W_p is unitary ([W_p]_{mn} = exp(-2j*pi*m*n/p)/sqrt(p)),
 the frequency-domain filter is g_f = sqrt(D) * W_D @ g (i.e. the plain FFT of g),
@@ -21,16 +22,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PrototypeFilter:
-    """Unit-energy prototype pulse in time (g) and frequency (g_f) domain.
+    """Unit-energy prototype pulse, held as its frequency response g_f.
 
     The pulse spans one block of D = K*M samples: ``n_subcarriers`` is K,
-    and :attr:`n_subsymbols` is M = D // K. `support`, when present, is the
-    pair (g_1, l): the M nonzero frequency bins g_f[(l + i) % D] = g_1[i].
-    It is set by constructors that build the filter from such a window; use
+    and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`
+    is derived from g_f, so the two cannot disagree. `support`, when
+    present, is the pair (g_1, l): the M nonzero frequency bins
+    g_f[(l + i) % D] = g_1[i]. It is set by :func:`window_filter`; use
     :func:`ici_free_support` to recover it for arbitrary filters.
     """
 
-    g: np.ndarray
     g_f: np.ndarray
     n_subcarriers: int
     support: tuple[np.ndarray, int] | None = None
@@ -43,25 +44,44 @@ class PrototypeFilter:
             )
 
     @property
+    def g(self) -> np.ndarray:
+        """Time-domain pulse, the inverse DFT of g_f."""
+        return np.fft.ifft(self.g_f)
+
+    @property
     def length(self) -> int:
-        return len(self.g)
+        return len(self.g_f)
 
     @property
     def n_subsymbols(self) -> int:
         return self.length // self.n_subcarriers
 
 
-def _filter_from_window(g_1: np.ndarray, shift: int, k_sc: int) -> PrototypeFilter:
-    m_len = len(g_1)
-    d_len = k_sc * m_len
+def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:
+    """Unit-energy K x M filter whose spectrum is the window g_1 on M cyclic bins.
+
+    g_f holds g_1, scaled to unit pulse energy, on bins shift, ...,
+    shift + M - 1 (mod D = K*M) and zero elsewhere, so the filter is ICI-free
+    by construction; :func:`dirichlet_filter` is the flat window. The stored
+    start is shift mod D. Raises ``ValueError`` for K < 1, for a g_1 that is
+    not 1-D of length M >= 1, and for a window of zero or non-finite energy.
+    """
+    g_1 = np.asarray(g_1, dtype=complex)
+    if k < 1 or m < 1:
+        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
+    if g_1.shape != (m,):
+        raise ValueError(f"window must be 1-D of length M = {m}, got shape {g_1.shape}")
+    d_len = k * m
+    shift = shift % d_len
     g_f = np.zeros(d_len, dtype=complex)
-    g_f[(shift + np.arange(m_len)) % d_len] = g_1
+    g_f[(shift + np.arange(m)) % d_len] = g_1
+    energy = np.linalg.norm(g_f)
+    if not 0.0 < energy < math.inf:
+        raise ValueError(f"window must have finite, nonzero energy, got norm {energy}")
     # g_f = fft(g), so Parseval fixes ||g_f|| = sqrt(D) for unit-energy g
-    scale = math.sqrt(d_len) / np.linalg.norm(g_f)
+    scale = math.sqrt(d_len) / energy
     g_f = g_f * scale
-    return PrototypeFilter(
-        g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k_sc, support=(g_1 * scale, shift)
-    )
+    return PrototypeFilter(g_f=g_f, n_subcarriers=k, support=(g_1 * scale, shift))
 
 
 def _window_start(k: int, m: int) -> int:
@@ -80,7 +100,7 @@ def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     inverse DFT. For M = 1 this is the OFDM rectangular pulse and A equals
     the inverse DFT matrix.
     """
-    return _filter_from_window(np.ones(m, dtype=complex), _window_start(k, m), k)
+    return window_filter(k, m, np.ones(m, dtype=complex), _window_start(k, m))
 
 
 def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
@@ -107,7 +127,7 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
         roll = (x > flat) & (x < edge)
         g_f[roll] = 0.5 * (1.0 + np.cos(np.pi * (x[roll] - flat) / (alpha * m)))
     g_f = g_f.astype(complex) * (math.sqrt(d) / np.linalg.norm(g_f))
-    return PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k)
+    return PrototypeFilter(g_f=g_f, n_subcarriers=k)
 
 
 def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
@@ -143,9 +163,6 @@ def ici_free_support(f: PrototypeFilter) -> tuple[np.ndarray, int] | None:
     g_1, start = dominant_window(g_f, m)
     inside = np.sum(np.abs(g_1) ** 2)
     if inside < (1.0 - 1e-12) * total:
-        return None
-    outside_peak = math.sqrt(max(total - inside, 0.0))
-    if outside_peak > math.sqrt(1e-12) * math.sqrt(total):
         return None
     return g_1, start
 

@@ -146,6 +146,38 @@ def test_parse_config_flag_overrides(tmp_path):
     assert cfg.snr_db == (4.0, 8.0)
     with pytest.raises(ConfigError, match=r"flag --snr_db"):
         parse_config(str(path), {"snr_db": "a,b"})
+    assert parse_config(str(path), {"snr_db": "0, inf"}).snr_db == (0.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "snr,match",
+    [
+        ("1e400", "1e400 overflows to inf"),
+        ("0,,4", "empty item"),
+    ],
+    ids=["overflow", "empty-item"],
+)
+def test_parse_config_rejects_bad_snr_lists(tmp_path, snr, match):
+    # float() would read these as (inf,) and (0.0, 4.0) without a word
+    path = tmp_path / "sim.cfg"
+    path.write_text(
+        "scheme = proposed_dirichlet\nK = 8\nM = 2\nT = 2\nR = 2\n"
+        f"snr_db = {snr}\nn_channels = 5\nn_blocks = 5\n"
+    )
+    with pytest.raises(ConfigError, match=rf"sim\.cfg:6: invalid value for snr_db.*{match}"):
+        parse_config(str(path))
+
+
+def test_parse_config_accepts_byte_order_mark(tmp_path):
+    text = (
+        "scheme = proposed_dirichlet\nK = 8\nM = 2\nT = 2\nR = 2\n"
+        "snr_db = 0\nn_channels = 5\nn_blocks = 5\n"
+    )
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config(str(marked)) == parse_config(str(plain))
 
 
 @pytest.mark.parametrize(

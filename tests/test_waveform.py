@@ -12,6 +12,7 @@ from gfdmsim.waveform import (
     fast_modulate,
     ici_free_support,
     rc_filter,
+    window_filter,
 )
 
 from oracles import dft_matrix_ref, transmitter_matrix_ref
@@ -29,11 +30,11 @@ def test_config_dimensions_and_defaults():
     assert (f.n_subcarriers, f.n_subsymbols, f.length) == (8, 2, 16)
     assert rc_filter(3, 5, 0.5).n_subsymbols == 5
     g = np.ones(8, dtype=complex) / math.sqrt(8)
-    assert PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=8).n_subsymbols == 1
+    assert PrototypeFilter(g_f=np.fft.fft(g), n_subcarriers=8).n_subsymbols == 1
     for k_sc, length in ((0, 8), (-2, 8), (4, 0)):
         g = np.zeros(length, dtype=complex)
         with pytest.raises(ValueError):
-            PrototypeFilter(g=g, g_f=g, n_subcarriers=k_sc)
+            PrototypeFilter(g_f=g, n_subcarriers=k_sc)
 
 
 def test_transmitter_matrix_dimension_mismatch():
@@ -43,7 +44,7 @@ def test_transmitter_matrix_dimension_mismatch():
     for k_sc, length in ((3, 8), (16, 8)):
         g = np.zeros(length, dtype=complex)
         with pytest.raises(ValueError):
-            PrototypeFilter(g=g, g_f=g, n_subcarriers=k_sc)
+            PrototypeFilter(g_f=g, n_subcarriers=k_sc)
 
 
 @pytest.mark.parametrize(
@@ -53,12 +54,45 @@ def test_transmitter_matrix_dimension_mismatch():
         lambda: dirichlet_filter(4, 0),
         lambda: dirichlet_filter(-1, 4),
         lambda: rc_filter(4, 0, 0.5),
+        lambda: window_filter(0, 2, [1, 1], 0),
+        lambda: window_filter(2, 0, [], 0),
     ],
-    ids=["dirichlet-k0", "dirichlet-m0", "dirichlet-k-1", "rc-m0"],
+    ids=["dirichlet-k0", "dirichlet-m0", "dirichlet-k-1", "rc-m0", "window-k0", "window-m0"],
 )
 def test_filter_constructors_reject_empty_grid(make):
     with pytest.raises(ValueError, match="K and M must be positive"):
         make()
+
+
+@pytest.mark.parametrize(
+    "g_1,match",
+    [
+        ([1, 1, 1], "length M"),
+        ([[1, 1]], "length M"),
+        ([0, 0], "nonzero energy"),
+        ([1, np.nan], "nonzero energy"),
+    ],
+    ids=["too-long", "2-d", "all-zero", "nan"],
+)
+def test_window_filter_rejects_bad_window(g_1, match):
+    with pytest.raises(ValueError, match=match):
+        window_filter(2, 2, g_1, 0)
+
+
+def test_window_filter_random_windows():
+    rng = np.random.default_rng(23)
+    for k, m in GRID:
+        d_len = k * m
+        g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        shift = int(rng.integers(0, d_len))
+        f = window_filter(k, m, g_1, shift - 2 * d_len)
+        assert f.support[1] == shift
+        assert abs(np.linalg.norm(f.g) - 1.0) < 1e-12
+        npt.assert_array_equal(f.g, np.fft.ifft(f.g_f))
+        npt.assert_allclose(f.support[0] / g_1, np.full(m, f.support[0][0] / g_1[0]), atol=1e-12)
+        g_1_found, start = ici_free_support(f)
+        assert start == shift
+        npt.assert_array_equal(g_1_found, f.support[0])
 
 
 def test_dirichlet_k2_m1():
@@ -104,7 +138,7 @@ def test_parseval_for_dirichlet(k, m):
 
 
 def test_transmitter_matrix_k1_m1():
-    f = PrototypeFilter(g=np.array([1.0 + 0j]), g_f=np.array([1.0 + 0j]), n_subcarriers=1)
+    f = PrototypeFilter(g_f=np.array([1.0 + 0j]), n_subcarriers=1)
     npt.assert_allclose(build_transmitter_matrix(f), np.array([[1.0]]), atol=1e-15)
 
 
@@ -112,7 +146,7 @@ def test_transmitter_matrix_k1_m1():
 def test_transmitter_matrix_matches_entry_formula(k, m):
     g = random_data(k * m, seed=7)
     g = g / np.linalg.norm(g)
-    f = PrototypeFilter(g=g, g_f=np.fft.fft(g), n_subcarriers=k)
+    f = PrototypeFilter(g_f=np.fft.fft(g), n_subcarriers=k)
     a = build_transmitter_matrix(f)
     npt.assert_allclose(a, transmitter_matrix_ref(g, k, m), atol=1e-12)
 
@@ -139,11 +173,7 @@ def test_fast_modulate_random_window_filters():
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         shift = int(rng.integers(0, d_len))
-        g_f = np.zeros(d_len, dtype=complex)
-        g_f[(shift + np.arange(m)) % d_len] = g_1
-        g_f *= math.sqrt(d_len) / np.linalg.norm(g_f)
-        support = (g_f[(shift + np.arange(m)) % d_len], shift)
-        f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=k, support=support)
+        f = window_filter(k, m, g_1, shift)
         a = build_transmitter_matrix(f)
         d = random_data(d_len, seed=int(rng.integers(1 << 30)))
         assert np.linalg.norm(a @ d - fast_modulate(d, f)) < 1e-10
@@ -210,10 +240,10 @@ def test_rc_rolloff_range():
 def test_all_ones_spectrum_is_not_ici_free():
     d = 8
     g_f = np.ones(d, dtype=complex) * math.sqrt(d) / math.sqrt(d)
-    f = PrototypeFilter(g=np.fft.ifft(g_f), g_f=g_f, n_subcarriers=4)
+    f = PrototypeFilter(g_f=g_f, n_subcarriers=4)
     assert ici_free_support(f) is None
 
 
 def test_zero_spectrum_has_no_support():
-    f = PrototypeFilter(g=np.zeros(8, dtype=complex), g_f=np.zeros(8, dtype=complex), n_subcarriers=4)
+    f = PrototypeFilter(g_f=np.zeros(8, dtype=complex), n_subcarriers=4)
     assert ici_free_support(f) is None
