@@ -3,19 +3,21 @@
 Every receiver decides over one symbol alphabet, :data:`QPSK`. Three
 receivers share the same sphere-decoder core:
 
-* the per-subcarrier detector, which factors each MR x MT block with plain
-  sorted QR and solves K independent ML subproblems;
+* the per-subcarrier detector, which factors all K MR x MT blocks of a
+  channel realization in one batched plain sorted QR and solves K
+  independent ML subproblems;
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
   interference cancellation;
 * the OFDM detector for M = 1 blocks, an independent reference for the
   per-subcarrier detector at M = 1 (sweeps run ``ofdm`` through the latter).
 
-An exhaustive ML search over all candidate vectors is provided as a test
-oracle. Complexity bookkeeping: sphere-decoder work is counted empirically
-(one unit per complex multiplication in the metric recursions, with
-complex-by-real products counted the same as complex-by-complex); the
-closed-form QR/SIC counts live in the simulation layer.
+An exhaustive ML search over all candidate vectors is provided as an oracle
+for the tests and demos. Complexity bookkeeping: sphere-decoder work is
+counted empirically (one unit per complex multiplication in the metric
+recursions, with complex-by-real products counted the same as
+complex-by-complex); the closed-form QR/SIC counts live in the simulation
+layer.
 """
 
 import logging
@@ -61,7 +63,9 @@ class SqrdFactorization:
     Q has orthonormal columns (for the MMSE variant it spans the extended
     matrix and its top block applies to received data); the diagonal of R is
     real and nonnegative; ``perm[i]`` is the original column processed at
-    step i.
+    step i. :func:`sqrd` returns one matrix's factors; :func:`factorize_blocks`
+    returns a stack of K, with a leading block axis on every field
+    (``q[k]``, ``r[k]``, ``perm[k]`` factor block k).
     """
 
     q: np.ndarray
@@ -211,7 +215,8 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     Candidates are enumerated with the first coordinate as the most
     significant digit; ties keep the lexicographically smallest candidate
     index. Refuses instances with more than 2**20 candidates (ten QPSK
-    symbols). Test oracle only.
+    symbols). An oracle for tests and demos: it certifies a decision as
+    exactly ML.
     """
     y = np.asarray(y)
     h = np.asarray(h)
@@ -238,14 +243,67 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return QPSK[digits]
 
 
-def factorize_blocks(blocks: np.ndarray) -> list[SqrdFactorization]:
-    """Sorted QR of every block of a (K, MR, MT) stack, computed once per channel realization."""
-    return [sqrd(b) for b in blocks]
+def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
+    """Sorted QR of every block of a (K, MR, MT) stack, computed once per channel realization.
+
+    Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all K
+    blocks at once and returns the factors stacked: ``q`` (K, MR, MT), ``r``
+    (K, MT, MT) and ``perm`` (K, MT). Block k's factors equal
+    ``sqrd(blocks[k])`` bit for bit. Within an antenna the columns of an
+    ICI-free block tie in exact arithmetic, so the pivot order rests on the
+    last bit of every norm; each per-block reduction therefore goes through
+    the same numpy/BLAS kernel that ``sqrd`` calls (``matmul`` of strided
+    rows, not ``einsum``, whose different summation order changes pivots).
+    Raises ``numpy.linalg.LinAlgError``, naming the block, under ``sqrd``'s
+    rank test. ``sqrd`` keeps its own serial loop: on the baseline's single
+    large matrix a batch of one runs slower than it.
+    """
+    v = np.array(blocks, dtype=complex)
+    if v.ndim != 3 or v.shape[1] < v.shape[2]:
+        raise ValueError(f"expected a (K, rows, cols) stack of tall blocks, got shape {v.shape}")
+    n_blk, m, n = v.shape
+    q = np.zeros((n_blk, m, n), dtype=complex)
+    r = np.zeros((n_blk, n, n), dtype=complex)
+    perm = np.tile(np.arange(n), (n_blk, 1))
+    norms_sq = np.sum(np.abs(v) ** 2, axis=1)
+    fro = np.sqrt(norms_sq.sum(axis=1))
+    for i in range(n):
+        j = i + np.argmin(norms_sq[:, i:], axis=1)
+        sw = np.flatnonzero(j != i)
+        if sw.size:
+            js = j[sw]
+            v[sw, :, i], v[sw, :, js] = v[sw, :, js], v[sw, :, i]
+            r[sw, :i, i], r[sw, :i, js] = r[sw, :i, js], r[sw, :i, i]
+            norms_sq[sw, i], norms_sq[sw, js] = norms_sq[sw, js], norms_sq[sw, i]
+            perm[sw, i], perm[sw, js] = perm[sw, js], perm[sw, i]
+        col = np.ascontiguousarray(v[:, :, i])
+        # per block the strided ddot of np.linalg.norm's x.real.dot(x.real)
+        norm = np.sqrt(
+            np.matmul(col.real[:, None, :], col.real[:, :, None])
+            + np.matmul(col.imag[:, None, :], col.imag[:, :, None])
+        )[:, 0, 0]
+        bad = np.flatnonzero(norm <= 1e-12 * fro)
+        if bad.size:
+            k = int(bad[0])
+            raise np.linalg.LinAlgError(
+                f"block {k}: column {perm[k, i]} is numerically rank deficient"
+                f" (norm {norm[k]:.3e})"
+            )
+        r[:, i, i] = norm
+        qi = col / norm[:, None]
+        q[:, :, i] = qi
+        if i + 1 < n:
+            # per block the gemv of q[:, i].conj() @ v[:, i + 1 :]
+            proj = np.matmul(qi.conj()[:, None, :], v[:, :, i + 1 :])[:, 0, :]
+            r[:, i, i + 1 :] = proj
+            v[:, :, i + 1 :] -= qi[:, :, None] * proj[:, None, :]
+            norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
+    return SqrdFactorization(q=q, r=r, perm=perm)
 
 
 def detect_proposed(
     ybar: np.ndarray,
-    factors: list[SqrdFactorization],
+    factors: SqrdFactorization,
     f: PrototypeFilter,
     stats: DetectionStats | None = None,
 ) -> np.ndarray:
@@ -253,25 +311,24 @@ def detect_proposed(
 
     ``ybar`` and ``factors`` are the receive-transformed observation and the
     :func:`factorize_blocks` output under the filter ``f``, which gives K and
-    M (T comes from the factors). Each of the K subproblems is solved exactly
-    by one sphere-decoder call of size MT, then the data permutation is
-    undone. The QR is plain and unregularized, so no noise power enters.
+    M (T comes from the factors). All K rotated observations Q_k^H ybar_k are
+    formed in one batched product; each of the K subproblems is then solved
+    exactly by one sphere-decoder call of size MT, and the data permutation
+    is undone. The QR is plain and unregularized, so no noise power enters.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
-    if len(factors) != k_sc:
-        raise ValueError(f"expected {k_sc} block factorizations, got {len(factors)}")
-    rows, cols = factors[0].q.shape
+    q, r, perm = factors.q, factors.r, factors.perm
+    if q.ndim != 3 or q.shape[0] != k_sc:
+        raise ValueError(f"expected a stack of {k_sc} block factorizations, got shape {q.shape}")
+    _, rows, cols = q.shape
     ybar = np.asarray(ybar)
-    if ybar.shape[0] != k_sc * rows:
+    if ybar.shape != (k_sc * rows,):
         raise ValueError("observation length does not match the block system")
-    dbar = np.empty(k_sc * cols, dtype=complex)
+    z = np.matmul(q.conj().transpose(0, 2, 1), ybar.reshape(k_sc, rows, 1))[:, :, 0]
+    dbar = np.empty((k_sc, cols), dtype=complex)
     for k in range(k_sc):
-        fact = factors[k]
-        z = fact.q.conj().T @ ybar[k * rows : (k + 1) * rows]
-        s_sorted = sphere_decode(fact.r, z, stats)
-        seg = dbar[k * cols : (k + 1) * cols]
-        seg[fact.perm] = s_sorted
-    return inverse_data_permutation(dbar, k_sc, m_ss, cols // m_ss)
+        dbar[k, perm[k]] = sphere_decode(r[k], z[k], stats)
+    return inverse_data_permutation(dbar.reshape(-1), k_sc, m_ss, cols // m_ss)
 
 
 def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:

@@ -22,7 +22,12 @@ from gfdmsim.detect import (
     sphere_decode,
     sqrd,
 )
-from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate
+from gfdmsim.waveform import (
+    build_transmitter_matrix,
+    dirichlet_filter,
+    fast_modulate,
+    window_filter,
+)
 
 from oracles import brute_force_ml_ref, sphere_decode_ref
 
@@ -118,6 +123,44 @@ def test_baseline_factorization_normal_equations():
         gram = h.conj().T @ h + n0 * np.eye(5)
         expected = gram[np.ix_(fact.perm, fact.perm)]
         npt.assert_allclose(fact.r.conj().T @ fact.r, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "k, m, t, r, window",
+    [
+        (256, 4, 2, 2, False),
+        (1024, 1, 2, 2, False),
+        (8, 4, 2, 2, False),
+        (16, 2, 2, 2, False),
+        (8, 2, 2, 3, False),
+        (8, 4, 2, 2, True),
+        (8, 4, 1, 2, False),
+    ],
+)
+def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
+    # the columns of one antenna tie in exact arithmetic, so the pivot order
+    # depends on every last bit: the batch must repeat sqrd exactly
+    rng = np.random.default_rng(k * 100 + m * 10 + t + r)
+    for seed in range(3):
+        if window:
+            g_1 = rng.uniform(0.2, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            filt = window_filter(k, m, g_1, int(rng.integers(0, k * m)))
+        else:
+            filt = dirichlet_filter(k, m)
+        blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
+        stacked = factorize_blocks(blocks)
+        serial = [sqrd(b) for b in blocks]
+        assert np.array_equal(stacked.q, np.stack([s.q for s in serial]))
+        assert np.array_equal(stacked.r, np.stack([s.r for s in serial]))
+        assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
+
+
+def test_factorize_blocks_names_rank_deficient_block():
+    rng = np.random.default_rng(8)
+    blocks = random_complex((4, 4, 2), rng)
+    blocks[2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="block 2"):
+        factorize_blocks(blocks)
 
 
 # ----------------------------------------------------------- sphere decoder
