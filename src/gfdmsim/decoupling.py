@@ -52,11 +52,15 @@ def data_permutation(d: np.ndarray, k_sc: int, m_ss: int, n_tx: int) -> np.ndarr
 
 
 def inverse_data_permutation(dbar: np.ndarray, k_sc: int, m_ss: int, n_tx: int) -> np.ndarray:
-    """Inverse of :func:`data_permutation` (the map is unitary, so this is its transpose)."""
+    """Inverse of :func:`data_permutation` (the map is unitary, so this is its transpose).
+
+    Acts on the last axis, so a (B, T*D) stack of blocks is undone in one call.
+    """
     dbar = np.asarray(dbar)
-    if dbar.shape[0] != n_tx * k_sc * m_ss:
+    if dbar.shape[-1] != n_tx * k_sc * m_ss:
         raise ValueError("data length does not match (K, M, T)")
-    return dbar.reshape(k_sc, n_tx, m_ss).transpose(1, 2, 0).reshape(-1)
+    lead = dbar.shape[:-1]
+    return np.moveaxis(dbar.reshape(*lead, k_sc, n_tx, m_ss), -3, -1).reshape(*lead, -1)
 
 
 def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:

@@ -5,7 +5,10 @@ receivers share the same sphere-decoder core:
 
 * the per-subcarrier detector, which factors all K MR x MT blocks of a
   channel realization in one batched plain sorted QR and solves K
-  independent ML subproblems;
+  independent ML subproblems per data block; for a stack of a
+  realization's blocks it runs the sphere decoder's first descent on every
+  subproblem at once and calls the scalar decoder only for the subproblems
+  whose first leaf that descent cannot certify as the decoder's answer;
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
   interference cancellation;
@@ -216,10 +219,15 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     significant digit; ties keep the lexicographically smallest candidate
     index. Refuses instances with more than 2**20 candidates (ten QPSK
     symbols). An oracle for tests and demos: it certifies a decision as
-    exactly ML.
+    exactly ML. Raises ``ValueError`` unless ``h`` is a matrix and ``y`` a
+    vector with one entry per row of ``h``.
     """
     y = np.asarray(y)
     h = np.asarray(h)
+    if h.ndim != 2 or y.shape != h.shape[:1]:
+        raise ValueError(
+            f"expected a matrix and a vector of its row count, got {h.shape} and {y.shape}"
+        )
     n = h.shape[1]
     nq = len(QPSK)
     total = nq**n
@@ -301,6 +309,59 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
     return SqrdFactorization(q=q, r=r, perm=perm)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
+def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First leaf of :func:`sphere_decode` for a stack of problems, and whether it is final.
+
+    ``r`` (..., n, n) and ``z`` (..., n) broadcast over their leading axes.
+    Going down from level n - 1, each problem takes its best Schnorr-Euchner
+    child with the decoder's own float arithmetic: the off-diagonal terms
+    are summed left to right from 0, and each complex product is formed as
+    CPython forms it, re = ac - bd and im = ad + bc, from real ufuncs (a
+    numpy complex product, ``einsum`` or ``matmul`` may round the last bit
+    differently); ties go to the lower QPSK index. A problem is certified
+    when its leaf metric is finite and, at every level, the second child's
+    metric is at least the leaf's: ``sphere_decode`` then prunes every other
+    branch and returns this leaf after n nodes. Returns the leaf's QPSK
+    indices (..., n) and the certified mask (...).
+    """
+    n = z.shape[-1]
+    shape = np.broadcast_shapes(r.shape[:-2], z.shape[:-1])
+    pr, pi = QPSK.real, QPSK.imag
+    rr, ri = r.real, r.imag
+    idx = np.empty(shape + (n,), dtype=np.intp)
+    sr = np.empty(shape + (n,))  # the chosen points' real and imaginary parts
+    si = np.empty(shape + (n,))
+    metric = np.zeros(shape)
+    second = np.full(shape, np.inf)  # the least second-child metric over the levels
+    for lev in range(n - 1, -1, -1):
+        re, im = z[..., lev].real, z[..., lev].imag
+        if lev < n - 1:
+            ar, ai = rr[..., lev, lev + 1 :], ri[..., lev, lev + 1 :]
+            br, bi = sr[..., lev + 1 :], si[..., lev + 1 :]
+            prod_r = ar * br - ai * bi
+            prod_i = ar * bi + ai * br
+            off_r = off_i = 0.0
+            for j in range(n - 1 - lev):
+                off_r = off_r + prod_r[..., j]
+                off_i = off_i + prod_i[..., j]
+            re = re - off_r
+            im = im - off_i
+        d = rr[..., lev, lev, None]
+        cr = re[..., None] - d * pr
+        ci = im[..., None] - d * pi
+        vals = cr * cr + ci * ci
+        order = np.argsort(vals, axis=-1, kind="stable")
+        best2 = np.take_along_axis(vals, order[..., :2], axis=-1)
+        second = np.minimum(second, metric + best2[..., 1])
+        metric = metric + best2[..., 0]
+        choice = order[..., 0]
+        idx[..., lev] = choice
+        sr[..., lev] = pr[choice]
+        si[..., lev] = pi[choice]
+    return idx, (metric < np.inf) & (second >= metric)
+
+
 def detect_proposed(
     ybar: np.ndarray,
     factors: SqrdFactorization,
@@ -309,12 +370,19 @@ def detect_proposed(
 ) -> np.ndarray:
     """Per-subcarrier ML detection of the QPSK data on the decoupled system.
 
-    ``ybar`` and ``factors`` are the receive-transformed observation and the
-    :func:`factorize_blocks` output under the filter ``f``, which gives K and
-    M (T comes from the factors). All K rotated observations Q_k^H ybar_k are
-    formed in one batched product; each of the K subproblems is then solved
-    exactly by one sphere-decoder call of size MT, and the data permutation
-    is undone. The QR is plain and unregularized, so no noise power enters.
+    ``ybar`` is one receive-transformed observation of length K*M*R, or a
+    (B, K*M*R) stack of B observations through the same channel
+    realization, and ``factors`` their :func:`factorize_blocks` output under
+    the filter ``f``, which gives K and M (T comes from the factors).
+    Returns the detected data, T*D symbols per observation, with the
+    input's stacking. All rotated observations Q_k^H ybar_k are formed in
+    one batched product. The B*K subproblems of size MT then run one
+    vectorized first descent of the sphere decoder (:func:`_first_descent`),
+    and only those it cannot certify are solved by :func:`sphere_decode`
+    from scratch. Decisions and node/CM counts are therefore those of one
+    sphere-decoder call per subproblem. The data permutation is undone for
+    all blocks at once. The QR is plain and unregularized, so no noise power
+    enters.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     q, r, perm = factors.q, factors.r, factors.perm
@@ -322,13 +390,22 @@ def detect_proposed(
         raise ValueError(f"expected a stack of {k_sc} block factorizations, got shape {q.shape}")
     _, rows, cols = q.shape
     ybar = np.asarray(ybar)
-    if ybar.shape != (k_sc * rows,):
+    if ybar.ndim not in (1, 2) or ybar.shape[-1] != k_sc * rows:
         raise ValueError("observation length does not match the block system")
-    z = np.matmul(q.conj().transpose(0, 2, 1), ybar.reshape(k_sc, rows, 1))[:, :, 0]
-    dbar = np.empty((k_sc, cols), dtype=complex)
-    for k in range(k_sc):
-        dbar[k, perm[k]] = sphere_decode(r[k], z[k], stats)
-    return inverse_data_permutation(dbar.reshape(-1), k_sc, m_ss, cols // m_ss)
+    stack = ybar.reshape(-1, k_sc, rows, 1)
+    z = np.matmul(q.conj().transpose(0, 2, 1), stack)[..., 0]
+    idx, certified = _first_descent(r, z)
+    s = QPSK[idx]
+    for b, k in zip(*np.nonzero(~certified)):
+        s[b, k] = sphere_decode(r[k], z[b, k], stats)
+    if stats is not None:
+        n_cert = int(np.count_nonzero(certified))
+        stats.sd_nodes_visited += n_cert * cols
+        stats.cm_count += n_cert * (cols * (cols - 1) // 2 + len(QPSK) * cols)
+    dbar = np.empty_like(s)
+    np.put_along_axis(dbar, np.broadcast_to(perm, s.shape), s, axis=-1)
+    d_hat = inverse_data_permutation(dbar.reshape(len(stack), -1), k_sc, m_ss, cols // m_ss)
+    return d_hat.reshape(ybar.shape[:-1] + (-1,))
 
 
 def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from gfdmsim.detect import QPSK, DetectionStats
+from gfdmsim.decoupling import inverse_data_permutation
+from gfdmsim.detect import QPSK, DetectionStats, SqrdFactorization, sphere_decode
+from gfdmsim.waveform import PrototypeFilter
 
 
 def dft_matrix_ref(p: int) -> np.ndarray:
@@ -194,3 +196,28 @@ def sphere_decode_ref(
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
     return points[best_idx]
+
+
+# The per-subcarrier loop that gfdmsim.detect.detect_proposed replaced: one
+# sphere_decode call and one scatter per subcarrier of one block, so the
+# batched receiver must match its decisions and node/CM counts exactly.
+def detect_proposed_ref(
+    ybar: np.ndarray,
+    factors: SqrdFactorization,
+    f: PrototypeFilter,
+    stats: DetectionStats | None = None,
+) -> np.ndarray:
+    """Per-subcarrier ML detection of one receive-transformed block, subcarrier by subcarrier."""
+    k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
+    q, r, perm = factors.q, factors.r, factors.perm
+    if q.ndim != 3 or q.shape[0] != k_sc:
+        raise ValueError(f"expected a stack of {k_sc} block factorizations, got shape {q.shape}")
+    _, rows, cols = q.shape
+    ybar = np.asarray(ybar)
+    if ybar.shape != (k_sc * rows,):
+        raise ValueError("observation length does not match the block system")
+    z = np.matmul(q.conj().transpose(0, 2, 1), ybar.reshape(k_sc, rows, 1))[:, :, 0]
+    dbar = np.empty((k_sc, cols), dtype=complex)
+    for k in range(k_sc):
+        dbar[k, perm[k]] = sphere_decode(r[k], z[k], stats)
+    return inverse_data_permutation(dbar.reshape(-1), k_sc, m_ss, cols // m_ss)

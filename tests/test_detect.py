@@ -13,6 +13,7 @@ from gfdmsim.decoupling import compute_blocks, receive_transform
 from gfdmsim.detect import (
     QPSK,
     DetectionStats,
+    _first_descent,
     baseline_factorization,
     detect_baseline_near_ml,
     detect_ofdm,
@@ -29,7 +30,7 @@ from gfdmsim.waveform import (
     window_filter,
 )
 
-from oracles import brute_force_ml_ref, sphere_decode_ref
+from oracles import brute_force_ml_ref, detect_proposed_ref, sphere_decode_ref
 
 
 def random_complex(shape, rng):
@@ -224,6 +225,58 @@ def test_sphere_decode_matches_reference_traversal():
     assert (stats.sd_nodes_visited, stats.cm_count) == (21, 120)
 
 
+def random_upper_triangular(n, rng):
+    r = np.triu(random_complex((n, n), rng))
+    r[np.diag_indices(n)] = rng.uniform(0.1, 2.0, n)
+    return r
+
+
+def test_first_descent_certifies_exactly_the_n_node_searches():
+    # a problem is certified exactly when the scalar search ends at its first
+    # leaf; then the leaf is its decision and the counts are n and n(n-1)/2 + 4n
+    rng = np.random.default_rng(32)
+    r_list, z_list = [], []
+    for n in (1, 2, 4, 8):
+        for snr_db in (0.0, 4.0, 8.0, 16.0, 30.0, math.inf):
+            n0 = 10.0 ** (-snr_db / 10.0)
+            r = np.stack([random_upper_triangular(n, rng) for _ in range(60)])
+            s = QPSK[rng.integers(0, 4, (60, n))]
+            noise = math.sqrt(n0 / 2) * random_complex((60, n), rng)
+            z = np.matmul(r, s[:, :, None])[:, :, 0] + noise
+            r_list.append(r)
+            z_list.append(z)
+    # built ties: z on the bisector of points 0 and 1, at one level and at
+    # every level; a top-level second child whose metric equals the leaf's,
+    # which the scalar search prunes; metrics that overflow, so that the
+    # scalar search reaches no leaf
+    c = QPSK[0].real
+    built = [
+        (np.full(1, (QPSK[0] + QPSK[1]) / 2), True, [0]),
+        (np.full(3, (QPSK[0] + QPSK[1]) / 2), False, [0, 0, 0]),
+        (np.array([QPSK[3], c]), True, [3, 0]),
+        (np.full(2, 1e200 + 0j), False, [0, 0]),
+    ]
+    for z, expect_certified, expect_idx in built:
+        r_list.append(np.eye(len(z), dtype=complex)[None])
+        z_list.append(z[None])
+        idx, certified = _first_descent(r_list[-1], z_list[-1])
+        assert bool(certified[0]) == expect_certified
+        npt.assert_array_equal(idx[0], expect_idx)
+    outcomes = set()
+    for r, z in zip(r_list, z_list):
+        n = z.shape[1]
+        idx, certified = _first_descent(r, z)
+        outcomes.update(certified.tolist())
+        for p in range(len(z)):
+            stats = DetectionStats()
+            out = sphere_decode(r[p], z[p], stats)
+            assert bool(certified[p]) == (stats.sd_nodes_visited == n)
+            if certified[p]:
+                npt.assert_array_equal(out, QPSK[idx[p]])
+                assert stats.cm_count == n * (n - 1) // 2 + 4 * n
+    assert outcomes == {True, False}
+
+
 def test_sphere_decode_rejects_bad_shapes():
     with pytest.raises(ValueError, match="1-D"):
         sphere_decode(np.zeros((0, 0)), np.zeros(0, dtype=complex))
@@ -273,6 +326,18 @@ def test_exhaustive_identity_and_budget():
         exhaustive_ml(np.zeros(11), np.eye(11, dtype=complex))
 
 
+def test_exhaustive_rejects_mismatched_shapes():
+    h = np.eye(2, dtype=complex)
+    for y, mat in (
+        (np.array([0.7 + 0.7j]), h),  # used to broadcast to a 2-vector decision
+        (np.zeros(3, dtype=complex), h),
+        (np.zeros((2, 1), dtype=complex), h),
+        (np.zeros(2, dtype=complex), np.ones(2, dtype=complex)),
+    ):
+        with pytest.raises(ValueError, match="row count"):
+            exhaustive_ml(y, mat)
+
+
 def test_exhaustive_tie_break_is_first_candidate():
     # an all-zero system makes every candidate equally good; the documented
     # rule keeps the lexicographically smallest index
@@ -304,6 +369,38 @@ def test_detect_proposed_noiseless():
         detect_proposed(ybar, proposed_setup(2, 2, 2, 2, seed=10)[2], filt)
     with pytest.raises(ValueError):
         detect_proposed(ybar[:-1], factors, filt)
+
+
+@pytest.mark.parametrize(
+    "k, m, t, r, n_blocks, snr_db",
+    [
+        (8, 4, 2, 2, 6, 4.0),
+        (1, 4, 2, 2, 5, 0.0),  # K = 1, M = D
+        (16, 1, 2, 2, 5, 8.0),  # M = 1, the ofdm case
+        (8, 2, 1, 2, 4, 2.0),  # T = 1
+        (8, 4, 2, 3, 1, 6.0),  # B = 1
+        (4, 2, 2, 2, 3, math.inf),
+    ],
+)
+def test_detect_proposed_stack_matches_single_blocks_and_loop(k, m, t, r, n_blocks, snr_db):
+    filt, ch, factors = proposed_setup(k, m, t, r, seed=22)
+    rng = np.random.default_rng(23)
+    n0 = 10.0 ** (-snr_db / 10.0)
+    data = QPSK[rng.integers(0, 4, (n_blocks, t * filt.length))]
+    ybar = np.stack(
+        [receive_transform(apply_channel(transmit(b, filt, t), ch, n0, rng), filt) for b in data]
+    )
+    stacked, single, loop = DetectionStats(), DetectionStats(), DetectionStats()
+    out = detect_proposed(ybar, factors, filt, stacked)
+    assert out.shape == data.shape
+    for b in range(n_blocks):
+        npt.assert_array_equal(out[b], detect_proposed(ybar[b], factors, filt, single))
+        npt.assert_array_equal(out[b], detect_proposed_ref(ybar[b], factors, filt, loop))
+    assert stacked == single == loop
+    assert stacked.sd_nodes_visited >= n_blocks * k * m * t
+    for bad in (ybar[:, :-1], ybar[None], ybar[0, 0]):
+        with pytest.raises(ValueError, match="observation length"):
+            detect_proposed(bad, factors, filt)
 
 
 def test_detect_proposed_equals_global_exhaustive():
