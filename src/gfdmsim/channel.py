@@ -85,8 +85,11 @@ def apply_channel(
 
     x has shape (T, D); the result (R, D) is the sum of per-pair circular
     convolutions plus noise with per-sample variance ``noise_power``
-    (equivalent to CP insertion, linear convolution, CP removal).
+    (equivalent to CP insertion, linear convolution, CP removal). Raises
+    ``ValueError`` unless 0 <= ``noise_power`` < inf.
     """
+    if not 0.0 <= noise_power < np.inf:
+        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power}")
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     d = ch.block_len
     if x.shape != (ch.n_tx, d):

@@ -139,7 +139,9 @@ def sphere_decode(
     few dozen nodes on average, each with one child per QPSK point, too few
     for array calls to pay off. The points' Python copies are built once at
     import. Partial residuals are summed left to right in Python complex
-    arithmetic, so the result does not depend on the BLAS build.
+    arithmetic, so the result does not depend on the BLAS build. The open
+    levels are an explicit stack, not recursion: a block of M*T symbols can
+    be deeper than Python's recursion limit.
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
@@ -150,15 +152,9 @@ def sphere_decode(
         raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
     rows = r_mat.tolist()
     zs = z.tolist()
-    points = _POINTS
-    nq = len(points)
-    labels = range(nq)
     # R[l, l] * point for every level and candidate, as (real, imag) pairs;
     # the diagonal is real, so these are the complex products exactly
     scaled = [[(d * pr, d * pi) for pr, pi in _PARTS] for d in (rows[l][l].real for l in range(n))]
-    children = [None] * n  # per level: (incremental metric, candidate) pairs, best first
-    ptr = [0] * n
-    base = [0.0] * n
     s_idx = [0] * n
     s_pts = [0j] * n
     best = math.inf
@@ -166,46 +162,37 @@ def sphere_decode(
     nodes = 0
     cms = 0
 
-    def expand(level: int, acc: float) -> None:
+    def children(level: int) -> list[tuple[float, int]]:
+        # (incremental metric, QPSK index) pairs, best first; the top level's
+        # empty sum leaves z[n - 1] as it is
         nonlocal cms
-        rhs = zs[level]
-        if level < n - 1:
-            row = rows[level]
-            off = 0j
-            for j in range(level + 1, n):
-                off += row[j] * s_pts[j]
-            rhs -= off
-            cms += n - 1 - level
+        row = rows[level]
+        off = 0j
+        for j in range(level + 1, n):
+            off += row[j] * s_pts[j]
+        rhs = zs[level] - off
         re, im = rhs.real, rhs.imag
-        vals = [(re - cr) * (re - cr) + (im - ci) * (im - ci) for cr, ci in scaled[level]]
-        cms += nq
-        children[level] = sorted(zip(vals, labels))
-        ptr[level] = 0
-        base[level] = acc
+        cms += n - 1 - level + len(_PARTS)
+        cands = enumerate(scaled[level])
+        return sorted([((re - cr) * (re - cr) + (im - ci) * (im - ci), q) for q, (cr, ci) in cands])
 
-    expand(n - 1, 0.0)
-    i = n - 1
-    while True:
-        if ptr[i] >= nq:
-            i += 1
-            if i == n:
+    # open levels, innermost last: (level, partial metric, its untried children)
+    stack = [(n - 1, 0.0, iter(children(n - 1)))]
+    while stack:
+        level, acc, kids = entry = stack.pop()
+        for val, q in kids:
+            metric = acc + val
+            if metric >= best:
+                break  # children are sorted: the rest cannot beat the radius
+            s_idx[level] = q
+            s_pts[level] = _POINTS[q]
+            nodes += 1
+            if level == 0:
+                best = metric
+                best_idx = s_idx.copy()
+            else:  # this level stays open beneath its child
+                stack += entry, (level - 1, metric, iter(children(level - 1)))
                 break
-            continue
-        val, q = children[i][ptr[i]]
-        metric = base[i] + val
-        if metric >= best:
-            ptr[i] = nq  # children are sorted: the rest cannot beat the radius
-            continue
-        s_idx[i] = q
-        s_pts[i] = points[q]
-        ptr[i] += 1
-        nodes += 1
-        if i == 0:
-            best = metric
-            best_idx = s_idx.copy()
-        else:
-            i -= 1
-            expand(i, metric)
     if stats is not None:
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
@@ -455,14 +442,12 @@ def detect_baseline_near_ml(
         raise ValueError("group size must be positive")
     z = factor.q[:n_obs].conj().T @ y
     s_sorted = np.zeros(n, dtype=complex)
-    hi = n
-    while hi > 0:
+    for hi in range(n, 0, -group):
         lo = max(hi - group, 0)
         z_adj = z[lo:hi]
         if hi < n:
             z_adj = z_adj - factor.r[lo:hi, hi:] @ s_sorted[hi:]
         s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, stats)
-        hi = lo
     d_hat = np.empty(n, dtype=complex)
     d_hat[factor.perm] = s_sorted
     return d_hat

@@ -138,6 +138,9 @@ def test_noise_only_variance():
     assert abs(measured - n0) < 0.05 * n0
     with pytest.raises(ValueError):
         apply_channel(np.zeros((1, 1024)), ch, n0)  # missing rng
+    for bad in (-1.0, math.nan, math.inf):  # a bad noise power never passes as noiseless
+        with pytest.raises(ValueError, match="noise power"):
+            apply_channel(np.zeros((1, 1024)), ch, bad, np.random.default_rng(8))
 
 
 def test_assemble_identity_channel_returns_a():

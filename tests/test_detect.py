@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -204,13 +205,15 @@ def test_sphere_decode_matches_reference_traversal():
     # the scalar decoder walks the numpy-array oracle's tree node for node
     rng = np.random.default_rng(30)
     cases = []
-    for n in (1, 2, 3, 4, 8):
-        for snr_db in (0.0, 8.0, 20.0, math.inf):
-            n0 = 10.0 ** (-snr_db / 10.0)
-            for _ in range(25):
-                fact = sqrd(random_complex((n, n), rng))
-                s = QPSK[rng.integers(0, 4, n)]
-                cases.append((fact.r, fact.r @ s + math.sqrt(n0 / 2) * random_complex(n, rng)))
+    sizes = [(n, snr_db) for n in (1, 2, 3, 4, 8) for snr_db in (0.0, 8.0, 20.0, math.inf)]
+    # n = 16 is the block size at K = 1, M = 8, T = 2
+    sizes += [(16, snr_db) for snr_db in (8.0, 20.0, math.inf)]
+    for n, snr_db in sizes:
+        n0 = 10.0 ** (-snr_db / 10.0)
+        for _ in range(25):
+            fact = sqrd(random_complex((n, n), rng))
+            s = QPSK[rng.integers(0, 4, n)]
+            cases.append((fact.r, fact.r @ s + math.sqrt(n0 / 2) * random_complex(n, rng)))
     # exact ties: all four children equal (z = 0), on a point, midway between two
     for n in (1, 3, 4):
         eye = np.eye(n, dtype=complex)
@@ -223,6 +226,16 @@ def test_sphere_decode_matches_reference_traversal():
     stats = DetectionStats()
     sphere_decode(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), stats)
     assert (stats.sd_nodes_visited, stats.cm_count) == (21, 120)
+
+
+def test_sphere_decode_runs_deeper_than_the_recursion_limit():
+    # the open levels are an explicit stack, so no depth is too deep; a
+    # noiseless identity system ends at its first leaf
+    n = sys.getrecursionlimit() + 50
+    z = QPSK[np.random.default_rng(33).integers(0, 4, n)]
+    stats = DetectionStats()
+    npt.assert_array_equal(sphere_decode(np.eye(n, dtype=complex), z, stats), z)
+    assert stats.sd_nodes_visited == n
 
 
 def random_upper_triangular(n, rng):
