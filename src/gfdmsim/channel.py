@@ -11,6 +11,7 @@ All randomness flows through explicitly passed ``numpy.random.Generator``
 streams; identical streams reproduce channels and noise bit for bit.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,29 +80,35 @@ def apply_channel(
     x: np.ndarray,
     ch: MimoChannel,
     noise_power: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Pass T transmit blocks through the channel and add complex AWGN.
 
     x has shape (T, D); the result (R, D) is the sum of per-pair circular
     convolutions plus noise with per-sample variance ``noise_power``
-    (equivalent to CP insertion, linear convolution, CP removal). Raises
-    ``ValueError`` unless 0 <= ``noise_power`` < inf.
+    (equivalent to CP insertion, linear convolution, CP removal). A
+    (B, T, D) stack of B blocks gives a (B, R, D) stack and takes one
+    generator per block in ``rng``: block b's noise is drawn from ``rng[b]``
+    exactly as a one-block call draws it, so the stack equals B one-block
+    calls bit for bit. Raises ``ValueError`` unless 0 <= ``noise_power`` < inf.
     """
     if not 0.0 <= noise_power < np.inf:
         raise ValueError(f"noise power must be finite and nonnegative, got {noise_power}")
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     d = ch.block_len
-    if x.shape != (ch.n_tx, d):
-        raise ValueError(f"expected transmit array of shape {(ch.n_tx, d)}, got {x.shape}")
-    xf = np.fft.fft(x, axis=1)
-    y = np.fft.ifft(np.einsum("rtd,td->rd", ch.freq, xf), axis=1)
+    if x.ndim > 3 or x.shape[-2:] != (ch.n_tx, d):
+        raise ValueError(
+            f"expected transmit array of shape {(ch.n_tx, d)} or a stack of them, got {x.shape}"
+        )
+    xf = np.fft.fft(x, axis=-1)
+    y = np.fft.ifft(np.einsum("rtd,...td->...rd", ch.freq, xf), axis=-1)
     if noise_power > 0.0:
-        if rng is None:
-            raise ValueError("a random stream is required when noise_power > 0")
-        shape = y.shape
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = y + noise * np.sqrt(noise_power / 2.0)
+        streams = rng if x.ndim == 3 else [rng]
+        if rng is None or len(streams) != x.size // (ch.n_tx * d):
+            raise ValueError("one random stream per block is required when noise_power > 0")
+        shape = y.shape[-2:]
+        noise = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape) for g in streams])
+        y = y + noise.reshape(y.shape) * np.sqrt(noise_power / 2.0)
     return y
 
 

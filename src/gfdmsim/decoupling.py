@@ -28,19 +28,22 @@ def receive_transform(y: np.ndarray, f: PrototypeFilter) -> np.ndarray:
     Each antenna stream is FFT'd (unitary normalization) and cyclically
     shifted up by the window start l of ``f``; the R spectra are then
     interleaved so that the k-th group of M*R entries collects the M bins of
-    subcarrier k from every antenna. Costs O(R D log D); raises
+    subcarrier k from every antenna. An (R, D) block gives a vector of R*D
+    entries; a (B, R, D) stack gives (B, R*D), row b equal to block b's
+    transform bit for bit. Costs O(R D log D) per block; raises
     ``ValueError`` for a filter without an M-bin window.
     """
     if f.support is None:
         raise ValueError("the receive transform requires a filter with an M-bin window")
     k_sc, m_ss, d = f.n_subcarriers, f.n_subsymbols, f.length
     y = np.atleast_2d(np.asarray(y, dtype=complex))
-    if y.shape[1] != d:
-        raise ValueError(f"expected blocks of {d} samples, got {y.shape[1]}")
-    spec = np.fft.fft(y, axis=1) / math.sqrt(d)
-    spec = np.roll(spec, -f.support[1], axis=1)
-    n_rx = y.shape[0]
-    return spec.reshape(n_rx, k_sc, m_ss).transpose(1, 0, 2).reshape(n_rx * d)
+    if y.ndim > 3 or y.shape[-1] != d:
+        raise ValueError(f"expected blocks of {d} samples, got shape {y.shape}")
+    spec = np.fft.fft(y, axis=-1) / math.sqrt(d)
+    spec = np.roll(spec, -f.support[1], axis=-1)
+    lead, n_rx = y.shape[:-2], y.shape[-2]
+    spec = np.swapaxes(spec.reshape(*lead, n_rx, k_sc, m_ss), -3, -2)
+    return spec.reshape(*lead, n_rx * d)
 
 
 def data_permutation(d: np.ndarray, k_sc: int, m_ss: int, n_tx: int) -> np.ndarray:

@@ -42,9 +42,10 @@ QPSK = (
     np.array([1, 1, -1, -1], dtype=float) + 1j * np.array([1, -1, 1, -1], dtype=float)
 ) / np.sqrt(2.0)
 QPSK.flags.writeable = False
-# the sphere decoder's Python-scalar copies: the points and their (re, im) pairs
+# the sphere decoder's Python-scalar copies of the points, and the two values
+# every coordinate takes: point q is _COORD[q >> 1] + 1j * _COORD[q & 1]
 _POINTS = QPSK.tolist()
-_PARTS = [(p.real, p.imag) for p in _POINTS]
+_COORD = (_POINTS[0].real, _POINTS[3].real)
 
 
 @dataclass
@@ -118,6 +119,12 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     return SqrdFactorization(q=q, r=r, perm=perm)
 
 
+def _require_finite(r: np.ndarray, z: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``r`` and ``z`` is finite."""
+    if np.count_nonzero(np.isfinite(r)) < r.size or np.count_nonzero(np.isfinite(z)) < z.size:
+        raise ValueError("the observation and the triangular factor must be finite")
+
+
 def sphere_decode(
     r_mat: np.ndarray,
     z: np.ndarray,
@@ -131,17 +138,25 @@ def sphere_decode(
     every improved leaf. Equal-metric leaves keep the first one found. R
     must be upper triangular with positive diagonal.
 
+    Raises ``ValueError`` on a non-finite entry of R or z, and on a partial
+    metric that overflows: to infinity below the top level before the first
+    leaf (the radius would stay infinite and the search would visit every
+    node above that level), or to NaN on any path. When every top-level
+    metric overflows, the search ends at once with no leaf and no node and
+    returns the all-``QPSK[0]`` vector.
+
     Bookkeeping per call: one node per child that survives the radius test,
     one complex-multiplication unit per off-diagonal product in the partial
     residuals and per candidate-symbol metric evaluation.
 
     The search state lives in Python scalars and lists: a search visits a
     few dozen nodes on average, each with one child per QPSK point, too few
-    for array calls to pay off. The points' Python copies are built once at
-    import. Partial residuals are summed left to right in Python complex
-    arithmetic, so the result does not depend on the BLAS build. The open
-    levels are an explicit stack, not recursion: a block of M*T symbols can
-    be deeper than Python's recursion limit.
+    for array calls to pay off. Every QPSK coordinate is +-1/sqrt(2), so a
+    level's four metrics are sums of two real squares for the real part
+    and two for the imaginary part. Partial residuals are summed left to
+    right in Python complex arithmetic, so the result does not depend on
+    the BLAS build. The open levels are an explicit stack, not recursion:
+    a block of M*T symbols can be deeper than Python's recursion limit.
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
@@ -150,48 +165,58 @@ def sphere_decode(
     n = len(z)
     if r_mat.shape != (n, n):
         raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
+    _require_finite(r_mat, z)
     rows = r_mat.tolist()
+    tails = [row[l + 1 :] for l, row in enumerate(rows)]
+    diag = r_mat.diagonal().real.tolist()
     zs = z.tolist()
-    # R[l, l] * point for every level and candidate, as (real, imag) pairs;
-    # the diagonal is real, so these are the complex products exactly
-    scaled = [[(d * pr, d * pi) for pr, pi in _PARTS] for d in (rows[l][l].real for l in range(n))]
+    up, down = _COORD
     s_idx = [0] * n
     s_pts = [0j] * n
     best = math.inf
     best_idx = [0] * n
     nodes = 0
-    cms = 0
+    cms = 4  # the top level's expansion: no products, 4 candidates
 
     def children(level: int) -> list[tuple[float, int]]:
         # (incremental metric, QPSK index) pairs, best first; the top level's
         # empty sum leaves z[n - 1] as it is
-        nonlocal cms
-        row = rows[level]
         off = 0j
-        for j in range(level + 1, n):
-            off += row[j] * s_pts[j]
+        for j, r_lj in enumerate(tails[level], level + 1):
+            off += r_lj * s_pts[j]
         rhs = zs[level] - off
         re, im = rhs.real, rhs.imag
-        cms += n - 1 - level + len(_PARTS)
-        cands = enumerate(scaled[level])
-        return sorted([((re - cr) * (re - cr) + (im - ci) * (im - ci), q) for q, (cr, ci) in cands])
+        d = diag[level]
+        hi, lo = d * up, d * down  # R[l, l] times each coordinate value
+        re_hi, re_lo = (re - hi) * (re - hi), (re - lo) * (re - lo)
+        im_hi, im_lo = (im - hi) * (im - hi), (im - lo) * (im - lo)
+        return sorted(
+            [(re_hi + im_hi, 0), (re_hi + im_lo, 1), (re_lo + im_hi, 2), (re_lo + im_lo, 3)]
+        )
 
     # open levels, innermost last: (level, partial metric, its untried children)
     stack = [(n - 1, 0.0, iter(children(n - 1)))]
+    push, pop = stack.append, stack.pop
     while stack:
-        level, acc, kids = entry = stack.pop()
+        level, acc, kids = entry = pop()
         for val, q in kids:
             metric = acc + val
             if metric >= best:
+                if best == math.inf and stack:  # backtracking with no leaf found
+                    raise ValueError(f"partial metric overflows at level {level}")
                 break  # children are sorted: the rest cannot beat the radius
             s_idx[level] = q
             s_pts[level] = _POINTS[q]
             nodes += 1
             if level == 0:
+                if metric != metric:
+                    raise ValueError("partial metric overflows to NaN")
                 best = metric
                 best_idx = s_idx.copy()
             else:  # this level stays open beneath its child
-                stack += entry, (level - 1, metric, iter(children(level - 1)))
+                cms += n + 4 - level  # its expansion: n - level products, 4 candidates
+                push(entry)
+                push((level - 1, metric, iter(children(level - 1))))
                 break
     if stats is not None:
         stats.sd_nodes_visited += nodes
@@ -369,7 +394,8 @@ def detect_proposed(
     from scratch. Decisions and node/CM counts are therefore those of one
     sphere-decoder call per subproblem. The data permutation is undone for
     all blocks at once. The QR is plain and unregularized, so no noise power
-    enters.
+    enters. Raises ``ValueError`` on a non-finite entry of ``ybar`` or of the
+    triangular factors.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     q, r, perm = factors.q, factors.r, factors.perm
@@ -379,6 +405,7 @@ def detect_proposed(
     ybar = np.asarray(ybar)
     if ybar.ndim not in (1, 2) or ybar.shape[-1] != k_sc * rows:
         raise ValueError("observation length does not match the block system")
+    _require_finite(r, ybar)
     stack = ybar.reshape(-1, k_sc, rows, 1)
     z = np.matmul(q.conj().transpose(0, 2, 1), stack)[..., 0]
     idx, certified = _first_descent(r, z)
@@ -430,7 +457,8 @@ def detect_baseline_near_ml(
     triangular system is processed bottom-up in groups of ``group_size``
     symbols (TD gives one single group, i.e. exact ML on the rotated
     system). Each group is sphere-decoded jointly, then its contribution is
-    cancelled from the remaining rows.
+    cancelled from the remaining rows. Raises ``ValueError`` on a non-finite
+    entry of ``y`` or of the triangular factor.
     """
     y = np.asarray(y).reshape(-1)
     n = factor.r.shape[0]
@@ -440,6 +468,7 @@ def detect_baseline_near_ml(
     group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
+    _require_finite(factor.r, y)
     z = factor.q[:n_obs].conj().T @ y
     s_sorted = np.zeros(n, dtype=complex)
     for hi in range(n, 0, -group):

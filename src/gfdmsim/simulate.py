@@ -324,10 +324,14 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     uniformly drawn data blocks each, detection with the configured scheme,
     symbol-error and sphere-decoder counters accumulated. Output is a pure
     function of cfg. Each block draws its data and noise from its own
-    substream. The dense baseline detects every block on its own; the
-    per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``) stacks a
-    realization's n_blocks receive-transformed observations and detects
-    them in one :func:`gfdmsim.detect.detect_proposed` call.
+    substream. The dense baseline modulates, transmits and detects every
+    block on its own. The per-subcarrier receiver (``proposed_dirichlet``
+    and ``ofdm``) stacks a realization's n_blocks blocks and makes one call
+    each to :func:`gfdmsim.waveform.fast_modulate`,
+    :func:`gfdmsim.channel.apply_channel` (one noise generator per block),
+    :func:`gfdmsim.decoupling.receive_transform` and
+    :func:`gfdmsim.detect.detect_proposed`; every block's result equals
+    that of a one-block call bit for bit.
     """
     cfg.validate()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
@@ -338,6 +342,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         filt = waveform.dirichlet_filter(k_sc, m_ss)
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
+    blocks = range(cfg.n_blocks)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
         noise_power = chan.snr_db_to_noise_power(snr)
@@ -347,32 +352,27 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         for c_idx in range(cfg.n_channels):
             rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c_idx)
             ch = chan.generate_channel(n_tx, n_rx, rng_ch, d)
+            # each block keeps its own data and noise substreams
+            data = [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b) for b in blocks]
+            noise = [_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b) for b in blocks]
+            sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power)
+                for block, rng_n in zip(sent, noise):
+                    if filt.support is not None:
+                        x = waveform.fast_modulate(block.reshape(n_tx, d), filt)
+                    else:
+                        x = np.stack([a_mat @ block[t * d : (t + 1) * d] for t in range(n_tx)])
+                    y = chan.apply_channel(x, ch, noise_power, rng_n)
+                    d_hat = detect.detect_baseline_near_ml(y, factor, m_ss * n_tx, stats)
+                    errors += int(np.sum(d_hat != block))
             else:
                 factors = detect.factorize_blocks(compute_blocks(ch, filt))
-            sent, observed = [], []
-            for b_idx in range(cfg.n_blocks):
-                rng_d = _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b_idx)
-                data = QPSK[rng_d.integers(0, len(QPSK), size=n_tx * d)]
-                if filt.support is not None:
-                    x = waveform.fast_modulate(data.reshape(n_tx, d), filt)
-                else:
-                    x = np.stack(
-                        [a_mat @ data[t * d : (t + 1) * d] for t in range(n_tx)]
-                    )
-                rng_n = _trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b_idx)
-                y = chan.apply_channel(x, ch, noise_power, rng_n)
-                if dense:
-                    d_hat = detect.detect_baseline_near_ml(y, factor, m_ss * n_tx, stats)
-                    errors += int(np.sum(d_hat != data))
-                else:
-                    sent.append(data)
-                    observed.append(receive_transform(y, filt))
-            if not dense:
-                d_hat = detect.detect_proposed(np.stack(observed), factors, filt, stats)
-                errors += int(np.sum(d_hat != np.stack(sent)))
+                x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
+                ybar = receive_transform(chan.apply_channel(x, ch, noise_power, noise), filt)
+                d_hat = detect.detect_proposed(ybar, factors, filt, stats)
+                errors += int(np.sum(d_hat != sent))
         records.append(
             TrialRecord(
                 config=cfg,

@@ -4,7 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gfdmsim.channel import MimoChannel, assemble_full_matrix, generate_channel
+from gfdmsim.channel import (
+    MimoChannel,
+    apply_channel,
+    assemble_full_matrix,
+    generate_channel,
+    snr_db_to_noise_power,
+)
 from gfdmsim.decoupling import (
     block_diagonal,
     compute_blocks,
@@ -61,6 +67,45 @@ def test_receive_transform_is_unitary():
     y = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
     out = receive_transform(y, window_filter(4, 2, np.ones(2), 3))
     assert abs(np.linalg.norm(out) - np.linalg.norm(y)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "k, m, t, r, shift, n_blocks, snr_db",
+    [
+        (8, 4, 2, 2, 0, 20, 4.0),  # the desk_proposed shape
+        (4, 2, 2, 3, 3, 2, 10.0),
+        (16, 1, 2, 2, 0, 3, 20.0),  # M = 1, the ofdm case
+        (4, 4, 1, 1, 2, 5, 0.0),
+        (8, 2, 2, 2, 1, 4, math.inf),  # no noise is drawn
+    ],
+)
+def test_stacked_channel_and_receive_transform_match_block_calls(
+    k, m, t, r, shift, n_blocks, snr_db
+):
+    # a realization's blocks go through apply_channel and receive_transform
+    # in one call each; every block must equal its own one-block calls bit
+    # for bit, its noise drawn from its own generator
+    filt = window_filter(k, m, np.linspace(1.0, 0.5, m), shift)
+    rng = np.random.default_rng(41)
+    ch = generate_channel(t, r, rng, k * m)
+    x = rng.standard_normal((n_blocks, t, k * m)) + 1j * rng.standard_normal((n_blocks, t, k * m))
+    n0 = snr_db_to_noise_power(snr_db)
+    streams = [np.random.default_rng([42, b]) for b in range(n_blocks)]
+    y = apply_channel(x, ch, n0, streams if n0 > 0 else None)
+    ybar = receive_transform(y, filt)
+    assert y.shape == (n_blocks, r, k * m) and ybar.shape == (n_blocks, r * k * m)
+    for b in range(n_blocks):
+        y_b = apply_channel(x[b], ch, n0, np.random.default_rng([42, b]) if n0 > 0 else None)
+        assert y_b.tobytes() == y[b].tobytes()
+        assert receive_transform(y_b, filt).tobytes() == ybar[b].tobytes()
+    if n0 > 0:
+        for bad in (None, streams[:-1]):
+            with pytest.raises(ValueError, match="one random stream per block"):
+                apply_channel(x, ch, n0, bad)
+    with pytest.raises(ValueError, match="transmit array"):
+        apply_channel(x[None], ch, n0, streams)
+    with pytest.raises(ValueError, match="blocks of"):
+        receive_transform(y[None], filt)
 
 
 @pytest.mark.parametrize("k,m,t", [(2, 2, 2), (4, 2, 3), (3, 1, 1)])

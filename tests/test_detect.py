@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -236,6 +238,89 @@ def test_sphere_decode_runs_deeper_than_the_recursion_limit():
     stats = DetectionStats()
     npt.assert_array_equal(sphere_decode(np.eye(n, dtype=complex), z, stats), z)
     assert stats.sd_nodes_visited == n
+
+
+def test_sphere_decode_ties_on_decision_boundaries():
+    # z on the QPSK decision boundaries (re = 0, im = 0, |re| = |im|) with
+    # equal diagonals ties the four children's metrics in pairs or all at
+    # once; the separable metrics must keep the reference's (metric, QPSK
+    # index) order, so decisions and counts match node for node
+    c = QPSK[0].real
+    boundary = [0j, 0.5 + 0j, -0.5 + 0j, 0.5j, -0.5j, c + 0j, -c * 1j]
+    boundary += [complex(a, b) for a in (0.5, -0.5, c) for b in (0.5, -0.5, -c)]
+    rng = np.random.default_rng(34)
+    cases = []
+    for d in (1.0, 0.7):
+        for z0, z1 in np.ndindex(len(boundary), len(boundary)):
+            cases.append((d * np.eye(2, dtype=complex), np.array([boundary[z0], boundary[z1]])))
+        for n in (3, 4, 6):
+            for _ in range(40):
+                r = d * np.eye(n, dtype=complex)
+                # off-diagonal entries that keep the residuals on the grid
+                r[np.triu_indices(n, 1)] = rng.choice([0.0, 0.5, -0.5, 0.5j], n * (n - 1) // 2)
+                cases.append((r, np.array(boundary)[rng.integers(0, len(boundary), n)]))
+    for r, z in cases:
+        fast, ref = DetectionStats(), DetectionStats()
+        npt.assert_array_equal(sphere_decode(r, z, fast), sphere_decode_ref(r, z, ref))
+        assert (fast.sd_nodes_visited, fast.cm_count) == (ref.sd_nodes_visited, ref.cm_count)
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_sphere_decode_rejects_non_finite_or_overflowing_input(n):
+    # each of these once made the search visit every node above level 0,
+    # 87380 nodes at n = 9; now each raises at once
+    eye = np.eye(n, dtype=complex)
+    for bad in (math.inf, -math.inf, math.nan, complex(0.0, math.inf)):
+        z = np.zeros(n, dtype=complex)
+        z[0] = bad
+        r = eye.copy()
+        r[0, n - 1] = bad
+        for args in ((eye, z), (r, np.zeros(n, dtype=complex))):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="finite"):
+                sphere_decode(*args)
+            assert time.perf_counter() - start < 1.0
+    z = np.zeros(n, dtype=complex)
+    z[0] = 1e200  # finite, but its squared residual overflows at level 0
+    stats = DetectionStats()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="overflows at level 0"):
+        sphere_decode(eye, z, stats)
+    assert time.perf_counter() - start < 1.0
+    # finite entries whose products overflow: the first descent takes QPSK[0]
+    # above level 0, where the residual sum's imaginary part is inf - inf
+    r = eye.copy()
+    r[0, 1], r[0, 2] = 1.7e308 * (1 + 1j), -1.7e308 * (1 + 1j)
+    with pytest.raises(ValueError, match="NaN"):
+        sphere_decode(r, np.zeros(n, dtype=complex))
+
+
+def test_receivers_reject_non_finite_input():
+    filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=35)
+    rng = np.random.default_rng(36)
+    data = QPSK[rng.integers(0, 4, 2 * filt.length)]
+    ybar = receive_transform(apply_channel(transmit(data, filt, 2), ch, 0.1, rng), filt)
+    for bad in (math.nan, math.inf):
+        y_bad = np.stack([ybar, ybar])
+        y_bad[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect_proposed(y_bad, factors, filt)
+        r_bad = factors.r.copy()
+        r_bad[2, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect_proposed(ybar, dataclasses.replace(factors, r=r_bad), filt)
+    h = random_complex((8, 4), rng)
+    fact = baseline_factorization(h, 0.1)
+    y = h @ QPSK[np.array([0, 3, 1, 2])]
+    for bad in (math.nan, -math.inf):
+        y_bad = y.copy()
+        y_bad[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect_baseline_near_ml(y_bad, fact, 2)
+        r_bad = fact.r.copy()
+        r_bad[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect_baseline_near_ml(y, dataclasses.replace(fact, r=r_bad), 2)
 
 
 def random_upper_triangular(n, rng):
