@@ -86,37 +86,70 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     starts. Raises ``numpy.linalg.LinAlgError`` when a residual column norm
     is at most 1e-12 times the Frobenius norm of the input, which includes
     every column of an all-zero matrix.
+
+    Pivot ties are structural, not rare. Within an antenna, the columns of
+    an ICI-free per-subcarrier block have equal norms in exact arithmetic;
+    so do the M subsymbol columns of one (antenna, subcarrier) in the
+    baseline's dense matrix, whose columns are cyclic shifts through a
+    circulant channel. The pivot order therefore rests on the last bit of
+    every norm, and the arithmetic is fixed:
+
+    * the initial norms, ``np.sum(np.abs(v) ** 2, axis=0)``;
+    * each pivot's norm, from the two real dot products that
+      ``np.linalg.norm`` runs on the contiguous column, and the column
+      divided by it;
+    * the projections, one gemv ``q_i.conj() @ v[:, i + 1 :]`` on the
+      C-ordered residual (its layout picks the BLAS kernel and so the
+      summation order);
+    * the rank-one update, numpy's complex product with q_i as the first
+      factor (it is not commutative to the last bit), subtracted in place;
+    * the norm downdate, clamped at zero.
+
+    LAPACK, Householder, ``einsum`` or a transposed residual would round
+    differently and move pivots. Everything else is data movement, done in
+    place: column swaps are slice copies, Q is built by rows, the
+    projections are written straight into R, and every update goes to one
+    buffer allocated per call.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
         raise ValueError(f"expected a tall or square matrix, got shape {f.shape}")
     m, n = f.shape
     v = f.copy()
-    q = np.zeros((m, n), dtype=complex)
+    q_t = np.zeros((n, m), dtype=complex)  # row i is column i of Q
     r = np.zeros((n, n), dtype=complex)
     perm = np.arange(n)
     norms_sq = np.sum(np.abs(v) ** 2, axis=0)
     fro = math.sqrt(float(norms_sq.sum()))
+    col = np.empty(m, dtype=complex)  # the pivot column, contiguous
+    outer = np.empty(m * n, dtype=complex)  # each step's rank-one update
     for i in range(n):
-        j = i + int(np.argmin(norms_sq[i:]))
-        if j != i:
-            v[:, [i, j]] = v[:, [j, i]]
-            r[:i, [i, j]] = r[:i, [j, i]]
-            norms_sq[[i, j]] = norms_sq[[j, i]]
-            perm[[i, j]] = perm[[j, i]]
-        norm = np.linalg.norm(v[:, i])
+        j = i + int(norms_sq[i:].argmin())
+        col[:] = v[:, j]
+        if j != i:  # column i is read no more, so it takes j's place
+            v[:, j] = v[:, i]
+            r_j = r[:i, j].copy()
+            r[:i, j] = r[:i, i]
+            r[:i, i] = r_j
+            norms_sq[j] = norms_sq[i]
+            perm[i], perm[j] = perm[j], perm[i]
+        re, im = col.real, col.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm <= 1e-12 * fro:
             raise np.linalg.LinAlgError(
                 f"column {perm[i]} is numerically rank deficient (norm {norm:.3e})"
             )
         r[i, i] = norm
-        q[:, i] = v[:, i] / norm
+        q_i = np.divide(col, norm, out=q_t[i])
         if i + 1 < n:
-            proj = q[:, i].conj() @ v[:, i + 1 :]
-            r[i, i + 1 :] = proj
-            v[:, i + 1 :] -= np.outer(q[:, i], proj)
-            norms_sq[i + 1 :] = np.maximum(norms_sq[i + 1 :] - np.abs(proj) ** 2, 0.0)
-    return SqrdFactorization(q=q, r=r, perm=perm)
+            proj = np.matmul(q_i.conj(), v[:, i + 1 :], out=r[i, i + 1 :])
+            upd = outer[: m * (n - i - 1)].reshape(m, n - i - 1)
+            v[:, i + 1 :] -= np.multiply(q_i[:, None], proj, out=upd)
+            down = np.abs(proj)
+            np.square(down, out=down)
+            np.subtract(norms_sq[i + 1 :], down, out=down)
+            np.maximum(down, 0.0, out=norms_sq[i + 1 :])
+    return SqrdFactorization(q=np.ascontiguousarray(q_t.T), r=r, perm=perm)
 
 
 def _require_finite(r: np.ndarray, z: np.ndarray) -> None:
@@ -139,11 +172,10 @@ def sphere_decode(
     must be upper triangular with positive diagonal.
 
     Raises ``ValueError`` on a non-finite entry of R or z, and on a partial
-    metric that overflows: to infinity below the top level before the first
-    leaf (the radius would stay infinite and the search would visit every
-    node above that level), or to NaN on any path. When every top-level
-    metric overflows, the search ends at once with no leaf and no node and
-    returns the all-``QPSK[0]`` vector.
+    metric that overflows: to infinity on any level before the first leaf
+    (the radius would stay infinite and the search would visit every node
+    above that level, or, at the top level, end with no leaf to answer
+    with), or to NaN on any path.
 
     Bookkeeping per call: one node per child that survives the radius test,
     one complex-multiplication unit per off-diagonal product in the partial
@@ -202,7 +234,7 @@ def sphere_decode(
         for val, q in kids:
             metric = acc + val
             if metric >= best:
-                if best == math.inf and stack:  # backtracking with no leaf found
+                if best == math.inf:  # backtracking with no leaf found
                     raise ValueError(f"partial metric overflows at level {level}")
                 break  # children are sorted: the rest cannot beat the radius
             s_idx[level] = q

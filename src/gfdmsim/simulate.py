@@ -317,6 +317,19 @@ def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, *counters]))
 
 
+def _modulate(stack: np.ndarray, filt: waveform.PrototypeFilter, a_mat: np.ndarray | None):
+    """Modulate a (B, T, D) stack of data blocks, each row as a one-row call would.
+
+    A filter with an M-bin window goes through
+    :func:`gfdmsim.waveform.fast_modulate`; any other filter through the
+    transmitter matrix ``a_mat``, as one matrix-vector product per row (the
+    gemm ``stack @ a_mat.T`` or ``einsum`` would round differently).
+    """
+    if filt.support is not None:
+        return waveform.fast_modulate(stack, filt)
+    return np.matmul(a_mat, stack[..., None])[..., 0]
+
+
 def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     """Run the configured Monte Carlo sweep and return one record per SNR point.
 
@@ -324,13 +337,17 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     uniformly drawn data blocks each, detection with the configured scheme,
     symbol-error and sphere-decoder counters accumulated. Output is a pure
     function of cfg. Each block draws its data and noise from its own
-    substream. The dense baseline modulates, transmits and detects every
-    block on its own. The per-subcarrier receiver (``proposed_dirichlet``
-    and ``ofdm``) stacks a realization's n_blocks blocks and makes one call
-    each to :func:`gfdmsim.waveform.fast_modulate`,
-    :func:`gfdmsim.channel.apply_channel` (one noise generator per block),
-    :func:`gfdmsim.decoupling.receive_transform` and
-    :func:`gfdmsim.detect.detect_proposed`; every block's result equals
+    substream. Every scheme stacks a realization's n_blocks blocks and runs
+    one front end on the stack: one modulation call
+    (:func:`gfdmsim.waveform.fast_modulate` for the Dirichlet filter, one
+    stacked matrix-vector ``np.matmul`` with the transmitter matrix for the
+    raised cosine) and one :func:`gfdmsim.channel.apply_channel` call with
+    one noise generator per block. Only factorization and detection differ:
+    the dense baseline factors the full matrix once per realization and
+    calls :func:`gfdmsim.detect.detect_baseline_near_ml` per block; the
+    per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``) makes one
+    call each to :func:`gfdmsim.decoupling.receive_transform` and
+    :func:`gfdmsim.detect.detect_proposed`. Every block's result equals
     that of a one-block call bit for bit.
     """
     cfg.validate()
@@ -356,22 +373,17 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
             data = [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b) for b in blocks]
             noise = [_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b) for b in blocks]
             sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
+            x = _modulate(sent.reshape(-1, n_tx, d), filt, a_mat)
+            y = chan.apply_channel(x, ch, noise_power, noise)
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power)
-                for block, rng_n in zip(sent, noise):
-                    if filt.support is not None:
-                        x = waveform.fast_modulate(block.reshape(n_tx, d), filt)
-                    else:
-                        x = np.stack([a_mat @ block[t * d : (t + 1) * d] for t in range(n_tx)])
-                    y = chan.apply_channel(x, ch, noise_power, rng_n)
-                    d_hat = detect.detect_baseline_near_ml(y, factor, m_ss * n_tx, stats)
+                for block, y_b in zip(sent, y):
+                    d_hat = detect.detect_baseline_near_ml(y_b, factor, m_ss * n_tx, stats)
                     errors += int(np.sum(d_hat != block))
             else:
                 factors = detect.factorize_blocks(compute_blocks(ch, filt))
-                x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
-                ybar = receive_transform(chan.apply_channel(x, ch, noise_power, noise), filt)
-                d_hat = detect.detect_proposed(ybar, factors, filt, stats)
+                d_hat = detect.detect_proposed(receive_transform(y, filt), factors, filt, stats)
                 errors += int(np.sum(d_hat != sent))
         records.append(
             TrialRecord(

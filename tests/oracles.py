@@ -118,6 +118,51 @@ def sign_flip_p_value(diffs) -> float:
     return float(np.mean(signs @ np.abs(diffs) >= diffs.sum()))
 
 
+# gfdmsim.detect.sqrd as it was before its loop moved to in-place swaps and a
+# preallocated update buffer; the rewrite keeps its arithmetic, so q, r, perm
+# and the rank-deficiency message must match bit for bit.
+def sqrd_ref(f: np.ndarray) -> SqrdFactorization:
+    """Sorted QR via modified Gram-Schmidt with min-norm column pivoting.
+
+    At every step the unprocessed column of smallest residual norm is chosen
+    next (ties go to the lowest index), which pushes weak columns early in
+    the triangular system and strong ones to the bottom where detection
+    starts. Raises ``numpy.linalg.LinAlgError`` when a residual column norm
+    is at most 1e-12 times the Frobenius norm of the input, which includes
+    every column of an all-zero matrix.
+    """
+    f = np.asarray(f, dtype=complex)
+    if f.ndim != 2 or f.shape[0] < f.shape[1]:
+        raise ValueError(f"expected a tall or square matrix, got shape {f.shape}")
+    m, n = f.shape
+    v = f.copy()
+    q = np.zeros((m, n), dtype=complex)
+    r = np.zeros((n, n), dtype=complex)
+    perm = np.arange(n)
+    norms_sq = np.sum(np.abs(v) ** 2, axis=0)
+    fro = math.sqrt(float(norms_sq.sum()))
+    for i in range(n):
+        j = i + int(np.argmin(norms_sq[i:]))
+        if j != i:
+            v[:, [i, j]] = v[:, [j, i]]
+            r[:i, [i, j]] = r[:i, [j, i]]
+            norms_sq[[i, j]] = norms_sq[[j, i]]
+            perm[[i, j]] = perm[[j, i]]
+        norm = np.linalg.norm(v[:, i])
+        if norm <= 1e-12 * fro:
+            raise np.linalg.LinAlgError(
+                f"column {perm[i]} is numerically rank deficient (norm {norm:.3e})"
+            )
+        r[i, i] = norm
+        q[:, i] = v[:, i] / norm
+        if i + 1 < n:
+            proj = q[:, i].conj() @ v[:, i + 1 :]
+            r[i, i + 1 :] = proj
+            v[:, i + 1 :] -= np.outer(q[:, i], proj)
+            norms_sq[i + 1 :] = np.maximum(norms_sq[i + 1 :] - np.abs(proj) ** 2, 0.0)
+    return SqrdFactorization(q=q, r=r, perm=perm)
+
+
 # The numpy-array implementation that gfdmsim.detect.sphere_decode replaced:
 # same traversal, so decisions and node/CM counts must match node for node.
 def sphere_decode_ref(

@@ -30,10 +30,11 @@ from gfdmsim.waveform import (
     build_transmitter_matrix,
     dirichlet_filter,
     fast_modulate,
+    rc_filter,
     window_filter,
 )
 
-from oracles import brute_force_ml_ref, detect_proposed_ref, sphere_decode_ref
+from oracles import brute_force_ml_ref, detect_proposed_ref, sphere_decode_ref, sqrd_ref
 
 
 def random_complex(shape, rng):
@@ -91,6 +92,45 @@ def test_sqrd_rejects_rank_deficiency_and_wide_input():
         sqrd(f)
     with pytest.raises(ValueError):
         sqrd(np.ones((2, 4), dtype=complex))
+
+
+def assert_sqrd_matches_reference(f):
+    try:
+        ref = sqrd_ref(f)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            sqrd(f)
+        assert str(got.value) == str(exc)
+        return
+    out = sqrd(f)
+    assert np.array_equal(out.q, ref.q)
+    assert np.array_equal(out.r, ref.r)
+    assert np.array_equal(out.perm, ref.perm)
+
+
+@pytest.mark.parametrize("k, m", [(8, 2), (8, 4), (16, 2)])
+@pytest.mark.parametrize("rolloff", [0.9, None])
+def test_sqrd_matches_reference_bit_for_bit_on_dense_mmse_matrices(k, m, rolloff):
+    # the M subsymbol columns of one (antenna, subcarrier) of the full matrix
+    # tie in exact arithmetic, so every last bit picks pivots
+    filt = dirichlet_filter(k, m) if rolloff is None else rc_filter(k, m, rolloff)
+    a_mat = build_transmitter_matrix(filt)
+    for seed in range(3):
+        h = assemble_full_matrix(generate_channel(2, 2, np.random.default_rng(seed), k * m), a_mat)
+        for n0 in (0.0, 1.0, 0.1, 0.01):
+            assert_sqrd_matches_reference(np.vstack([h, math.sqrt(n0) * np.eye(h.shape[1])]))
+
+
+def test_sqrd_matches_reference_bit_for_bit_on_random_matrices():
+    rng = np.random.default_rng(44)
+    for _ in range(60):
+        m = int(rng.integers(1, 40))
+        f = random_complex((m, int(rng.integers(1, m + 1))), rng)
+        assert_sqrd_matches_reference(f)
+        if f.shape[1] > 1:  # rank deficient: the same column, the same message
+            f[:, -1] = f[:, 0]
+            assert_sqrd_matches_reference(f)
+    assert_sqrd_matches_reference(np.zeros((3, 2)))
 
 
 def test_sqrd_and_baseline_on_all_zero_matrix(caplog):
@@ -309,6 +349,9 @@ def test_receivers_reject_non_finite_input():
         r_bad[2, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             detect_proposed(ybar, dataclasses.replace(factors, r=r_bad), filt)
+    # finite, but every top-level metric overflows: the search finds no leaf
+    with pytest.raises(ValueError, match="overflows"):
+        detect_proposed(ybar * 1e200, factors, filt)
     h = random_complex((8, 4), rng)
     fact = baseline_factorization(h, 0.1)
     y = h @ QPSK[np.array([0, 3, 1, 2])]
@@ -345,14 +388,12 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
             z_list.append(z)
     # built ties: z on the bisector of points 0 and 1, at one level and at
     # every level; a top-level second child whose metric equals the leaf's,
-    # which the scalar search prunes; metrics that overflow, so that the
-    # scalar search reaches no leaf
+    # which the scalar search prunes
     c = QPSK[0].real
     built = [
         (np.full(1, (QPSK[0] + QPSK[1]) / 2), True, [0]),
         (np.full(3, (QPSK[0] + QPSK[1]) / 2), False, [0, 0, 0]),
         (np.array([QPSK[3], c]), True, [3, 0]),
-        (np.full(2, 1e200 + 0j), False, [0, 0]),
     ]
     for z, expect_certified, expect_idx in built:
         r_list.append(np.eye(len(z), dtype=complex)[None])
@@ -360,6 +401,14 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
         idx, certified = _first_descent(r_list[-1], z_list[-1])
         assert bool(certified[0]) == expect_certified
         npt.assert_array_equal(idx[0], expect_idx)
+    # metrics that overflow, so that the scalar search reaches no leaf: the
+    # descent leaves it uncertified, and the scalar search raises
+    z = np.full(2, 1e200 + 0j)
+    idx, certified = _first_descent(np.eye(2, dtype=complex)[None], z[None])
+    assert not certified[0]
+    npt.assert_array_equal(idx[0], [0, 0])
+    with pytest.raises(ValueError, match="overflows at level 1"):
+        sphere_decode(np.eye(2, dtype=complex), z)
     outcomes = set()
     for r, z in zip(r_list, z_list):
         n = z.shape[1]

@@ -1,12 +1,16 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gfdmsim.channel import apply_channel, generate_channel
+from gfdmsim.detect import QPSK
 from gfdmsim.simulate import (
     CSV_HEADER,
     ConfigError,
     SimConfig,
+    _modulate,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -14,6 +18,7 @@ from gfdmsim.simulate import (
     closed_form_cm,
     write_report,
 )
+from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate, rc_filter
 
 
 def small_config(**kw):
@@ -250,6 +255,31 @@ def test_serialize_round_trip(tmp_path):
 
 
 # ------------------------------------------------------------------- sweeps
+
+
+@pytest.mark.parametrize("k, m", [(8, 2), (8, 4), (16, 2)])
+@pytest.mark.parametrize("rolloff", [0.9, 0.3, None])
+@pytest.mark.parametrize("noise_power", [0.0, 0.1])
+def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
+    # the dense baseline once modulated and transmitted block by block, the
+    # raised cosine as A @ v per antenna; the stacked calls repeat every bit
+    filt = dirichlet_filter(k, m) if rolloff is None else rc_filter(k, m, rolloff)
+    a_mat = build_transmitter_matrix(filt)
+    n_tx, d, n_blocks = 2, k * m, 3
+    rng = np.random.default_rng(k * 10 + m)
+    ch = generate_channel(n_tx, 2, rng, d)
+    sent = QPSK[rng.integers(0, len(QPSK), (n_blocks, n_tx * d))]
+    x = _modulate(sent.reshape(-1, n_tx, d), filt, a_mat)
+    noise = [np.random.default_rng(b) for b in range(n_blocks)]
+    stacked = apply_channel(x, ch, noise_power, noise)
+    for b, block in enumerate(sent):
+        if rolloff is None:
+            x_b = fast_modulate(block.reshape(n_tx, d), filt)
+        else:
+            x_b = np.stack([a_mat @ block[t * d : (t + 1) * d] for t in range(n_tx)])
+        assert np.array_equal(x[b], x_b)
+        y_b = apply_channel(x_b, ch, noise_power, np.random.default_rng(b))
+        assert np.array_equal(stacked[b], y_b)
 
 
 def test_sweep_random_guessing_at_very_low_snr():
