@@ -48,7 +48,7 @@ factors = factorize_blocks(compute_blocks(ch, filt))
 factor = baseline_factorization(h_full, noise_power)
 stats = DetectionStats()
 d_fast = detect_proposed(receive_transform(y, filt), factors, filt, stats)
-d_base = detect_baseline_near_ml(y, factor, m_ss * n_tx)
+d_base = detect_baseline_near_ml(y.reshape(-1), factor, m_ss * n_tx)
 d_ml = exhaustive_ml(y.reshape(-1), h_full)
 
 print("sent:                ", np.round(data, 3))

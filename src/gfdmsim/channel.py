@@ -90,7 +90,8 @@ def apply_channel(
     (B, T, D) stack of B blocks gives a (B, R, D) stack and takes one
     generator per block in ``rng``: block b's noise is drawn from ``rng[b]``
     exactly as a one-block call draws it, so the stack equals B one-block
-    calls bit for bit. Raises ``ValueError`` unless 0 <= ``noise_power`` < inf.
+    calls bit for bit. Raises ``ValueError`` unless 0 <= ``noise_power`` < inf,
+    and when noise is drawn without exactly one generator per block.
     """
     if not 0.0 <= noise_power < np.inf:
         raise ValueError(f"noise power must be finite and nonnegative, got {noise_power}")
@@ -104,7 +105,8 @@ def apply_channel(
     y = np.fft.ifft(np.einsum("rtd,...td->...rd", ch.freq, xf), axis=-1)
     if noise_power > 0.0:
         streams = rng if x.ndim == 3 else [rng]
-        if rng is None or len(streams) != x.size // (ch.n_tx * d):
+        valid = isinstance(streams, Sequence) and len(streams) == x.size // (ch.n_tx * d)
+        if not valid or not all(isinstance(g, np.random.Generator) for g in streams):
             raise ValueError("one random stream per block is required when noise_power > 0")
         shape = y.shape[-2:]
         noise = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape) for g in streams])
@@ -113,14 +115,14 @@ def apply_channel(
 
 
 def build_circulant(taps: np.ndarray, d: int) -> np.ndarray:
-    """Dense D x D circulant matrix whose first column is the zero-padded taps."""
+    """Dense (..., D, D) circulants whose first columns are the zero-padded (..., n_taps) taps."""
     taps = np.asarray(taps, dtype=complex)
-    if len(taps) > d:
-        raise ValueError(f"{len(taps)} taps do not fit a {d}-point block")
-    col = np.zeros(d, dtype=complex)
-    col[: len(taps)] = taps
+    if taps.shape[-1] > d:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit a {d}-point block")
+    col = np.zeros(taps.shape[:-1] + (d,), dtype=complex)
+    col[..., : taps.shape[-1]] = taps
     n = np.arange(d)
-    return col[(n[:, None] - n[None, :]) % d]
+    return col[..., (n[:, None] - n[None, :]) % d]
 
 
 def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:
@@ -128,12 +130,8 @@ def assemble_full_matrix(ch: MimoChannel, a: np.ndarray) -> np.ndarray:
     d = ch.block_len
     if a.shape != (d, d):
         raise ValueError(f"modulation matrix must be {d} x {d}, got {a.shape}")
-    out = np.empty((ch.n_rx * d, ch.n_tx * d), dtype=complex)
-    for r in range(ch.n_rx):
-        for t in range(ch.n_tx):
-            h = build_circulant(ch.taps[r, t], d)
-            out[r * d : (r + 1) * d, t * d : (t + 1) * d] = h @ a
-    return out
+    blocks = np.matmul(build_circulant(ch.taps, d), a)  # (R, T, D, D), one gemm per pair
+    return blocks.transpose(0, 2, 1, 3).reshape(ch.n_rx * d, ch.n_tx * d)
 
 
 def snr_db_to_noise_power(snr_db: float) -> float:

@@ -123,7 +123,8 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
         return 0.0
     if f.support is None:
         f = dataclasses.replace(f, support=dominant_window(f.g_f, m_ss))
-    lhs = np.stack([receive_transform(col.reshape(ch.n_rx, d), f) for col in h_full.T], axis=1)
+    # every column in one transform; C order, as the norm below sums in memory order
+    lhs = np.ascontiguousarray(receive_transform(h_full.T.reshape(-1, ch.n_rx, d), f).T)
     # B P holds column i of B at column perm[i]
     perm = data_permutation(np.arange(ch.n_tx * d), k_sc, m_ss, ch.n_tx)
     rhs = np.empty_like(lhs)

@@ -484,34 +484,36 @@ def detect_baseline_near_ml(
 ) -> np.ndarray:
     """Near-ML detection of the QPSK data on the full stacked system: grouped DFSD + SIC.
 
-    ``y`` is the received (R, D) array or its flattening and ``factor`` the
-    :func:`baseline_factorization` of the full RD x TD matrix. The
-    triangular system is processed bottom-up in groups of ``group_size``
-    symbols (TD gives one single group, i.e. exact ML on the rotated
-    system). Each group is sphere-decoded jointly, then its contribution is
-    cancelled from the remaining rows. Raises ``ValueError`` on a non-finite
-    entry of ``y`` or of the triangular factor.
+    ``y`` is one flattened observation of R*D samples, or a (B, R*D) stack, and
+    ``factor`` the :func:`baseline_factorization` of the full RD x TD matrix;
+    the T*D decisions per observation keep the input's stacking. The triangular
+    system is processed bottom-up in groups of ``group_size`` symbols (TD gives
+    one single group, i.e. exact ML on the rotated system): each group is
+    sphere-decoded jointly, one call per observation, then cancelled from the
+    remaining rows. Q^H y and the cancellations are stacked matrix-vector
+    ``np.matmul`` calls, so each observation's result equals its own call's bit
+    for bit. Raises ``ValueError`` on a non-finite entry of ``y`` or of the
+    triangular factor.
     """
-    y = np.asarray(y).reshape(-1)
+    y = np.asarray(y)
     n = factor.r.shape[0]
     n_obs = factor.q.shape[0] - n  # the rows of Q below these belong to the MMSE extension
-    if len(y) != n_obs:
-        raise ValueError(f"expected {n_obs} received samples, got {len(y)}")
+    if y.ndim not in (1, 2) or y.shape[-1] != n_obs:
+        raise ValueError(f"expected {n_obs} received samples or a stack of them, got {y.shape}")
     group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
     _require_finite(factor.r, y)
-    z = factor.q[:n_obs].conj().T @ y
-    s_sorted = np.zeros(n, dtype=complex)
+    z = np.matmul(factor.q[:n_obs].conj().T, y.reshape(-1, n_obs, 1))[..., 0]
+    s_sorted = np.zeros((len(z), n), dtype=complex)
     for hi in range(n, 0, -group):
         lo = max(hi - group, 0)
-        z_adj = z[lo:hi]
+        z_adj = z[:, lo:hi]
         if hi < n:
-            z_adj = z_adj - factor.r[lo:hi, hi:] @ s_sorted[hi:]
-        s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, stats)
-    d_hat = np.empty(n, dtype=complex)
-    d_hat[factor.perm] = s_sorted
-    return d_hat
+            z_adj = z_adj - np.matmul(factor.r[lo:hi, hi:], s_sorted[:, hi:, None])[..., 0]
+        for s_b, z_b in zip(s_sorted, z_adj):
+            s_b[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_b, stats)
+    return s_sorted[:, np.argsort(factor.perm)].reshape(y.shape[:-1] + (n,))
 
 
 def detect_ofdm(

@@ -342,12 +342,12 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     (:func:`gfdmsim.waveform.fast_modulate` for the Dirichlet filter, one
     stacked matrix-vector ``np.matmul`` with the transmitter matrix for the
     raised cosine) and one :func:`gfdmsim.channel.apply_channel` call with
-    one noise generator per block. Only factorization and detection differ:
-    the dense baseline factors the full matrix once per realization and
-    calls :func:`gfdmsim.detect.detect_baseline_near_ml` per block; the
-    per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``) makes one
-    call each to :func:`gfdmsim.decoupling.receive_transform` and
-    :func:`gfdmsim.detect.detect_proposed`. Every block's result equals
+    one noise generator per block. Only factorization and detection differ,
+    each once per realization on the whole stack: the dense baseline factors
+    the full matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml`;
+    the per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``)
+    factors its K blocks and calls :func:`gfdmsim.decoupling.receive_transform`
+    and :func:`gfdmsim.detect.detect_proposed`. Every block's result equals
     that of a one-block call bit for bit.
     """
     cfg.validate()
@@ -378,13 +378,12 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 factor = detect.baseline_factorization(h_full, noise_power)
-                for block, y_b in zip(sent, y):
-                    d_hat = detect.detect_baseline_near_ml(y_b, factor, m_ss * n_tx, stats)
-                    errors += int(np.sum(d_hat != block))
+                y_flat = y.reshape(len(y), -1)
+                d_hat = detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats)
             else:
                 factors = detect.factorize_blocks(compute_blocks(ch, filt))
                 d_hat = detect.detect_proposed(receive_transform(y, filt), factors, filt, stats)
-                errors += int(np.sum(d_hat != sent))
+            errors += int(np.sum(d_hat != sent))
         records.append(
             TrialRecord(
                 config=cfg,

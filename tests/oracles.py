@@ -11,7 +11,13 @@ import math
 import numpy as np
 
 from gfdmsim.decoupling import inverse_data_permutation
-from gfdmsim.detect import QPSK, DetectionStats, SqrdFactorization, sphere_decode
+from gfdmsim.detect import (
+    QPSK,
+    DetectionStats,
+    SqrdFactorization,
+    _require_finite,
+    sphere_decode,
+)
 from gfdmsim.waveform import PrototypeFilter
 
 
@@ -266,3 +272,44 @@ def detect_proposed_ref(
     for k in range(k_sc):
         dbar[k, perm[k]] = sphere_decode(r[k], z[k], stats)
     return inverse_data_permutation(dbar.reshape(-1), k_sc, m_ss, cols // m_ss)
+
+
+# gfdmsim.detect.detect_baseline_near_ml as it was when it took one block:
+# the stacked receiver keeps its arithmetic and its one sphere_decode call per
+# (group, block), so decisions and node/CM counts must match bit for bit.
+def detect_baseline_near_ml_ref(
+    y: np.ndarray,
+    factor: SqrdFactorization,
+    group_size: int,
+    stats: DetectionStats | None = None,
+) -> np.ndarray:
+    """Near-ML detection of the QPSK data on the full stacked system: grouped DFSD + SIC.
+
+    ``y`` is the received (R, D) array or its flattening and ``factor`` the
+    :func:`baseline_factorization` of the full RD x TD matrix. The
+    triangular system is processed bottom-up in groups of ``group_size``
+    symbols (TD gives one single group, i.e. exact ML on the rotated
+    system). Each group is sphere-decoded jointly, then its contribution is
+    cancelled from the remaining rows. Raises ``ValueError`` on a non-finite
+    entry of ``y`` or of the triangular factor.
+    """
+    y = np.asarray(y).reshape(-1)
+    n = factor.r.shape[0]
+    n_obs = factor.q.shape[0] - n  # the rows of Q below these belong to the MMSE extension
+    if len(y) != n_obs:
+        raise ValueError(f"expected {n_obs} received samples, got {len(y)}")
+    group = int(group_size)
+    if group < 1:
+        raise ValueError("group size must be positive")
+    _require_finite(factor.r, y)
+    z = factor.q[:n_obs].conj().T @ y
+    s_sorted = np.zeros(n, dtype=complex)
+    for hi in range(n, 0, -group):
+        lo = max(hi - group, 0)
+        z_adj = z[lo:hi]
+        if hi < n:
+            z_adj = z_adj - factor.r[lo:hi, hi:] @ s_sorted[hi:]
+        s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, stats)
+    d_hat = np.empty(n, dtype=complex)
+    d_hat[factor.perm] = s_sorted
+    return d_hat

@@ -83,6 +83,8 @@ def test_build_circulant_examples():
     )
     with pytest.raises(ValueError):
         build_circulant(np.ones(5), 4)
+    with pytest.raises(ValueError):
+        build_circulant(np.ones((2, 3, 5)), 4)
 
 
 def test_circulant_matches_reference_and_diagonalizes():
@@ -148,6 +150,22 @@ def test_assemble_identity_channel_returns_a():
     taps = np.ones((1, 1, 1), dtype=complex)
     ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
     npt.assert_allclose(assemble_full_matrix(ch, a), a, atol=1e-14)
+
+
+@pytest.mark.parametrize("t, r", [(2, 2), (1, 3), (3, 2)])
+def test_assemble_full_matrix_matches_per_pair_products(t, r):
+    # one stacked circulant build and matmul: one gemm per antenna pair, so
+    # every block equals its own circulant times A to the last bit
+    for filt in (rc_filter(8, 4, 0.9), dirichlet_filter(8, 4)):
+        a = build_transmitter_matrix(filt)
+        ch = generate_channel(t, r, np.random.default_rng([49, t, r]), 32)
+        h_full = assemble_full_matrix(ch, a)
+        assert h_full.shape == (r * 32, t * 32)
+        pairs = [[circulant_ref(ch.taps[i, j], 32) @ a for j in range(t)] for i in range(r)]
+        assert np.array_equal(h_full, np.block(pairs))
+        circ = build_circulant(ch.taps, 32)
+        assert circ.shape == (r, t, 32, 32)
+        assert np.array_equal(circ[-1, -1], circulant_ref(ch.taps[-1, -1], 32))
 
 
 @pytest.mark.parametrize(

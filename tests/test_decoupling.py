@@ -99,9 +99,10 @@ def test_stacked_channel_and_receive_transform_match_block_calls(
         assert y_b.tobytes() == y[b].tobytes()
         assert receive_transform(y_b, filt).tobytes() == ybar[b].tobytes()
     if n0 > 0:
-        for bad in (None, streams[:-1]):
+        # a stack needs a sequence of one generator per block, a block one generator
+        for x_in, bad in ((x, None), (x, streams[:-1]), (x, streams[0]), (x[0], streams[:1])):
             with pytest.raises(ValueError, match="one random stream per block"):
-                apply_channel(x, ch, n0, bad)
+                apply_channel(x_in, ch, n0, bad)
     with pytest.raises(ValueError, match="transmit array"):
         apply_channel(x[None], ch, n0, streams)
     with pytest.raises(ValueError, match="blocks of"):

@@ -34,7 +34,13 @@ from gfdmsim.waveform import (
     window_filter,
 )
 
-from oracles import brute_force_ml_ref, detect_proposed_ref, sphere_decode_ref, sqrd_ref
+from oracles import (
+    brute_force_ml_ref,
+    detect_baseline_near_ml_ref,
+    detect_proposed_ref,
+    sphere_decode_ref,
+    sqrd_ref,
+)
 
 
 def random_complex(shape, rng):
@@ -118,7 +124,12 @@ def test_sqrd_matches_reference_bit_for_bit_on_dense_mmse_matrices(k, m, rolloff
     for seed in range(3):
         h = assemble_full_matrix(generate_channel(2, 2, np.random.default_rng(seed), k * m), a_mat)
         for n0 in (0.0, 1.0, 0.1, 0.01):
-            assert_sqrd_matches_reference(np.vstack([h, math.sqrt(n0) * np.eye(h.shape[1])]))
+            f = np.vstack([h, math.sqrt(n0) * np.eye(h.shape[1])])
+            assert_sqrd_matches_reference(f)
+            # a batch of one repeats the dense factors too, only slower
+            one, ref = factorize_blocks(f[None]), sqrd(f)
+            assert np.array_equal(one.q[0], ref.q) and np.array_equal(one.r[0], ref.r)
+            assert np.array_equal(one.perm[0], ref.perm)
 
 
 def test_sqrd_matches_reference_bit_for_bit_on_random_matrices():
@@ -626,6 +637,40 @@ def test_detect_baseline_rejects_wrong_received_length():
     assert detect_baseline_near_ml(h @ data, fact, 2).shape == (4,)
 
 
+@pytest.mark.parametrize("k, m", [(8, 2), (8, 4), (16, 2)])
+@pytest.mark.parametrize("rolloff", [0.9, 0.3, None])
+def test_detect_baseline_stack_matches_one_block_reference(k, m, rolloff):
+    # a stack of B observations makes the one-block receiver's sphere_decode
+    # calls: the same decisions and node/CM counts, block by block, at SIC
+    # group sizes from symbol by symbol to one exact search over all T * D
+    filt = dirichlet_filter(k, m) if rolloff is None else rc_filter(k, m, rolloff)
+    a = build_transmitter_matrix(filt)
+    rng = np.random.default_rng([47, k, m])
+    ch = generate_channel(2, 2, rng, k * m)
+    h_full = assemble_full_matrix(ch, a)
+    x = np.matmul(a, QPSK[rng.integers(0, 4, (3, 2, k * m))][..., None])[..., 0]
+    for n0 in (0.0, 0.1):
+        fact = baseline_factorization(h_full, n0)
+        streams = [np.random.default_rng([48, b]) for b in range(3)] if n0 else None
+        y = apply_channel(x, ch, n0, streams).reshape(3, -1)
+        for group in (1, 2 * m, 2 * k * m):
+            stats, total = DetectionStats(), DetectionStats()
+            out = detect_baseline_near_ml(y, fact, group, stats)
+            assert out.shape == (3, 2 * k * m)
+            for y_b, out_b in zip(y, out):
+                ref_stats, one_stats = DetectionStats(), DetectionStats()
+                ref = detect_baseline_near_ml_ref(y_b, fact, group, ref_stats)
+                one = detect_baseline_near_ml(y_b, fact, group, one_stats)
+                assert ref.tobytes() == out_b.tobytes() == one.tobytes()
+                assert one_stats == ref_stats
+                total.sd_nodes_visited += ref_stats.sd_nodes_visited
+                total.cm_count += ref_stats.cm_count
+            assert stats == total
+    for bad in (y[:, :-1], y[None], y.reshape(3, 2, -1)):
+        with pytest.raises(ValueError, match="received samples"):
+            detect_baseline_near_ml(bad, fact, 2)
+
+
 def test_detect_baseline_noiseless_rank_deficient_falls_back():
     h = np.zeros((4, 2), dtype=complex)
     h[:, 0] = [1.0, 1.0, 0.0, 0.0]
@@ -655,7 +700,7 @@ def test_baseline_sic_never_beats_exact_ml_on_average():
                 y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
                 ybar = receive_transform(y, filt)
                 d_ml = detect_proposed(ybar, factors, filt)
-                d_sic = detect_baseline_near_ml(y, fact, 4)
+                d_sic = detect_baseline_near_ml(y.reshape(-1), fact, 4)
                 err_ml += int(np.sum(d_ml != data))
                 err_sic += int(np.sum(d_sic != data))
     assert err_sic >= err_ml
