@@ -20,7 +20,6 @@ from .channel import (
 from .decoupling import (
     compute_blocks,
     data_permutation,
-    inverse_data_permutation,
     receive_transform,
     verify_decomposition,
 )

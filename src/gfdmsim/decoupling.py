@@ -46,24 +46,15 @@ def receive_transform(y: np.ndarray, f: PrototypeFilter) -> np.ndarray:
     return spec.reshape(*lead, n_rx * d)
 
 
-def data_permutation(d: np.ndarray, k_sc: int, m_ss: int, n_tx: int) -> np.ndarray:
-    """Reorder stacked transmit data by subcarrier: out[(k*T + t)*M + m] = d_t[m*K + k]."""
-    d = np.asarray(d)
-    if d.shape[0] != n_tx * k_sc * m_ss:
-        raise ValueError("data length does not match (K, M, T)")
-    return d.reshape(n_tx, m_ss, k_sc).transpose(2, 0, 1).reshape(-1)
+def data_permutation(f: PrototypeFilter, n_tx: int) -> np.ndarray:
+    """The data reordering P as a (K, M*T) index map read from the filter.
 
-
-def inverse_data_permutation(dbar: np.ndarray, k_sc: int, m_ss: int, n_tx: int) -> np.ndarray:
-    """Inverse of :func:`data_permutation` (the map is unitary, so this is its transpose).
-
-    Acts on the last axis, so a (B, T*D) stack of blocks is undone in one call.
+    Entry [k, t*M + m] is t*D + m*K + k, the position in the stacked
+    transmit data of the symbol that column t*M + m of block k multiplies.
     """
-    dbar = np.asarray(dbar)
-    if dbar.shape[-1] != n_tx * k_sc * m_ss:
-        raise ValueError("data length does not match (K, M, T)")
-    lead = dbar.shape[:-1]
-    return np.moveaxis(dbar.reshape(*lead, k_sc, n_tx, m_ss), -3, -1).reshape(*lead, -1)
+    k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
+    grid = np.arange(n_tx * f.length).reshape(n_tx, m_ss, k_sc)
+    return grid.transpose(2, 0, 1).reshape(k_sc, n_tx * m_ss)
 
 
 def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
@@ -97,15 +88,6 @@ def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     return blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)
 
 
-def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix from a (K, p, q) stack (diagnostic path)."""
-    k, p, q = blocks.shape
-    out = np.zeros((k * p, k * q), dtype=blocks.dtype)
-    for i in range(k):
-        out[i * p : (i + 1) * p, i * q : (i + 1) * q] = blocks[i]
-    return out
-
-
 def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     """Relative Frobenius residual ||U H - B P|| / ||H|| of the block factorization.
 
@@ -125,8 +107,8 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
         f = dataclasses.replace(f, support=dominant_window(f.g_f, m_ss))
     # every column in one transform; C order, as the norm below sums in memory order
     lhs = np.ascontiguousarray(receive_transform(h_full.T.reshape(-1, ch.n_rx, d), f).T)
-    # B P holds column i of B at column perm[i]
-    perm = data_permutation(np.arange(ch.n_tx * d), k_sc, m_ss, ch.n_tx)
-    rhs = np.empty_like(lhs)
-    rhs[:, perm] = block_diagonal(compute_blocks(ch, f))
+    # B P holds block k in its M*R rows and in the columns of its data
+    rhs = np.zeros_like(lhs)
+    rows = np.arange(len(lhs)).reshape(k_sc, -1, 1)
+    rhs[rows, data_permutation(f, ch.n_tx)[:, None, :]] = compute_blocks(ch, f)
     return float(np.linalg.norm(lhs - rhs) / denom)

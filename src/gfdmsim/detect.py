@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel
-from .decoupling import inverse_data_permutation
+from .decoupling import data_permutation
 from .waveform import PrototypeFilter
 
 logger = logging.getLogger(__name__)
@@ -64,12 +64,14 @@ class DetectionStats:
 class SqrdFactorization:
     """Sorted QR factors: F[:, perm] = Q @ R with R upper triangular.
 
-    Q has orthonormal columns (for the MMSE variant it spans the extended
-    matrix and its top block applies to received data); the diagonal of R is
-    real and nonnegative; ``perm[i]`` is the original column processed at
-    step i. :func:`sqrd` returns one matrix's factors; :func:`factorize_blocks`
-    returns a stack of K, with a leading block axis on every field
-    (``q[k]``, ``r[k]``, ``perm[k]`` factor block k).
+    Q has orthonormal columns; the diagonal of R is real and nonnegative;
+    ``perm[i]`` is the original column processed at step i. :func:`sqrd`
+    returns one matrix's factors; :func:`factorize_blocks` returns a stack
+    of K, with a leading block axis on every field (``q[k]``, ``r[k]``,
+    ``perm[k]`` factor block k). :func:`baseline_factorization` factors the
+    MMSE extension F = [H; sqrt(N0) * I] and keeps only the top rows of Q,
+    those that apply to received data: its ``q`` is the top block of an
+    orthonormal matrix and is not orthonormal on its own.
     """
 
     q: np.ndarray
@@ -424,15 +426,18 @@ def detect_proposed(
     vectorized first descent of the sphere decoder (:func:`_first_descent`),
     and only those it cannot certify are solved by :func:`sphere_decode`
     from scratch. Decisions and node/CM counts are therefore those of one
-    sphere-decoder call per subproblem. The data permutation is undone for
-    all blocks at once. The QR is plain and unregularized, so no noise power
-    enters. Raises ``ValueError`` on a non-finite entry of ``ybar`` or of the
-    triangular factors.
+    sphere-decoder call per subproblem. All decisions go to data order in one
+    scatter through the filter's :func:`data_permutation` map. The QR is plain
+    and unregularized, so no noise power enters. Raises ``ValueError`` on a
+    non-finite entry of ``ybar`` or of the triangular factors, and when the
+    factors' column count is not a multiple of M.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     q, r, perm = factors.q, factors.r, factors.perm
-    if q.ndim != 3 or q.shape[0] != k_sc:
-        raise ValueError(f"expected a stack of {k_sc} block factorizations, got shape {q.shape}")
+    if q.ndim != 3 or q.shape[0] != k_sc or q.shape[2] % m_ss:
+        raise ValueError(
+            f"expected a stack of {k_sc} block factorizations of M*T columns, got shape {q.shape}"
+        )
     _, rows, cols = q.shape
     ybar = np.asarray(ybar)
     if ybar.ndim not in (1, 2) or ybar.shape[-1] != k_sc * rows:
@@ -448,9 +453,10 @@ def detect_proposed(
         n_cert = int(np.count_nonzero(certified))
         stats.sd_nodes_visited += n_cert * cols
         stats.cm_count += n_cert * (cols * (cols - 1) // 2 + len(QPSK) * cols)
-    dbar = np.empty_like(s)
-    np.put_along_axis(dbar, np.broadcast_to(perm, s.shape), s, axis=-1)
-    d_hat = inverse_data_permutation(dbar.reshape(len(stack), -1), k_sc, m_ss, cols // m_ss)
+    # step i of block k decided the symbol at data position pos[k, i]
+    pos = np.take_along_axis(data_permutation(f, cols // m_ss), perm, 1)
+    d_hat = np.empty((len(stack), k_sc * cols), dtype=complex)
+    d_hat[:, pos.reshape(-1)] = s.reshape(len(stack), -1)
     return d_hat.reshape(ybar.shape[:-1] + (-1,))
 
 
@@ -458,22 +464,24 @@ def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactor
     """MMSE-SQRD of the full stacked matrix, with a tiny-regularization fallback.
 
     Sorted QR of the noise-regularized extension [H; sqrt(N0) * I]. Symbols
-    have unit energy, so R^H R = perm'(H^H H + N0 I)perm; the top rows of Q
-    apply to the received vector, and with N0 = 0 the factors are those of
-    plain ``sqrd(h_full)``. Computed once per channel realization and SNR; a
-    rank-deficient noiseless system falls back to a 1e-12 regularization
-    with a logged warning.
+    have unit energy, so R^H R = perm'(H^H H + N0 I)perm; ``q`` is a view of
+    the top RD rows of the extended Q, the only rows that apply to received
+    data, and with N0 = 0 the factors are those of plain ``sqrd(h_full)``.
+    Computed once per channel realization and SNR; a rank-deficient
+    noiseless system falls back to a 1e-12 regularization with a logged
+    warning.
     """
     h_full = np.asarray(h_full, dtype=complex)
     eye = np.eye(h_full.shape[1], dtype=complex)
     try:
-        return sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
+        fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
     except np.linalg.LinAlgError:
         logger.warning(
             "rank-deficient system at noise power %g; retrying with 1e-12 regularization",
             noise_power,
         )
-        return sqrd(np.vstack([h_full, math.sqrt(1e-12) * eye]))
+        fact = sqrd(np.vstack([h_full, math.sqrt(1e-12) * eye]))
+    return SqrdFactorization(q=fact.q[: len(h_full)], r=fact.r, perm=fact.perm)
 
 
 def detect_baseline_near_ml(
@@ -484,27 +492,27 @@ def detect_baseline_near_ml(
 ) -> np.ndarray:
     """Near-ML detection of the QPSK data on the full stacked system: grouped DFSD + SIC.
 
-    ``y`` is one flattened observation of R*D samples, or a (B, R*D) stack, and
-    ``factor`` the :func:`baseline_factorization` of the full RD x TD matrix;
-    the T*D decisions per observation keep the input's stacking. The triangular
-    system is processed bottom-up in groups of ``group_size`` symbols (TD gives
-    one single group, i.e. exact ML on the rotated system): each group is
-    sphere-decoded jointly, one call per observation, then cancelled from the
-    remaining rows. Q^H y and the cancellations are stacked matrix-vector
-    ``np.matmul`` calls, so each observation's result equals its own call's bit
-    for bit. Raises ``ValueError`` on a non-finite entry of ``y`` or of the
-    triangular factor.
+    ``y`` is one flattened observation of R*D samples, or a (B, R*D) stack,
+    and ``factor`` a sorted-QR factor of the full RD x TD matrix whose ``q``
+    has one row per received sample: its :func:`baseline_factorization`, or
+    plain :func:`sqrd`. The T*D decisions per observation keep the input's
+    stacking. The triangular system is processed bottom-up in groups of
+    ``group_size`` symbols (TD gives one single group, i.e. exact ML on the
+    rotated system): each group is sphere-decoded jointly, one call per
+    observation, then cancelled from the remaining rows. Q^H y and the
+    cancellations are stacked matrix-vector ``np.matmul`` calls, so each
+    observation's result equals its own call's bit for bit. Raises
+    ``ValueError`` on a non-finite entry of ``y`` or of the triangular factor.
     """
     y = np.asarray(y)
-    n = factor.r.shape[0]
-    n_obs = factor.q.shape[0] - n  # the rows of Q below these belong to the MMSE extension
+    n_obs, n = factor.q.shape
     if y.ndim not in (1, 2) or y.shape[-1] != n_obs:
         raise ValueError(f"expected {n_obs} received samples or a stack of them, got {y.shape}")
     group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
     _require_finite(factor.r, y)
-    z = np.matmul(factor.q[:n_obs].conj().T, y.reshape(-1, n_obs, 1))[..., 0]
+    z = np.matmul(factor.q.conj().T, y.reshape(-1, n_obs, 1))[..., 0]
     s_sorted = np.zeros((len(z), n), dtype=complex)
     for hi in range(n, 0, -group):
         lo = max(hi - group, 0)

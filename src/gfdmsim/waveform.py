@@ -150,17 +150,17 @@ def ici_free_support(f: PrototypeFilter) -> tuple[np.ndarray, int] | None:
     or None when no window of M consecutive (cyclic) bins captures at least
     (1 - 1e-12) of the filter's frequency-domain energy. The tolerance is
     machine-precision level: filters are either in the class by construction
-    or not at all.
+    or not at all. An all-zero spectrum has no window. At K = 1 (M = D)
+    every start is a window of the whole spectrum; it returns start 0, the
+    smallest.
     """
     g_f = np.asarray(f.g_f)
-    d = len(g_f)
-    m = f.n_subsymbols
-    if m >= d:
-        return g_f.copy(), 0
     total = np.sum(np.abs(g_f) ** 2)
     if total == 0.0:
         return None
-    g_1, start = dominant_window(g_f, m)
+    if f.n_subsymbols >= len(g_f):
+        return g_f.copy(), 0
+    g_1, start = dominant_window(g_f, f.n_subsymbols)
     inside = np.sum(np.abs(g_1) ** 2)
     if inside < (1.0 - 1e-12) * total:
         return None

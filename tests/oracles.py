@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from gfdmsim.decoupling import inverse_data_permutation
 from gfdmsim.detect import (
     QPSK,
     DetectionStats,
@@ -268,10 +267,15 @@ def detect_proposed_ref(
     if ybar.shape != (k_sc * rows,):
         raise ValueError("observation length does not match the block system")
     z = np.matmul(q.conj().transpose(0, 2, 1), ybar.reshape(k_sc, rows, 1))[:, :, 0]
-    dbar = np.empty((k_sc, cols), dtype=complex)
+    d_hat = np.empty(k_sc * cols, dtype=complex)
     for k in range(k_sc):
-        dbar[k, perm[k]] = sphere_decode(r[k], z[k], stats)
-    return inverse_data_permutation(dbar.reshape(-1), k_sc, m_ss, cols // m_ss)
+        dbar_k = np.empty(cols, dtype=complex)
+        dbar_k[perm[k]] = sphere_decode(r[k], z[k], stats)
+        # column t*M + m of block k multiplies symbol m*K + k of antenna t
+        for t in range(cols // m_ss):
+            for m in range(m_ss):
+                d_hat[t * k_sc * m_ss + m * k_sc + k] = dbar_k[t * m_ss + m]
+    return d_hat
 
 
 # gfdmsim.detect.detect_baseline_near_ml as it was when it took one block:
@@ -294,15 +298,14 @@ def detect_baseline_near_ml_ref(
     entry of ``y`` or of the triangular factor.
     """
     y = np.asarray(y).reshape(-1)
-    n = factor.r.shape[0]
-    n_obs = factor.q.shape[0] - n  # the rows of Q below these belong to the MMSE extension
+    n_obs, n = factor.q.shape
     if len(y) != n_obs:
         raise ValueError(f"expected {n_obs} received samples, got {len(y)}")
     group = int(group_size)
     if group < 1:
         raise ValueError("group size must be positive")
     _require_finite(factor.r, y)
-    z = factor.q[:n_obs].conj().T @ y
+    z = factor.q.conj().T @ y
     s_sorted = np.zeros(n, dtype=complex)
     for hi in range(n, 0, -group):
         lo = max(hi - group, 0)

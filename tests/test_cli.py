@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from gfdmsim.cli import main
+
+EXPECTED = Path(__file__).parent / "expected"
 
 BASE_CFG = (
     "scheme = proposed_dirichlet\n"
@@ -124,6 +128,9 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--channels", "3"]) == 0
     out = capsys.readouterr().out
     assert "max residual" in out
+    # the default 100-channel run, byte for byte
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == (EXPECTED / "verify.txt").read_text()
 
 
 @pytest.mark.parametrize(

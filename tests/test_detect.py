@@ -527,6 +527,9 @@ def test_detect_proposed_noiseless():
         detect_proposed(ybar, proposed_setup(2, 2, 2, 2, seed=10)[2], filt)
     with pytest.raises(ValueError):
         detect_proposed(ybar[:-1], factors, filt)
+    odd = factorize_blocks(random_complex((4, 4, 3), rng))  # 3 columns: not whole M = 2 groups
+    with pytest.raises(ValueError, match="M\\*T columns"):
+        detect_proposed(ybar, odd, filt)
 
 
 @pytest.mark.parametrize(
@@ -604,8 +607,8 @@ def test_detect_ofdm_single_antenna_nearest_point():
 def test_detect_baseline_noiseless_diagonal():
     h = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
     data = QPSK[np.array([1, 2, 0, 3])]
-    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), 2)
-    npt.assert_array_equal(out, data)
+    for fact in (baseline_factorization(h, 0.0), sqrd(h)):  # any sorted-QR factor of H
+        npt.assert_array_equal(detect_baseline_near_ml(h @ data, fact, 2), data)
 
 
 def test_detect_baseline_full_group_is_ml_on_rotated_system():
@@ -618,7 +621,7 @@ def test_detect_baseline_full_group_is_ml_on_rotated_system():
     data = QPSK[rng.integers(0, 4, 8)]
     y = apply_channel(transmit(data, filt, 2), ch, n0, rng).reshape(-1)
     joint = detect_baseline_near_ml(y, fact, 8)  # one group of all T * D = 8 symbols
-    z = fact.q[: h_full.shape[0]].conj().T @ y
+    z = fact.q.conj().T @ y
     oracle_sorted = exhaustive_ml(z, fact.r)
     expected = np.empty(8, dtype=complex)
     expected[fact.perm] = oracle_sorted
@@ -629,7 +632,7 @@ def test_detect_baseline_rejects_wrong_received_length():
     rng = np.random.default_rng(31)
     h = random_complex((8, 4), rng)
     fact = baseline_factorization(h, 0.1)
-    assert fact.q.shape == (12, 4)  # 8 received rows plus 4 MMSE extension rows
+    assert fact.q.shape == (8, 4)  # the 8 received rows; the 4 MMSE extension rows are dropped
     for length in (6, 12):
         with pytest.raises(ValueError, match="received samples"):
             detect_baseline_near_ml(np.zeros(length, dtype=complex), fact, 2)
@@ -669,6 +672,48 @@ def test_detect_baseline_stack_matches_one_block_reference(k, m, rolloff):
     for bad in (y[:, :-1], y[None], y.reshape(3, 2, -1)):
         with pytest.raises(ValueError, match="received samples"):
             detect_baseline_near_ml(bad, fact, 2)
+
+
+def test_detect_baseline_stack_rotates_like_one_block_reference(monkeypatch):
+    # every observation the stacked receiver hands the sphere decoder, Q^H y
+    # and each SIC-adjusted group of it, equals the one-block reference's bit
+    # for bit; a gemm over the stack rounds the last bit differently, and the
+    # decisions would show that only where it flips a near-tie
+    seen = {"stack": [], "ref": []}
+
+    def spy(key, decode):
+        def record(r_mat, z, stats=None):
+            seen[key].append(np.array(z))
+            return decode(r_mat, z, stats)
+
+        return record
+
+    monkeypatch.setattr("gfdmsim.detect.sphere_decode", spy("stack", sphere_decode))
+    monkeypatch.setattr("oracles.sphere_decode", spy("ref", sphere_decode))
+    n_blocks = 3
+    for k, m in ((16, 2), (8, 4), (8, 2)):
+        for rolloff in (0.9, 0.3):
+            filt = rc_filter(k, m, rolloff)
+            a = build_transmitter_matrix(filt)
+            for c in range(5):
+                rng = np.random.default_rng([53, k, m, c])
+                ch = generate_channel(2, 2, rng, k * m)
+                h_full = assemble_full_matrix(ch, a)
+                fact = baseline_factorization(h_full, 0.1)
+                x = np.matmul(a, QPSK[rng.integers(0, 4, (n_blocks, 2, k * m))][..., None])[..., 0]
+                streams = [np.random.default_rng([54, c, b]) for b in range(n_blocks)]
+                y = apply_channel(x, ch, 0.1, streams).reshape(n_blocks, -1)
+                seen["stack"].clear()
+                seen["ref"].clear()
+                detect_baseline_near_ml(y, fact, 2 * m)
+                for y_b in y:
+                    detect_baseline_near_ml_ref(y_b, fact, 2 * m)
+                # the stack decodes group by group, the reference block by block
+                n_groups = len(seen["ref"]) // n_blocks
+                assert len(seen["stack"]) == n_groups * n_blocks
+                for i, z in enumerate(seen["stack"]):
+                    g, b = divmod(i, n_blocks)
+                    assert np.array_equal(z, seen["ref"][b * n_groups + g])
 
 
 def test_detect_baseline_noiseless_rank_deficient_falls_back():

@@ -245,5 +245,6 @@ def test_all_ones_spectrum_is_not_ici_free():
 
 
 def test_zero_spectrum_has_no_support():
-    f = PrototypeFilter(g_f=np.zeros(8, dtype=complex), n_subcarriers=4)
-    assert ici_free_support(f) is None
+    for k in (1, 2, 4):  # K = 1 has a single window, the whole spectrum
+        f = PrototypeFilter(g_f=np.zeros(8, dtype=complex), n_subcarriers=k)
+        assert ici_free_support(f) is None
