@@ -12,7 +12,6 @@ from gfdmsim import (
     build_transmitter_matrix,
     dirichlet_filter,
     fast_modulate,
-    ici_free_support,
     rc_filter,
 )
 
@@ -26,7 +25,7 @@ for name, filt in [
     ("rc(0.5)", rc_filter(k_sc, m_ss, 0.5)),
     ("rc(0.9)", rc_filter(k_sc, m_ss, 0.9)),
 ]:
-    window = ici_free_support(filt)
+    window = filt.support
     nonzero = np.sum(np.abs(filt.g_f) > 1e-9)
     a = build_transmitter_matrix(filt)
     gram_dev = np.abs(a.conj().T @ a - np.eye(d_len)).max()

@@ -50,7 +50,6 @@ from .waveform import (
     build_transmitter_matrix,
     dirichlet_filter,
     fast_modulate,
-    ici_free_support,
     rc_filter,
     window_filter,
 )

@@ -13,7 +13,6 @@ Permutations are index maps applied in O(1) per element; dense matrices are
 built only by the diagnostic/verification helpers.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -94,9 +93,10 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     H is the dense RD x TD end-to-end matrix from circulant blocks and the
     dense transmitter matrix; U, B and P are the receiver's own
     :func:`receive_transform`, :func:`compute_blocks` and :func:`data_permutation`.
-    A filter without an exact M-bin window gets its dominant window as
-    ``support``, so the residual measures how far it is from the decoupling
-    class. Returns 0 for an all-zero channel by convention. Diagnostic/test use only.
+    A filter without an M-bin window is first projected on that class: the
+    receiver runs on the filter that keeps only the bins of its dominant
+    window, so the residual measures how far the filter is from the class.
+    Returns 0 for an all-zero channel by convention. Diagnostic/test use only.
     """
     k_sc, m_ss, d = f.n_subcarriers, f.n_subsymbols, f.length
     h_full = assemble_full_matrix(ch, build_transmitter_matrix(f))
@@ -104,7 +104,8 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     if denom == 0.0:
         return 0.0
     if f.support is None:
-        f = dataclasses.replace(f, support=dominant_window(f.g_f, m_ss))
+        in_window = (np.arange(d) - dominant_window(f.g_f, m_ss)[1]) % d < m_ss
+        f = PrototypeFilter(g_f=np.where(in_window, f.g_f, 0), n_subcarriers=k_sc)
     # every column in one transform; C order, as the norm below sums in memory order
     lhs = np.ascontiguousarray(receive_transform(h_full.T.reshape(-1, ch.n_rx, d), f).T)
     # B P holds block k in its M*R rows and in the columns of its data

@@ -339,9 +339,9 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     function of cfg. Each block draws its data and noise from its own
     substream. Every scheme stacks a realization's n_blocks blocks and runs
     one front end on the stack: one modulation call
-    (:func:`gfdmsim.waveform.fast_modulate` for the Dirichlet filter, one
-    stacked matrix-vector ``np.matmul`` with the transmitter matrix for the
-    raised cosine) and one :func:`gfdmsim.channel.apply_channel` call with
+    (:func:`gfdmsim.waveform.fast_modulate` for a filter with an M-bin
+    window, one stacked matrix-vector ``np.matmul`` with the transmitter
+    matrix for any other) and one :func:`gfdmsim.channel.apply_channel` call with
     one noise generator per block. Only factorization and detection differ,
     each once per realization on the whole stack: the dense baseline factors
     the full matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml`;

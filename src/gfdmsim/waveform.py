@@ -4,8 +4,9 @@ A GFDM block carries K subcarriers times M subsymbols in D = K*M samples.
 Every pulse is a time/frequency shift of one prototype filter g, collected
 column-wise into the D x D transmitter matrix A. Filters whose frequency
 response occupies at most M consecutive (cyclic) DFT bins admit an
-FFT-based modulator and, downstream, a per-subcarrier receiver;
-:func:`window_filter` builds any member of that class, and the Dirichlet
+FFT-based modulator and, downstream, a per-subcarrier receiver. A filter's
+:attr:`PrototypeFilter.support` is that window, read from its spectrum;
+:func:`window_filter` builds any member of the class, and the Dirichlet
 filter is its flat, orthogonal member.
 
 Conventions: the DFT matrix W_p is unitary ([W_p]_{mn} = exp(-2j*pi*m*n/p)/sqrt(p)),
@@ -16,6 +17,7 @@ column of A has unit norm.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +28,13 @@ class PrototypeFilter:
 
     The pulse spans one block of D = K*M samples: ``n_subcarriers`` is K,
     and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`
-    is derived from g_f, so the two cannot disagree. `support`, when
-    present, is the pair (g_1, l): the M nonzero frequency bins
-    g_f[(l + i) % D] = g_1[i]. It is set by :func:`window_filter`; use
-    :func:`ici_free_support` to recover it for arbitrary filters.
+    and the M-bin window :attr:`support` are derived from g_f, so none of
+    them can disagree with it. g_f is not to be changed in place: the
+    window is computed once per filter.
     """
 
     g_f: np.ndarray
     n_subcarriers: int
-    support: tuple[np.ndarray, int] | None = None
 
     def __post_init__(self):
         if self.n_subcarriers < 1 or self.length == 0 or self.length % self.n_subcarriers:
@@ -56,14 +56,36 @@ class PrototypeFilter:
     def n_subsymbols(self) -> int:
         return self.length // self.n_subcarriers
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, int] | None:
+        """The M-bin window (g_1, l) of g_f, or None if the spectrum has none.
+
+        g_f[(l + i) % D] = g_1[i] for i < M and every other bin is exactly
+        zero: the class the FFT modulator and the per-subcarrier receiver
+        accept. l is the :func:`dominant_window` start or, at K = 1, where
+        every start holds the whole spectrum, the constructors' centred one.
+        An all-zero spectrum has no window.
+        """
+        m_ss, d = self.n_subsymbols, self.length
+        if self.n_subcarriers == 1:
+            start = _window_start(1, m_ss)
+        else:
+            start = dominant_window(self.g_f, m_ss)[1]
+        g_1 = self.g_f[(start + np.arange(m_ss)) % d]
+        inside = np.count_nonzero(g_1)
+        if inside == 0 or inside < np.count_nonzero(self.g_f):
+            return None
+        return g_1, start
+
 
 def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:
     """Unit-energy K x M filter whose spectrum is the window g_1 on M cyclic bins.
 
     g_f holds g_1, scaled to unit pulse energy, on bins shift, ...,
     shift + M - 1 (mod D = K*M) and zero elsewhere, so the filter is ICI-free
-    by construction; :func:`dirichlet_filter` is the flat window. The stored
-    start is shift mod D. Raises ``ValueError`` for K < 1, for a g_1 that is
+    by construction; :func:`dirichlet_filter` is the flat window. Its
+    :attr:`PrototypeFilter.support` starts at shift mod D when no bin of g_1
+    is zero. Raises ``ValueError`` for K < 1, for a g_1 that is
     not 1-D of length M >= 1, and for a window of zero or non-finite energy.
     """
     g_1 = np.asarray(g_1, dtype=complex)
@@ -80,8 +102,7 @@ def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:
         raise ValueError(f"window must have finite, nonzero energy, got norm {energy}")
     # g_f = fft(g), so Parseval fixes ||g_f|| = sqrt(D) for unit-energy g
     scale = math.sqrt(d_len) / energy
-    g_f = g_f * scale
-    return PrototypeFilter(g_f=g_f, n_subcarriers=k, support=(g_1 * scale, shift))
+    return PrototypeFilter(g_f=g_f * scale, n_subcarriers=k)
 
 
 def _window_start(k: int, m: int) -> int:
@@ -108,9 +129,10 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
 
     The taper is centered on the Dirichlet window of the same (K, M): flat
     over (1 - alpha)*M bins, cosine roll-off out to a total width of
-    (1 + alpha)*M bins. For alpha = 0 it degenerates to the Dirichlet
-    rectangle; for alpha > 0 (and M > 1) the response spills outside every
-    M-bin window, so the filter is not ICI-free. Support is left unset.
+    (1 + alpha)*M bins. For alpha <= 1/M the roll-off ends inside the
+    Dirichlet window and the filter is exactly the Dirichlet rectangle; for
+    larger alpha (and M > 1) the response spills outside every M-bin window,
+    so the filter is not ICI-free and has no :attr:`PrototypeFilter.support`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
@@ -141,30 +163,6 @@ def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     sums = np.convolve(np.concatenate([energy, energy[: m - 1]]), np.ones(m), "valid")[:d]
     start = int(np.argmax(sums))
     return g_f[(start + np.arange(m)) % d].copy(), start
-
-
-def ici_free_support(f: PrototypeFilter) -> tuple[np.ndarray, int] | None:
-    """Locate an M-bin cyclic window holding essentially all of ``f.g_f``.
-
-    Returns (g_1, l) where g_1 is the window contents and l its start index,
-    or None when no window of M consecutive (cyclic) bins captures at least
-    (1 - 1e-12) of the filter's frequency-domain energy. The tolerance is
-    machine-precision level: filters are either in the class by construction
-    or not at all. An all-zero spectrum has no window. At K = 1 (M = D)
-    every start is a window of the whole spectrum; it returns start 0, the
-    smallest.
-    """
-    g_f = np.asarray(f.g_f)
-    total = np.sum(np.abs(g_f) ** 2)
-    if total == 0.0:
-        return None
-    if f.n_subsymbols >= len(g_f):
-        return g_f.copy(), 0
-    g_1, start = dominant_window(g_f, f.n_subsymbols)
-    inside = np.sum(np.abs(g_1) ** 2)
-    if inside < (1.0 - 1e-12) * total:
-        return None
-    return g_1, start
 
 
 def build_transmitter_matrix(f: PrototypeFilter) -> np.ndarray:

@@ -199,12 +199,22 @@ def test_decomposition_residual_random_window_filters():
     # the factorization holds for every filter in the M-bin window class,
     # not just the Dirichlet pulse
     rng = np.random.default_rng(17)
-    for k, m, t, r in [(4, 2, 2, 2), (4, 4, 2, 2)]:
+    shapes = [(4, 2), (4, 4), (8, 2), (3, 5), (8, 1), (1, 4)]
+    for k, m, t, r in [(k, m, 2, 2) for k, m in shapes]:
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         filt = window_filter(k, m, g_1, int(rng.integers(0, d_len)))
         ch = generate_channel(t, r, rng, d_len)
         assert verify_decomposition(ch, filt) <= 1e-10
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (4, 2), (8, 2), (16, 2), (4, 4), (8, 4), (8, 1), (1, 4)])
+def test_decomposition_residual_small_rolloff_rc(k, m):
+    # for alpha <= 1/M the raised cosine is the Dirichlet rectangle, window
+    # and all, so the receiver runs on it without a projection
+    ch = random_channel(k, m, 2, 2, seed=k * 10 + m)
+    for alpha in (0.0, 0.5 / m, 1.0 / m):
+        assert verify_decomposition(ch, rc_filter(k, m, alpha)) <= 1e-10
 
 
 def test_decomposition_residual_rc():

@@ -503,6 +503,27 @@ def test_exhaustive_tie_break_is_first_candidate():
     npt.assert_array_equal(out, QPSK[[0, 0]])
 
 
+def test_exhaustive_matches_sphere_decode_across_chunks():
+    # nine symbols are 4**9 candidates, four chunks of the enumeration
+    rng = np.random.default_rng(50)
+    for _ in range(3):
+        r_mat = sqrd(random_complex((9, 9), rng)).r
+        z = r_mat @ QPSK[rng.integers(0, 4, 9)] + 0.5 * random_complex(9, rng)
+        npt.assert_array_equal(exhaustive_ml(z, r_mat), sphere_decode(r_mat, z))
+
+
+def test_exhaustive_ties_across_chunks_keep_the_first():
+    # a zero first column ties the candidates that differ in the first, most
+    # significant symbol; they fall in chunks 0-3 and chunk 0's must win
+    rng = np.random.default_rng(51)
+    h = random_complex((10, 9), rng)
+    h[:, 0] = 0.0
+    y = h @ QPSK[rng.integers(0, 4, 9)] + 0.3 * random_complex(10, rng)
+    out = exhaustive_ml(y, h)
+    assert out[0] == QPSK[0]
+    npt.assert_array_equal(out[1:], exhaustive_ml(y, h[:, 1:]))
+
+
 # ------------------------------------------------------------ full receivers
 
 
@@ -564,18 +585,29 @@ def test_detect_proposed_stack_matches_single_blocks_and_loop(k, m, t, r, n_bloc
             detect_proposed(bad, factors, filt)
 
 
-def test_detect_proposed_equals_global_exhaustive():
-    filt, ch, factors = proposed_setup(2, 2, 2, 2, seed=12)
+def assert_proposed_equals_global_exhaustive(k, m, seeds, trials):
+    filt, ch, factors = proposed_setup(k, m, 2, 2, seed=seeds[0])
     a = build_transmitter_matrix(filt)
     h_full = assemble_full_matrix(ch, a)
-    rng = np.random.default_rng(13)
-    for trial in range(50):
-        data = QPSK[rng.integers(0, 4, 8)]
+    rng = np.random.default_rng(seeds[1])
+    for trial in range(trials):
+        data = QPSK[rng.integers(0, 4, 2 * k * m)]
         n0 = 10.0 ** (-float(rng.uniform(0, 20)) / 10.0)
         y = apply_channel(transmit(data, filt, 2), ch, n0, rng)
         fast = detect_proposed(receive_transform(y, filt), factors, filt)
         oracle = exhaustive_ml(y.reshape(-1), h_full)
         npt.assert_array_equal(fast, oracle)
+
+
+def test_detect_proposed_equals_global_exhaustive():
+    assert_proposed_equals_global_exhaustive(2, 2, (12, 13), 50)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_detect_proposed_is_exact_ml_at_k1(m):
+    # K = 1, M = D: one block couples every symbol, and its rows follow the
+    # filter's centred window start
+    assert_proposed_equals_global_exhaustive(1, m, (60 + m, 70 + m), 20)
 
 
 def test_detect_proposed_m1_equals_detect_ofdm():

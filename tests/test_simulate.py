@@ -261,8 +261,9 @@ def test_serialize_round_trip(tmp_path):
 @pytest.mark.parametrize("rolloff", [0.9, 0.3, None])
 @pytest.mark.parametrize("noise_power", [0.0, 0.1])
 def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
-    # the dense baseline once modulated and transmitted block by block, the
-    # raised cosine as A @ v per antenna; the stacked calls repeat every bit
+    # the dense baseline once modulated and transmitted block by block, a
+    # filter without an M-bin window as A @ v per antenna; the stacked calls
+    # repeat every bit
     filt = dirichlet_filter(k, m) if rolloff is None else rc_filter(k, m, rolloff)
     a_mat = build_transmitter_matrix(filt)
     n_tx, d, n_blocks = 2, k * m, 3
@@ -273,7 +274,7 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
     noise = [np.random.default_rng(b) for b in range(n_blocks)]
     stacked = apply_channel(x, ch, noise_power, noise)
     for b, block in enumerate(sent):
-        if rolloff is None:
+        if filt.support is not None:
             x_b = fast_modulate(block.reshape(n_tx, d), filt)
         else:
             x_b = np.stack([a_mat @ block[t * d : (t + 1) * d] for t in range(n_tx)])

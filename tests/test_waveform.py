@@ -10,7 +10,6 @@ from gfdmsim.waveform import (
     dirichlet_filter,
     dominant_window,
     fast_modulate,
-    ici_free_support,
     rc_filter,
     window_filter,
 )
@@ -86,13 +85,14 @@ def test_window_filter_random_windows():
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         shift = int(rng.integers(0, d_len))
         f = window_filter(k, m, g_1, shift - 2 * d_len)
-        assert f.support[1] == shift
         assert abs(np.linalg.norm(f.g) - 1.0) < 1e-12
         npt.assert_array_equal(f.g, np.fft.ifft(f.g_f))
-        npt.assert_allclose(f.support[0] / g_1, np.full(m, f.support[0][0] / g_1[0]), atol=1e-12)
-        g_1_found, start = ici_free_support(f)
+        # the window read from g_f is the input window, scaled to unit
+        # energy, at the input shift mod D
+        scale = math.sqrt(d_len) / np.linalg.norm(g_1)
+        g_1_found, start = f.support
         assert start == shift
-        npt.assert_array_equal(g_1_found, f.support[0])
+        npt.assert_allclose(g_1_found, g_1 * scale, rtol=1e-12)
 
 
 def test_dirichlet_k2_m1():
@@ -199,12 +199,45 @@ def test_fast_modulate_m1_reduces_to_inverse_dft():
 
 def test_support_recovery_is_identity_on_dirichlet():
     for k, m in GRID:
-        f = dirichlet_filter(k, m)
-        recovered = ici_free_support(f)
-        assert recovered is not None
-        g_1, shift = recovered
-        assert shift == f.support[1]
-        npt.assert_allclose(g_1, f.support[0], atol=1e-12)
+        g_1, shift = dirichlet_filter(k, m).support
+        d = k * m
+        assert shift == (d - math.ceil(-m / 2)) % d
+        npt.assert_allclose(g_1, np.full(m, math.sqrt(d / m)), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_k1_window_is_centred(m):
+    # at K = 1 every start holds the whole spectrum; the window keeps the
+    # constructors' centred start, which orders the rows of the one block
+    centred = (m - math.ceil(-m / 2)) % m
+    taper = window_filter(1, m, np.arange(1, m + 1), 0)
+    for f in (dirichlet_filter(1, m), rc_filter(1, m, 0.9), taper):
+        g_1, start = f.support
+        assert start == centred
+        npt.assert_array_equal(g_1, np.roll(f.g_f, -centred))
+
+
+def test_support_is_derived_not_stored():
+    f = dirichlet_filter(8, 2)
+    with pytest.raises(TypeError):
+        PrototypeFilter(g_f=f.g_f, n_subcarriers=8, support=(2 * f.support[0], f.support[1]))
+
+
+@pytest.mark.parametrize("k,m", GRID + [(8, 1), (1, 4)])
+def test_rc_small_rolloff_has_window_and_fast_path(k, m):
+    # alpha <= 1/M ends the roll-off inside the Dirichlet window, so the
+    # filter carries a window and the FFT modulator is the dense product
+    rng = np.random.default_rng([k, m])
+    filters = [rc_filter(k, m, alpha) for alpha in (0.0, 0.5 / m, 1.0 / m)]
+    g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    filters.append(window_filter(k, m, g_1, int(rng.integers(0, k * m))))
+    for f in filters:
+        assert f.support is not None
+        d = random_data(k * m, seed=int(rng.integers(1 << 30)))
+        dense = build_transmitter_matrix(f) @ d
+        npt.assert_allclose(fast_modulate(d, f), dense, rtol=0, atol=1e-12)
+    if k > 1 and m > 1:  # at K = 1 the window is the whole spectrum
+        assert rc_filter(k, m, 0.9).support is None
 
 
 def test_dominant_window_ties_go_to_smallest_start():
@@ -221,14 +254,13 @@ def test_rc_zero_rolloff_equals_dirichlet_rectangle():
         f = rc_filter(k, m, 0.0)
         ref = dirichlet_filter(k, m)
         npt.assert_allclose(f.g_f, ref.g_f, atol=1e-12)
-        assert ici_free_support(f) is not None
+        assert f.support[1] == ref.support[1]
 
 
 @pytest.mark.parametrize("k,m", [(8, 4), (8, 2), (4, 4)])
 def test_rc_large_rolloff_is_not_ici_free(k, m):
     f = rc_filter(k, m, 0.9)
     assert f.support is None
-    assert ici_free_support(f) is None
 
 
 def test_rc_rolloff_range():
@@ -241,10 +273,10 @@ def test_all_ones_spectrum_is_not_ici_free():
     d = 8
     g_f = np.ones(d, dtype=complex) * math.sqrt(d) / math.sqrt(d)
     f = PrototypeFilter(g_f=g_f, n_subcarriers=4)
-    assert ici_free_support(f) is None
+    assert f.support is None
 
 
 def test_zero_spectrum_has_no_support():
     for k in (1, 2, 4):  # K = 1 has a single window, the whole spectrum
         f = PrototypeFilter(g_f=np.zeros(8, dtype=complex), n_subcarriers=k)
-        assert ici_free_support(f) is None
+        assert f.support is None
