@@ -317,19 +317,6 @@ def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, *counters]))
 
 
-def _modulate(stack: np.ndarray, filt: waveform.PrototypeFilter, a_mat: np.ndarray | None):
-    """Modulate a (B, T, D) stack of data blocks, each row as a one-row call would.
-
-    A filter with an M-bin window goes through
-    :func:`gfdmsim.waveform.fast_modulate`; any other filter through the
-    transmitter matrix ``a_mat``, as one matrix-vector product per row (the
-    gemm ``stack @ a_mat.T`` or ``einsum`` would round differently).
-    """
-    if filt.support is not None:
-        return waveform.fast_modulate(stack, filt)
-    return np.matmul(a_mat, stack[..., None])[..., 0]
-
-
 def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     """Run the configured Monte Carlo sweep and return one record per SNR point.
 
@@ -338,13 +325,11 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     symbol-error and sphere-decoder counters accumulated. Output is a pure
     function of cfg. Each block draws its data and noise from its own
     substream. Every scheme stacks a realization's n_blocks blocks and runs
-    one front end on the stack: one modulation call
-    (:func:`gfdmsim.waveform.fast_modulate` for a filter with an M-bin
-    window, one stacked matrix-vector ``np.matmul`` with the transmitter
-    matrix for any other) and one :func:`gfdmsim.channel.apply_channel` call with
-    one noise generator per block. Only factorization and detection differ,
-    each once per realization on the whole stack: the dense baseline factors
-    the full matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml`;
+    one front end on the stack: one :func:`gfdmsim.waveform.fast_modulate`
+    call and one :func:`gfdmsim.channel.apply_channel` call with one noise
+    generator per block. Only factorization and detection differ, each once
+    per realization on the whole stack: the dense baseline factors the full
+    matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml`;
     the per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``)
     factors its K blocks and calls :func:`gfdmsim.decoupling.receive_transform`
     and :func:`gfdmsim.detect.detect_proposed`. Every block's result equals
@@ -373,7 +358,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
             data = [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b) for b in blocks]
             noise = [_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b) for b in blocks]
             sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
-            x = _modulate(sent.reshape(-1, n_tx, d), filt, a_mat)
+            x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
             y = chan.apply_channel(x, ch, noise_power, noise)
             if dense:
                 h_full = chan.assemble_full_matrix(ch, a_mat)

@@ -2,12 +2,12 @@
 
 A GFDM block carries K subcarriers times M subsymbols in D = K*M samples.
 Every pulse is a time/frequency shift of one prototype filter g, collected
-column-wise into the D x D transmitter matrix A. Filters whose frequency
-response occupies at most M consecutive (cyclic) DFT bins admit an
-FFT-based modulator and, downstream, a per-subcarrier receiver. A filter's
-:attr:`PrototypeFilter.support` is that window, read from its spectrum;
-:func:`window_filter` builds any member of the class, and the Dirichlet
-filter is its flat, orthogonal member.
+column-wise into the D x D transmitter matrix A; :func:`fast_modulate`
+computes A @ d for any filter without forming A. Filters whose frequency
+response occupies at most M consecutive (cyclic) DFT bins admit, at the
+receiver, per-subcarrier detection. A filter's :attr:`PrototypeFilter.support`
+is that window, read from its spectrum; :func:`window_filter` builds any
+member of the class, and the Dirichlet filter is its flat, orthogonal member.
 
 Conventions: the DFT matrix W_p is unitary ([W_p]_{mn} = exp(-2j*pi*m*n/p)/sqrt(p)),
 the frequency-domain filter is g_f = sqrt(D) * W_D @ g (i.e. the plain FFT of g),
@@ -29,14 +29,17 @@ class PrototypeFilter:
     The pulse spans one block of D = K*M samples: ``n_subcarriers`` is K,
     and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`
     and the M-bin window :attr:`support` are derived from g_f, so none of
-    them can disagree with it. g_f is not to be changed in place: the
-    window is computed once per filter.
+    them can disagree with it. The filter holds a read-only copy of g_f, so
+    the window, computed once per filter, stays that of its spectrum.
     """
 
     g_f: np.ndarray
     n_subcarriers: int
 
     def __post_init__(self):
+        g_f = np.array(self.g_f)
+        g_f.flags.writeable = False
+        object.__setattr__(self, "g_f", g_f)
         if self.n_subcarriers < 1 or self.length == 0 or self.length % self.n_subcarriers:
             raise ValueError(
                 f"filter length {self.length} is not a positive multiple of "
@@ -61,9 +64,9 @@ class PrototypeFilter:
         """The M-bin window (g_1, l) of g_f, or None if the spectrum has none.
 
         g_f[(l + i) % D] = g_1[i] for i < M and every other bin is exactly
-        zero: the class the FFT modulator and the per-subcarrier receiver
-        accept. l is the :func:`dominant_window` start or, at K = 1, where
-        every start holds the whole spectrum, the constructors' centred one.
+        zero: the class the per-subcarrier receiver accepts. l is the
+        :func:`dominant_window` start or, at K = 1, where every start holds
+        the whole spectrum, the constructors' centred one.
         An all-zero spectrum has no window.
         """
         m_ss, d = self.n_subsymbols, self.length
@@ -132,7 +135,8 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     (1 + alpha)*M bins. For alpha <= 1/M the roll-off ends inside the
     Dirichlet window and the filter is exactly the Dirichlet rectangle; for
     larger alpha (and M > 1) the response spills outside every M-bin window,
-    so the filter is not ICI-free and has no :attr:`PrototypeFilter.support`.
+    so the filter is not ICI-free and has no :attr:`PrototypeFilter.support`:
+    :func:`fast_modulate` sends it, but only the dense receiver detects it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
@@ -165,6 +169,12 @@ def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return g_f[(start + np.arange(m)) % d].copy(), start
 
 
+def _shifted_pulses(f: PrototypeFilter, m: np.ndarray) -> np.ndarray:
+    """The pulse moved to subsymbol m, g[(n - m*K) % D]: n down the rows, m along the columns."""
+    n = np.arange(f.length)[:, None]
+    return f.g[(n - m * f.n_subcarriers) % f.length]
+
+
 def build_transmitter_matrix(f: PrototypeFilter) -> np.ndarray:
     """Assemble the dense D x D GFDM matrix A column by column.
 
@@ -174,34 +184,25 @@ def build_transmitter_matrix(f: PrototypeFilter) -> np.ndarray:
     k_sc, d = f.n_subcarriers, f.length
     n = np.arange(d)
     cols = np.arange(d)
-    m_idx = cols // k_sc
-    k_idx = cols % k_sc
-    shifts = (n[:, None] - m_idx[None, :] * k_sc) % d
-    phase = np.exp(2j * np.pi * k_idx[None, :] * n[:, None] / k_sc)
-    return f.g[shifts] * phase
+    phase = np.exp(2j * np.pi * (cols % k_sc)[None, :] * n[:, None] / k_sc)
+    return _shifted_pulses(f, cols // k_sc) * phase
 
 
 def fast_modulate(d: np.ndarray, f: PrototypeFilter) -> np.ndarray:
-    """FFT-based modulation for filters with an M-bin frequency window.
+    """GFDM modulation ``A @ d`` for any prototype filter, in O(M*D).
 
-    Equivalent to the dense product ``A @ d`` but in O(D log D): one M-point
-    FFT per subcarrier, the window scaling, and a single D-point inverse FFT.
-    ``d`` is one block of D symbols or a ``(..., D)`` stack of them (one row
-    per transmit antenna, say); every block is modulated along the last axis.
-    Data ordering matches the dense matrix (index m*K + k holds subsymbol m
-    of subcarrier k).
+    x[n] = sum_m g[(n - m*K) % D] * sum_k d[m*K + k] * exp(2j*pi*k*n/K): the
+    inner sum is the K-point inverse DFT of subsymbol m's symbols, repeated
+    M times over the block, and each subsymbol's copy is shaped by the pulse
+    moved to it. ``d`` is one block of D symbols or a ``(..., D)`` stack of
+    them (one row per transmit antenna, say); every block is modulated along
+    the last axis with the same arithmetic. Data ordering matches the dense
+    matrix (index m*K + k holds subsymbol m of subcarrier k).
     """
-    if f.support is None:
-        raise ValueError("fast modulation requires a filter with an M-bin window")
     k_sc, m_ss, d_len = f.n_subcarriers, f.n_subsymbols, f.length
     d = np.asarray(d, dtype=complex)
     if d.shape[-1:] != (d_len,):
         raise ValueError(f"data shape {d.shape} does not end in the block length {d_len}")
-    lead = d.shape[:-1]
-    g_1, shift = f.support
-    # regroup subsymbol-major data into per-subcarrier rows
-    blocks = np.swapaxes(d.reshape(*lead, m_ss, k_sc), -1, -2)
-    spec = np.fft.fft(blocks, axis=-1) / math.sqrt(m_ss)
-    spec = np.roll(spec, -shift, axis=-1) * g_1 / math.sqrt(k_sc)
-    full = np.roll(spec.reshape(*lead, d_len), shift, axis=-1)
-    return np.fft.ifft(full, axis=-1) * math.sqrt(d_len)
+    tones = np.fft.ifft(d.reshape(*d.shape[:-1], m_ss, k_sc), axis=-1, norm="forward")
+    pulses = _shifted_pulses(f, np.arange(m_ss))
+    return sum(np.tile(tones[..., m, :], m_ss) * pulses[:, m] for m in range(m_ss))

@@ -10,7 +10,6 @@ from gfdmsim.simulate import (
     CSV_HEADER,
     ConfigError,
     SimConfig,
-    _modulate,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -18,7 +17,7 @@ from gfdmsim.simulate import (
     closed_form_cm,
     write_report,
 )
-from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, fast_modulate, rc_filter
+from gfdmsim.waveform import dirichlet_filter, fast_modulate, rc_filter
 
 
 def small_config(**kw):
@@ -261,23 +260,19 @@ def test_serialize_round_trip(tmp_path):
 @pytest.mark.parametrize("rolloff", [0.9, 0.3, None])
 @pytest.mark.parametrize("noise_power", [0.0, 0.1])
 def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
-    # the dense baseline once modulated and transmitted block by block, a
-    # filter without an M-bin window as A @ v per antenna; the stacked calls
-    # repeat every bit
+    # the sweep modulates and transmits a realization's blocks as one stack,
+    # with or without an M-bin window; the stacked calls repeat every bit of
+    # the one-block calls
     filt = dirichlet_filter(k, m) if rolloff is None else rc_filter(k, m, rolloff)
-    a_mat = build_transmitter_matrix(filt)
     n_tx, d, n_blocks = 2, k * m, 3
     rng = np.random.default_rng(k * 10 + m)
     ch = generate_channel(n_tx, 2, rng, d)
     sent = QPSK[rng.integers(0, len(QPSK), (n_blocks, n_tx * d))]
-    x = _modulate(sent.reshape(-1, n_tx, d), filt, a_mat)
+    x = fast_modulate(sent.reshape(-1, n_tx, d), filt)
     noise = [np.random.default_rng(b) for b in range(n_blocks)]
     stacked = apply_channel(x, ch, noise_power, noise)
     for b, block in enumerate(sent):
-        if filt.support is not None:
-            x_b = fast_modulate(block.reshape(n_tx, d), filt)
-        else:
-            x_b = np.stack([a_mat @ block[t * d : (t + 1) * d] for t in range(n_tx)])
+        x_b = fast_modulate(block.reshape(n_tx, d), filt)
         assert np.array_equal(x[b], x_b)
         y_b = apply_channel(x_b, ch, noise_power, np.random.default_rng(b))
         assert np.array_equal(stacked[b], y_b)

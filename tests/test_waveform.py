@@ -151,9 +151,32 @@ def test_transmitter_matrix_matches_entry_formula(k, m):
     npt.assert_allclose(a, transmitter_matrix_ref(g, k, m), atol=1e-12)
 
 
-@pytest.mark.parametrize("k,m", [(2, 2), (4, 4), (8, 2), (3, 5)])
-def test_fast_modulate_matches_dense(k, m):
-    f = dirichlet_filter(k, m)
+def random_spectrum_filter(k, m):
+    # a pulse with energy on every bin: no M-bin window
+    rng = np.random.default_rng([k, m])
+    g_f = rng.standard_normal(k * m) + 1j * rng.standard_normal(k * m)
+    return PrototypeFilter(g_f=g_f * math.sqrt(k * m) / np.linalg.norm(g_f), n_subcarriers=k)
+
+
+MODULATE_SHAPES = [(2, 2), (4, 4), (8, 2), (3, 5), (1, 4), (8, 1), (1, 1)]
+MODULATE_FILTERS = {
+    "rc0.5": lambda k, m: rc_filter(k, m, 0.5),
+    "rc0.9": lambda k, m: rc_filter(k, m, 0.9),
+    "random": random_spectrum_filter,
+}
+
+
+@pytest.mark.parametrize(
+    "k,m,make",
+    [pytest.param(k, m, dirichlet_filter, id=f"{k}-{m}") for k, m in MODULATE_SHAPES]
+    + [
+        pytest.param(k, m, make, id=f"{name}-{k}-{m}")
+        for name, make in MODULATE_FILTERS.items()
+        for k, m in MODULATE_SHAPES
+    ],
+)
+def test_fast_modulate_matches_dense(k, m, make):
+    f = make(k, m)
     a = build_transmitter_matrix(f)
     for seed in range(5):
         d = random_data(k * m, seed=seed)
@@ -167,7 +190,7 @@ def test_fast_modulate_matches_dense(k, m):
 
 
 def test_fast_modulate_random_window_filters():
-    # any filter with an M-bin frequency window must take the fast path exactly
+    # a filter with an M-bin window, at any shift, is modulated as A @ d
     rng = np.random.default_rng(3)
     for k, m in [(4, 2), (8, 4), (5, 3)]:
         d_len = k * m
@@ -180,14 +203,14 @@ def test_fast_modulate_random_window_filters():
 
 
 def test_fast_modulate_zero_and_errors():
+    # a filter without an M-bin window is modulated too
+    for f in (dirichlet_filter(4, 4), rc_filter(4, 4, 0.9)):
+        npt.assert_allclose(fast_modulate(np.zeros(16), f), np.zeros(16), atol=1e-14)
     f = dirichlet_filter(4, 4)
-    npt.assert_allclose(fast_modulate(np.zeros(16), f), np.zeros(16), atol=1e-14)
     with pytest.raises(ValueError):
         fast_modulate(np.zeros(15), f)
     with pytest.raises(ValueError):
         fast_modulate(np.zeros((16, 2)), f)  # blocks run along the last axis
-    with pytest.raises(ValueError):
-        fast_modulate(np.zeros(16), rc_filter(4, 4, 0.9))
 
 
 def test_fast_modulate_m1_reduces_to_inverse_dft():
@@ -223,10 +246,22 @@ def test_support_is_derived_not_stored():
         PrototypeFilter(g_f=f.g_f, n_subcarriers=8, support=(2 * f.support[0], f.support[1]))
 
 
+def test_spectrum_is_a_read_only_copy():
+    # the window is cached per filter, so the spectrum it was read from
+    # cannot change under it, neither through the filter nor its input
+    g_f = dirichlet_filter(8, 2).g_f.copy()
+    f = PrototypeFilter(g_f=g_f, n_subcarriers=8)
+    assert f.support is not None
+    with pytest.raises(ValueError):
+        f.g_f[0] = 3.0
+    g_f[0] = 3.0
+    assert f.g_f[0] == 0.0
+
+
 @pytest.mark.parametrize("k,m", GRID + [(8, 1), (1, 4)])
 def test_rc_small_rolloff_has_window_and_fast_path(k, m):
     # alpha <= 1/M ends the roll-off inside the Dirichlet window, so the
-    # filter carries a window and the FFT modulator is the dense product
+    # filter carries a window; its modulation is the dense product
     rng = np.random.default_rng([k, m])
     filters = [rc_filter(k, m, alpha) for alpha in (0.0, 0.5 / m, 1.0 / m)]
     g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
