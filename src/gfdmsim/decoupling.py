@@ -69,10 +69,12 @@ def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
 def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     """Per-subcarrier MR x MT matrices from the analytic window formula.
 
-    Returns the (K, M*R, M*T) stack whose block k stacks, over antenna
-    pairs, diag of the M channel-frequency gains at subcarrier k times the
-    shared window/DFT factor. Costs O(K M^2 T R) given the channel's
-    precomputed frequency response; no dense D x D products are formed.
+    Returns the C-contiguous (K, M*R, M*T) stack whose block k stacks, over
+    antenna pairs, diag of the M channel-frequency gains at subcarrier k
+    times the shared window/DFT factor. Costs O(K M^2 T R) given the
+    channel's precomputed frequency response; no dense D x D products are
+    formed. The products run with the subcarrier axis innermost, as
+    (M, M, R, T, K), and one transposing copy gives the stack.
     """
     if f.support is None:
         raise ValueError("per-subcarrier blocks require a filter with an M-bin window")
@@ -82,9 +84,12 @@ def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     r, t = ch.n_rx, ch.n_tx
     core = _window_diag_dft(g_1, shift, k_sc)
-    gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
-    blocks = gains[..., None] * core[None, None, None, :, :]  # (R, T, K, M, M)
-    return blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)
+    # gains[m, :, :, k] is the channel at bin l + k*M + m
+    gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss).transpose(3, 0, 1, 2)
+    # the gain is the first factor, as complex products need not commute
+    blocks = np.multiply(gains[:, None], core[:, :, None, None, None])  # (M, M, R, T, K)
+    blocks = np.ascontiguousarray(blocks.transpose(4, 2, 0, 3, 1))  # (K, R, M, T, M)
+    return blocks.reshape(k_sc, r * m_ss, t * m_ss)
 
 
 def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:

@@ -302,41 +302,58 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
 
     Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all K
     blocks at once and returns the factors stacked: ``q`` (K, MR, MT), ``r``
-    (K, MT, MT) and ``perm`` (K, MT). Block k's factors equal
-    ``sqrd(blocks[k])`` bit for bit. Within an antenna the columns of an
-    ICI-free block tie in exact arithmetic, so the pivot order rests on the
-    last bit of every norm; each per-block reduction therefore goes through
-    the same numpy/BLAS kernel that ``sqrd`` calls (``matmul`` of strided
-    rows, not ``einsum``, whose different summation order changes pivots).
-    Raises ``numpy.linalg.LinAlgError``, naming the block, under ``sqrd``'s
-    rank test. ``sqrd`` keeps its own serial loop: on the baseline's single
-    large matrix a batch of one runs slower than it.
+    (K, MT, MT) and ``perm`` (K, MT), all C-contiguous; the input is not
+    modified. Block k's factors equal ``sqrd(blocks[k])`` bit for bit.
+    Within an antenna the columns of an ICI-free block tie in exact
+    arithmetic, so the pivot order rests on the last bit of every norm; each
+    per-block reduction therefore goes through the same numpy/BLAS kernel
+    that ``sqrd`` calls: the two real dot products of the contiguous pivot
+    column, and the gemv of ``matmul`` on the strided columns of the
+    C-ordered residual (also for its last column, which a contiguous copy
+    would send to ``dot``), not ``einsum``, whose different summation order
+    changes pivots. As in ``sqrd`` the work is in place: a pivot swap is one
+    gather of the pivot columns and one scatter of column i into their
+    place, each step's column of Q overwrites the residual column it was
+    taken from, which is read no more, and the rank-one update runs column
+    by column through one (K, MR) buffer allocated per call. No temporary
+    is as large as the stack, so a realization allocates no more than its
+    factors and their input copy. Raises ``numpy.linalg.LinAlgError``,
+    naming the block, under ``sqrd``'s rank test. ``sqrd`` keeps its own
+    serial loop: on the baseline's single large matrix a batch of one runs
+    slower than it.
     """
-    v = np.array(blocks, dtype=complex)
+    v = np.array(blocks, dtype=complex, order="C")
     if v.ndim != 3 or v.shape[1] < v.shape[2]:
         raise ValueError(f"expected a (K, rows, cols) stack of tall blocks, got shape {v.shape}")
     n_blk, m, n = v.shape
-    q = np.zeros((n_blk, m, n), dtype=complex)
     r = np.zeros((n_blk, n, n), dtype=complex)
     perm = np.tile(np.arange(n), (n_blk, 1))
-    norms_sq = np.sum(np.abs(v) ** 2, axis=1)
-    fro = np.sqrt(norms_sq.sum(axis=1))
+    # the rows one by one, as sqrd's sum adds them
+    norms_sq = np.square(np.abs(v[:, 0]))
+    for row in range(1, m):
+        norms_sq += np.square(np.abs(v[:, row]))
+    tol = 1e-12 * np.sqrt(norms_sq.sum(axis=1))
+    upd = np.empty((n_blk, m), dtype=complex)  # each column's rank-one update
+    every = np.arange(n_blk)
     for i in range(n):
         j = i + np.argmin(norms_sq[:, i:], axis=1)
         sw = np.flatnonzero(j != i)
-        if sw.size:
+        if sw.size:  # column i is read no more, so it takes j's place
             js = j[sw]
-            v[sw, :, i], v[sw, :, js] = v[sw, :, js], v[sw, :, i]
-            r[sw, :i, i], r[sw, :i, js] = r[sw, :i, js], r[sw, :i, i]
-            norms_sq[sw, i], norms_sq[sw, js] = norms_sq[sw, js], norms_sq[sw, i]
+            col = v[every, :, j]  # the pivot columns, contiguous
+            v[sw, :, js] = v[sw, :, i]
+            if i:
+                r[sw, :i, i], r[sw, :i, js] = r[sw, :i, js], r[sw, :i, i]
+            norms_sq[sw, js] = norms_sq[sw, i]
             perm[sw, i], perm[sw, js] = perm[sw, js], perm[sw, i]
-        col = np.ascontiguousarray(v[:, :, i])
+        else:
+            col = v[:, :, i].copy()
         # per block the strided ddot of np.linalg.norm's x.real.dot(x.real)
         norm = np.sqrt(
             np.matmul(col.real[:, None, :], col.real[:, :, None])
             + np.matmul(col.imag[:, None, :], col.imag[:, :, None])
         )[:, 0, 0]
-        bad = np.flatnonzero(norm <= 1e-12 * fro)
+        bad = np.flatnonzero(norm <= tol)
         if bad.size:
             k = int(bad[0])
             raise np.linalg.LinAlgError(
@@ -344,15 +361,16 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
                 f" (norm {norm[k]:.3e})"
             )
         r[:, i, i] = norm
-        qi = col / norm[:, None]
-        q[:, :, i] = qi
+        q_i = np.divide(col, norm[:, None], out=col)
+        v[:, :, i] = q_i
         if i + 1 < n:
             # per block the gemv of q[:, i].conj() @ v[:, i + 1 :]
-            proj = np.matmul(qi.conj()[:, None, :], v[:, :, i + 1 :])[:, 0, :]
+            proj = np.matmul(q_i.conj()[:, None, :], v[:, :, i + 1 :])[:, 0, :]
             r[:, i, i + 1 :] = proj
-            v[:, :, i + 1 :] -= qi[:, :, None] * proj[:, None, :]
+            for c in range(i + 1, n):
+                v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
             norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
-    return SqrdFactorization(q=q, r=r, perm=perm)
+    return SqrdFactorization(q=v, r=r, perm=perm)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
@@ -369,43 +387,61 @@ def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     when its leaf metric is finite and, at every level, the second child's
     metric is at least the leaf's: ``sphere_decode`` then prunes every other
     branch and returns this leaf after n nodes. Returns the leaf's QPSK
-    indices (..., n) and the certified mask (...).
+    indices (..., n) and the certified mask (...); ``r`` must be finite, as
+    :func:`sphere_decode` requires.
+
+    Every pass runs over the problems, innermost, one level at a time: the
+    level axes of ``r`` and ``z`` go first, and ``r`` broadcasts over the
+    leading axes it lacks without being copied per problem. Each level's
+    best two children come from pairwise minima, not a sort.
     """
     n = z.shape[-1]
     shape = np.broadcast_shapes(r.shape[:-2], z.shape[:-1])
-    pr, pi = QPSK.real, QPSK.imag
-    rr, ri = r.real, r.imag
-    idx = np.empty(shape + (n,), dtype=np.intp)
-    sr = np.empty(shape + (n,))  # the chosen points' real and imaginary parts
-    si = np.empty(shape + (n,))
+    up, down = _COORD
+    # r gets the problems' rank, so that its level-first view aligns with z's
+    rt = np.moveaxis(r.reshape((1,) * (len(shape) + 2 - r.ndim) + r.shape), (-2, -1), (0, 1))
+    rr, ri = rt.real, rt.imag
+    zt = np.moveaxis(z, -1, 0)
+    idx = np.empty((n,) + shape, dtype=np.intp)
+    sr = np.empty((n,) + shape)  # the chosen points' real and imaginary parts
+    si = np.empty((n,) + shape)
     metric = np.zeros(shape)
     second = np.full(shape, np.inf)  # the least second-child metric over the levels
     for lev in range(n - 1, -1, -1):
-        re, im = z[..., lev].real, z[..., lev].imag
+        re, im = zt[lev].real, zt[lev].imag
         if lev < n - 1:
-            ar, ai = rr[..., lev, lev + 1 :], ri[..., lev, lev + 1 :]
-            br, bi = sr[..., lev + 1 :], si[..., lev + 1 :]
+            ar, ai = rr[lev, lev + 1 :], ri[lev, lev + 1 :]
+            br, bi = sr[lev + 1 :], si[lev + 1 :]
             prod_r = ar * br - ai * bi
             prod_i = ar * bi + ai * br
             off_r = off_i = 0.0
             for j in range(n - 1 - lev):
-                off_r = off_r + prod_r[..., j]
-                off_i = off_i + prod_i[..., j]
+                off_r = off_r + prod_r[j]
+                off_i = off_i + prod_i[j]
             re = re - off_r
             im = im - off_i
-        d = rr[..., lev, lev, None]
-        cr = re[..., None] - d * pr
-        ci = im[..., None] - d * pi
-        vals = cr * cr + ci * ci
-        order = np.argsort(vals, axis=-1, kind="stable")
-        best2 = np.take_along_axis(vals, order[..., :2], axis=-1)
-        second = np.minimum(second, metric + best2[..., 1])
-        metric = metric + best2[..., 0]
-        choice = order[..., 0]
-        idx[..., lev] = choice
-        sr[..., lev] = pr[choice]
-        si[..., lev] = pi[choice]
-    return idx, (metric < np.inf) & (second >= metric)
+        d = rr[lev, lev]
+        hi, lo = d * up, d * down  # R[l, l] times each coordinate value
+        re_hi, re_lo = re - hi, re - lo
+        im_hi, im_lo = im - hi, im - lo
+        re_hi, re_lo = re_hi * re_hi, re_lo * re_lo
+        im_hi, im_lo = im_hi * im_hi, im_lo * im_lo
+        # the four children's metrics, point q at [q], and the first two of
+        # their stable sort, ties to the lower index; with R finite, a level's
+        # metrics are all NaN or none is, and all NaN keep point 0 as the sort does
+        v0, v1, v2, v3 = re_hi + im_hi, re_hi + im_lo, re_lo + im_hi, re_lo + im_lo
+        low01, low23 = np.minimum(v0, v1), np.minimum(v2, v3)
+        q_re = low23 < low01  # the chosen point's q >> 1 and q & 1
+        q_im = np.where(q_re, v3 < v2, v1 < v0)
+        runner = np.where(
+            q_re, np.minimum(low01, np.maximum(v2, v3)), np.minimum(low23, np.maximum(v0, v1))
+        )
+        second = np.minimum(second, metric + runner)
+        metric = metric + np.where(q_re, low23, low01)
+        idx[lev] = 2 * q_re + q_im
+        sr[lev] = np.where(q_re, down, up)
+        si[lev] = np.where(q_im, down, up)
+    return np.moveaxis(idx, 0, -1), (metric < np.inf) & (second >= metric)
 
 
 def detect_proposed(

@@ -30,7 +30,8 @@ class PrototypeFilter:
     and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`
     and the M-bin window :attr:`support` are derived from g_f, so none of
     them can disagree with it. The filter holds a read-only copy of g_f, so
-    the window, computed once per filter, stays that of its spectrum.
+    the pulse and the window, each computed once per filter, stay those of
+    its spectrum.
     """
 
     g_f: np.ndarray
@@ -46,10 +47,12 @@ class PrototypeFilter:
                 f"K = {self.n_subcarriers}"
             )
 
-    @property
+    @cached_property
     def g(self) -> np.ndarray:
-        """Time-domain pulse, the inverse DFT of g_f."""
-        return np.fft.ifft(self.g_f)
+        """Time-domain pulse, the inverse DFT of g_f, computed once per filter; read-only."""
+        g = np.fft.ifft(self.g_f)
+        g.flags.writeable = False
+        return g
 
     @property
     def length(self) -> int:

@@ -17,6 +17,8 @@ from gfdmsim.detect import (
     _require_finite,
     sphere_decode,
 )
+from gfdmsim.channel import MimoChannel
+from gfdmsim.decoupling import _window_diag_dft
 from gfdmsim.waveform import PrototypeFilter
 
 
@@ -316,3 +318,60 @@ def detect_baseline_near_ml_ref(
     d_hat = np.empty(n, dtype=complex)
     d_hat[factor.perm] = s_sorted
     return d_hat
+
+
+# gfdmsim.decoupling.compute_blocks as it was when its product ran with the
+# subcarrier axis outside the M x M factor: the rewrite forms the same
+# products in another layout, so the stack must match bit for bit.
+def compute_blocks_ref(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
+    """Per-subcarrier MR x MT matrices, formed as an (R, T, K, M, M) product."""
+    g_1, shift = f.support
+    k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
+    r, t = ch.n_rx, ch.n_tx
+    core = _window_diag_dft(g_1, shift, k_sc)
+    gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
+    blocks = gains[..., None] * core[None, None, None, :, :]  # (R, T, K, M, M)
+    return blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)
+
+
+# gfdmsim.detect._first_descent as it was when each level ran with the
+# problems outermost and sorted every problem's four children: the rewrite
+# keeps every float operation, so indices and certificates must match.
+@np.errstate(over="ignore", invalid="ignore")
+def first_descent_ref(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First leaf of sphere_decode for a stack of problems, and whether it is final."""
+    n = z.shape[-1]
+    shape = np.broadcast_shapes(r.shape[:-2], z.shape[:-1])
+    pr, pi = QPSK.real, QPSK.imag
+    rr, ri = r.real, r.imag
+    idx = np.empty(shape + (n,), dtype=np.intp)
+    sr = np.empty(shape + (n,))  # the chosen points' real and imaginary parts
+    si = np.empty(shape + (n,))
+    metric = np.zeros(shape)
+    second = np.full(shape, np.inf)  # the least second-child metric over the levels
+    for lev in range(n - 1, -1, -1):
+        re, im = z[..., lev].real, z[..., lev].imag
+        if lev < n - 1:
+            ar, ai = rr[..., lev, lev + 1 :], ri[..., lev, lev + 1 :]
+            br, bi = sr[..., lev + 1 :], si[..., lev + 1 :]
+            prod_r = ar * br - ai * bi
+            prod_i = ar * bi + ai * br
+            off_r = off_i = 0.0
+            for j in range(n - 1 - lev):
+                off_r = off_r + prod_r[..., j]
+                off_i = off_i + prod_i[..., j]
+            re = re - off_r
+            im = im - off_i
+        d = rr[..., lev, lev, None]
+        cr = re[..., None] - d * pr
+        ci = im[..., None] - d * pi
+        vals = cr * cr + ci * ci
+        order = np.argsort(vals, axis=-1, kind="stable")
+        best2 = np.take_along_axis(vals, order[..., :2], axis=-1)
+        second = np.minimum(second, metric + best2[..., 1])
+        metric = metric + best2[..., 0]
+        choice = order[..., 0]
+        idx[..., lev] = choice
+        sr[..., lev] = pr[choice]
+        si[..., lev] = pi[choice]
+    return idx, (metric < np.inf) & (second >= metric)

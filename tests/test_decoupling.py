@@ -20,6 +20,7 @@ from gfdmsim.decoupling import (
 from gfdmsim.waveform import build_transmitter_matrix, dirichlet_filter, rc_filter, window_filter
 
 from oracles import (
+    compute_blocks_ref,
     data_operator_ref,
     matrix_power,
     perm_cyclic_ref,
@@ -170,6 +171,21 @@ def test_compute_blocks_m1_gives_ofdm_channels():
     blocks = compute_blocks(ch, dirichlet_filter(8, 1))
     for k in range(8):
         npt.assert_allclose(blocks[k], ch.freq[:, :, k], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 256])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_compute_blocks_matches_reference_bit_for_bit(k, m):
+    # the products run with the subcarrier axis innermost; their operands,
+    # and so every bit of the stack, are those of the reference layout
+    rng = np.random.default_rng(k * 10 + m)
+    g_1 = rng.uniform(0.2, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    for filt in (dirichlet_filter(k, m), window_filter(k, m, g_1, int(rng.integers(0, k * m)))):
+        for t, r in ((2, 2), (1, 3), (3, 2)):
+            ch = random_channel(k, m, t, r, seed=int(rng.integers(1000)))
+            blocks = compute_blocks(ch, filt)
+            assert blocks.flags.c_contiguous
+            assert blocks.tobytes() == compute_blocks_ref(ch, filt).tobytes()
 
 
 @pytest.mark.parametrize("k,m,t,r", GRID)

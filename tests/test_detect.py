@@ -38,6 +38,7 @@ from oracles import (
     brute_force_ml_ref,
     detect_baseline_near_ml_ref,
     detect_proposed_ref,
+    first_descent_ref,
     sphere_decode_ref,
     sqrd_ref,
 )
@@ -190,11 +191,13 @@ def test_baseline_factorization_normal_equations():
         (8, 2, 2, 3, False),
         (8, 4, 2, 2, True),
         (8, 4, 1, 2, False),
+        (1, 4, 2, 2, False),
     ],
 )
 def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
     # the columns of one antenna tie in exact arithmetic, so the pivot order
-    # depends on every last bit: the batch must repeat sqrd exactly
+    # depends on every last bit: the batch must repeat sqrd exactly, whatever
+    # the memory order of its input, and leave that input as it was
     rng = np.random.default_rng(k * 100 + m * 10 + t + r)
     for seed in range(3):
         if window:
@@ -203,11 +206,15 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
         else:
             filt = dirichlet_filter(k, m)
         blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
-        stacked = factorize_blocks(blocks)
+        before = blocks.tobytes()
         serial = [sqrd(b) for b in blocks]
-        assert np.array_equal(stacked.q, np.stack([s.q for s in serial]))
-        assert np.array_equal(stacked.r, np.stack([s.r for s in serial]))
-        assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
+        for stack in (blocks, np.asfortranarray(blocks)):
+            stacked = factorize_blocks(stack)
+            assert stack.tobytes() == before
+            assert stacked.q.flags.c_contiguous and stacked.r.flags.c_contiguous
+            assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
+            assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
+            assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
 
 
 def test_factorize_blocks_names_rank_deficient_block():
@@ -433,6 +440,50 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
                 npt.assert_array_equal(out, QPSK[idx[p]])
                 assert stats.cm_count == n * (n - 1) // 2 + 4 * n
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "k, m, t, r", [(1, 4, 2, 2), (3, 2, 1, 3), (8, 4, 2, 2), (256, 4, 2, 2), (1024, 1, 2, 2)]
+)
+@pytest.mark.parametrize("n_blocks", [1, 20])
+def test_first_descent_matches_reference_bit_for_bit(k, m, t, r, n_blocks):
+    # the descent runs level by level over all problems at once; its layout
+    # changes, its float operations do not: one block's factors broadcast
+    # over a realization's stack, at noise levels that certify some problems
+    rng = np.random.default_rng(k * 100 + m * 10 + t + r + n_blocks)
+    filt = dirichlet_filter(k, m)
+    factors = factorize_blocks(compute_blocks(generate_channel(t, r, rng, k * m), filt))
+    outcomes = set()
+    for snr_db in (0.0, 8.0, 30.0):
+        n0 = 10.0 ** (-snr_db / 10.0)
+        s = QPSK[rng.integers(0, 4, (n_blocks, k, m * t))]
+        noise = math.sqrt(n0 / 2) * random_complex(s.shape, rng)
+        z = np.matmul(factors.r, s[..., None])[..., 0] + noise
+        idx, certified = _first_descent(factors.r, z)
+        idx_ref, certified_ref = first_descent_ref(factors.r, z)
+        assert idx.tobytes() == idx_ref.tobytes()
+        assert certified.tobytes() == certified_ref.tobytes()
+        outcomes.update(certified.ravel().tolist())
+    assert outcomes == {True, False}
+
+
+def test_first_descent_matches_reference_on_ties_and_overflow():
+    # the built ties of the certification test, metrics that overflow, and
+    # observations that are not finite: ties go to the lower index, NaN last
+    c = QPSK[0].real
+    cases = [
+        np.full(1, (QPSK[0] + QPSK[1]) / 2),
+        np.full(3, (QPSK[0] + QPSK[1]) / 2),
+        np.array([QPSK[3], c]),
+        np.full(2, 1e200 + 0j),
+        np.array([1e200, 0.5, -1e200j]),
+        np.array([np.inf, 0.5]),
+        np.array([0.5, np.nan]),
+    ]
+    for z in cases:
+        r = np.eye(len(z), dtype=complex)[None]
+        for got, want in zip(_first_descent(r, z[None]), first_descent_ref(r, z[None])):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sphere_decode_rejects_bad_shapes():

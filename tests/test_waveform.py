@@ -258,6 +258,16 @@ def test_spectrum_is_a_read_only_copy():
     assert f.g_f[0] == 0.0
 
 
+def test_pulse_is_computed_once_and_read_only():
+    # fast_modulate and build_transmitter_matrix read g on every call, so the
+    # filter keeps one copy of the inverse DFT, which no caller can change
+    f = window_filter(8, 4, np.linspace(0.5, 1.0, 4) * np.exp(1j * np.arange(4)), 5)
+    assert f.g.tobytes() == np.fft.ifft(f.g_f).tobytes()
+    assert f.g is f.g
+    with pytest.raises(ValueError):
+        f.g[0] = 3.0
+
+
 @pytest.mark.parametrize("k,m", GRID + [(8, 1), (1, 4)])
 def test_rc_small_rolloff_has_window_and_fast_path(k, m):
     # alpha <= 1/M ends the roll-off inside the Dirichlet window, so the
