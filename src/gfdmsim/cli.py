@@ -25,13 +25,8 @@ def _residual(value: float) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    overrides = {}
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.snr is not None:
-        overrides["snr_db"] = args.snr
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+    flags = {"scheme": args.scheme, "snr_db": args.snr, "seed": args.seed, "out": args.out}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
     try:
         cfg = parse_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
@@ -50,7 +45,7 @@ def _cmd_simulate(args) -> int:
             "factorization is intentionally expensive at this size",
             file=sys.stderr,
         )
-    out = args.out or cfg.out or "results.csv"
+    out = cfg.out or "results.csv"
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         print(f"error: output directory '{out_dir}' does not exist", file=sys.stderr)
@@ -115,7 +110,7 @@ def main(argv=None) -> int:
     sim.add_argument("--scheme", help="override the configured scheme")
     sim.add_argument("--snr", help="override the SNR grid, comma separated dB values")
     sim.add_argument("--seed", type=int, help="override the master seed")
-    sim.add_argument("--out", help="output CSV path (default: config 'out' or results.csv)")
+    sim.add_argument("--out", help="override the configured output CSV path")
     sim.add_argument(
         "--large", action="store_true", help="allow full-scale block lengths (D > 64)"
     )

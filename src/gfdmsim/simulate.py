@@ -18,7 +18,7 @@ its blocks.
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -98,16 +98,10 @@ class SimConfig:
 
     def validate(self) -> None:
         """Check the cross-field constraints; raises ConfigError on violation."""
-        for label, value in (
-            ("K", self.n_subcarriers),
-            ("M", self.n_subsymbols),
-            ("T", self.n_tx),
-            ("R", self.n_rx),
-            ("n_channels", self.n_channels),
-            ("n_blocks", self.n_blocks),
-        ):
+        for key in ("K", "M", "T", "R", "n_channels", "n_blocks"):
+            value = getattr(self, _KEYS[key])
             if value < 1:
-                raise ConfigError(f"{label} must be positive, got {value}")
+                raise ConfigError(f"{key} must be positive, got {value}")
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
         for snr in self.snr_db:
@@ -147,14 +141,28 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     return values
 
 
-_INT_KEYS = {"K", "M", "T", "R", "n_channels", "n_blocks", "seed"}
-_REQUIRED_KEYS = {"scheme", "K", "M", "T", "R", "snr_db", "n_channels", "n_blocks"}
-CONFIG_KEYS = _REQUIRED_KEYS | {"seed", "out"}
+# config key -> SimConfig field, in the order serialize_config writes them; a
+# key is required unless its field has a default (seed and out), and parses
+# as an integer when its field is an int
+_KEYS = {
+    "scheme": "scheme",
+    "K": "n_subcarriers",
+    "M": "n_subsymbols",
+    "T": "n_tx",
+    "R": "n_rx",
+    "snr_db": "snr_db",
+    "n_channels": "n_channels",
+    "n_blocks": "n_blocks",
+    "seed": "seed",
+    "out": "out",
+}
+_FIELDS = {f.name: f for f in fields(SimConfig)}
 
 
 def _typed(key: str, text: str, where: str):
+    kind = _FIELDS[_KEYS[key]].type
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             return int(text)
         if key == "snr_db":
             return _parse_snr_list(text)
@@ -163,9 +171,7 @@ def _typed(key: str, text: str, where: str):
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from None
 
 
-def parse_config(
-    path: str | None = None, overrides: dict[str, str] | None = None
-) -> SimConfig:
+def parse_config(path: str, overrides: dict[str, str] | None = None) -> SimConfig:
     """Read a key-value config file, apply flag overrides, and validate.
 
     The format is one ``key = value`` pair per line; '#' starts a comment.
@@ -174,70 +180,66 @@ def parse_config(
     fixed by :func:`gfdmsim.channel.generate_channel` (max(1, D // 8) taps).
     Errors carry the offending file line or flag; a file that is not UTF-8
     text raises ConfigError too (a leading byte-order mark is skipped).
+    Override values are taken as given, without comment stripping.
     """
     values: dict[str, object] = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
-                lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: not UTF-8 text (cannot decode byte {exc.object[exc.start]:#04x})"
-            ) from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{where}: unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"{where}: duplicate key '{key}'")
-            values[key] = _typed(key, text.strip(), where)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (cannot decode byte {exc.object[exc.start]:#04x})"
+        ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key '{key}'")
+        values[key] = _typed(key, text.strip(), where)
     for key, text in (overrides or {}).items():
-        if key not in CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"flag --{key}: unknown key '{key}'")
         values[key] = _typed(key, str(text), f"flag --{key}")
-    missing = sorted(_REQUIRED_KEYS - values.keys())
+    missing = sorted(
+        key for key, name in _KEYS.items()
+        if key not in values and _FIELDS[name].default is MISSING
+    )
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    scheme, alpha = parse_scheme(str(values["scheme"]))
-    cfg = SimConfig(
-        scheme=scheme,
-        alpha=alpha,
-        n_subcarriers=int(values["K"]),
-        n_subsymbols=int(values["M"]),
-        n_tx=int(values["T"]),
-        n_rx=int(values["R"]),
-        snr_db=tuple(values["snr_db"]),
-        n_channels=int(values["n_channels"]),
-        n_blocks=int(values["n_blocks"]),
-        seed=int(values.get("seed", 0)),
-        out=values.get("out"),
-    )
+    kwargs = {_KEYS[key]: value for key, value in values.items()}
+    kwargs["scheme"], kwargs["alpha"] = parse_scheme(kwargs["scheme"])
+    cfg = SimConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
 def serialize_config(cfg: SimConfig) -> str:
-    """Config text that parses back to an identical SimConfig."""
-    lines = [
-        f"scheme = {cfg.scheme_spec()}",
-        f"K = {cfg.n_subcarriers}",
-        f"M = {cfg.n_subsymbols}",
-        f"T = {cfg.n_tx}",
-        f"R = {cfg.n_rx}",
-        f"snr_db = {', '.join(repr(s) for s in cfg.snr_db)}",
-        f"n_channels = {cfg.n_channels}",
-        f"n_blocks = {cfg.n_blocks}",
-        f"seed = {cfg.seed}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    """Config text that parses back to an identical SimConfig.
+
+    Raises ConfigError for a text value that the format cannot hold: one
+    with a '#', a line break, or leading or trailing white space.
+    """
+    lines = []
+    for key, name in _KEYS.items():
+        value = getattr(cfg, name)
+        if key == "scheme":
+            value = cfg.scheme_spec()
+        elif key == "snr_db":
+            value = ", ".join(repr(s) for s in value)
+        elif value is None:
+            continue
+        text = str(value)
+        if "#" in text or "\n" in text or "\r" in text or text != text.strip():
+            raise ConfigError(f"{key} = {text!r} cannot be written as a config line")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -260,7 +262,7 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
         name, _ = parse_scheme(scheme)
     if name == "ofdm":
         k, m = k * m, 1
-    if name in ("baseline", "baseline_dirichlet", "baseline_rc"):
+    if name == "baseline" or name in _DENSE_SCHEMES:
         n = k * m * t
         sqrd_cm = k**3 * m**3 * t * t * r + k * k * m * m * t * r + n * (n + 1) * (2 * n + 1) // 6
         return sqrd_cm, k * k * m * m * t * t

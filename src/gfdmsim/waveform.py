@@ -69,12 +69,12 @@ class PrototypeFilter:
         g_f[(l + i) % D] = g_1[i] for i < M and every other bin is exactly
         zero: the class the per-subcarrier receiver accepts. l is the
         :func:`dominant_window` start or, at K = 1, where every start holds
-        the whole spectrum, the constructors' centred one.
+        the whole spectrum, the constructors' centred one, floor(M/2).
         An all-zero spectrum has no window.
         """
         m_ss, d = self.n_subsymbols, self.length
         if self.n_subcarriers == 1:
-            start = _window_start(1, m_ss)
+            start = m_ss // 2
         else:
             start = dominant_window(self.g_f, m_ss)[1]
         g_1 = self.g_f[(start + np.arange(m_ss)) % d]
@@ -111,23 +111,15 @@ def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:
     return PrototypeFilter(g_f=g_f * scale, n_subcarriers=k)
 
 
-def _window_start(k: int, m: int) -> int:
-    """Start l = (D - ceil(-M/2)) mod D of the M-bin window the constructors center on."""
-    if k < 1 or m < 1:
-        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
-    d = k * m
-    return (d - math.ceil(-m / 2)) % d
-
-
 def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     """Flat M-bin frequency window: the orthogonal, ICI-free GFDM pulse.
 
     The window holds sqrt(D/M) on M consecutive bins starting at
-    l = (D - ceil(-M/2)) mod D, zero elsewhere; the time-domain pulse is its
+    l = floor(M/2), zero elsewhere; the time-domain pulse is its
     inverse DFT. For M = 1 this is the OFDM rectangular pulse and A equals
     the inverse DFT matrix.
     """
-    return window_filter(k, m, np.ones(m, dtype=complex), _window_start(k, m))
+    return window_filter(k, m, [1] * m, m // 2)
 
 
 def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
@@ -143,8 +135,10 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
+    if k < 1 or m < 1:
+        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
     d = k * m
-    center = _window_start(k, m) + (m - 1) / 2.0
+    center = m // 2 + (m - 1) / 2.0
     # signed cyclic bin distance from the window center, in (-D/2, D/2]
     offsets = (np.arange(d) - center + d / 2.0) % d - d / 2.0
     x = np.abs(offsets)

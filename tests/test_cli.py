@@ -41,7 +41,7 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_flag_overrides(tmp_path):
+def test_simulate_flag_overrides(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "o.csv"
     code = main(
@@ -53,6 +53,16 @@ def test_simulate_flag_overrides(tmp_path):
     assert row[0] == "6"
     assert row[1] == "baseline_rc"
     assert row[2] == "rc(0.9)"
+    # --out is an override like the others: it beats the config's out, is
+    # taken as given ('#' starts no comment), and empty means the default
+    configured = tmp_path / "configured.csv"
+    cfg = write_cfg(tmp_path, BASE_CFG + f"out = {configured}\n")
+    hashed = tmp_path / "a#b.csv"
+    assert main(["simulate", "--config", cfg, "--snr", "6", "--out", str(hashed)]) == 0
+    assert hashed.exists() and not configured.exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", cfg, "--snr", "6", "--out", ""]) == 0
+    assert (tmp_path / "results.csv").exists() and not configured.exists()
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import math
+import os
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdmsim.channel import apply_channel, generate_channel
 from gfdmsim.detect import QPSK
 from gfdmsim.simulate import (
     CSV_HEADER,
+    SCHEMES,
     ConfigError,
     SimConfig,
     parse_config,
@@ -246,11 +251,143 @@ def test_fewer_rx_than_tx_antennas(scheme, m, alpha, runs):
             cfg.validate()
 
 
-def test_serialize_round_trip(tmp_path):
-    cfg = small_config(scheme="baseline_rc", alpha=0.9, out="r.csv", snr_db=(0.0, 4.5, float("inf")))
+@pytest.mark.parametrize(
+    "out",
+    ["r.csv", "a#b.csv", " lead.csv", "trail.csv ", "a\nb.csv", "a\rb.csv"],
+    ids=["writable", "comment", "leading-space", "trailing-space", "line-feed", "carriage-return"],
+)
+def test_serialize_round_trip(tmp_path, out):
+    cfg = small_config(scheme="baseline_rc", alpha=0.9, out=out, snr_db=(0.0, 4.5, float("inf")))
+    if out != "r.csv":
+        # the file would read back as another out, or not at all
+        with pytest.raises(ConfigError, match=r"^out = .* cannot be written as a config line"):
+            serialize_config(cfg)
+        return
     path = tmp_path / "sim.cfg"
     path.write_text(serialize_config(cfg))
+    assert path.read_text() == (
+        "scheme = baseline_rc(0.9)\nK = 8\nM = 2\nT = 2\nR = 2\nsnr_db = 0.0, 4.5, inf\n"
+        "n_channels = 3\nn_blocks = 3\nseed = 0\nout = r.csv\n"
+    )
     assert parse_config(str(path)) == cfg
+
+
+def _parse_text(text: str) -> SimConfig:
+    # hypothesis runs the test body once per example, which tmp_path cannot follow
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sim.cfg")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return parse_config(path)
+
+
+# any text, and text made of the characters the config format treats specially
+_OUT = st.none() | st.text(alphabet=" \t#=\n\r\x85\u2028a.") | st.text()
+
+
+def _valid(cfg: SimConfig) -> SimConfig:
+    dense = cfg.scheme.startswith("baseline")
+    return replace(
+        cfg,
+        n_subsymbols=1 if cfg.scheme == "ofdm" else cfg.n_subsymbols,
+        n_rx=cfg.n_rx if dense else max(cfg.n_rx, cfg.n_tx),
+        alpha=cfg.alpha if cfg.scheme == "baseline_rc" else None,
+    )
+
+
+_SNR_POINT = st.floats(allow_nan=False).filter(lambda x: x > -math.inf)
+# configs that validate accepts: every scheme, with and without a roll-off,
+# at dimensions 1-4 and finite or +inf SNR points
+_VALID = st.builds(
+    SimConfig,
+    scheme=st.sampled_from(SCHEMES),
+    n_subcarriers=st.integers(1, 4),
+    n_subsymbols=st.integers(1, 4),
+    n_tx=st.integers(1, 4),
+    n_rx=st.integers(1, 4),
+    snr_db=st.lists(_SNR_POINT, min_size=1, max_size=3).map(tuple),
+    n_channels=st.integers(1, 4),
+    n_blocks=st.integers(1, 4),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**70),
+    out=_OUT,
+).map(_valid)
+# anything the fields can hold: zero or negative dimensions and seeds, empty
+# SNR lists with nan and -inf, misplaced or out-of-range roll-offs
+_ANY = st.builds(
+    SimConfig,
+    scheme=st.sampled_from((*SCHEMES, "zf")),
+    n_subcarriers=st.integers(-1, 4),
+    n_subsymbols=st.integers(-1, 4),
+    n_tx=st.integers(-1, 4),
+    n_rx=st.integers(-1, 4),
+    snr_db=st.lists(st.floats(), max_size=3).map(tuple),
+    n_channels=st.integers(-1, 4),
+    n_blocks=st.integers(-1, 4),
+    alpha=st.none() | st.floats(),
+    seed=st.integers(-1, 2**70),
+    out=_OUT,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(cfg=_VALID | _ANY)
+def test_config_is_rejected_or_round_trips(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    try:
+        text = serialize_config(cfg)
+    except ConfigError as exc:
+        # out is the only free text of a valid config
+        assert str(exc).startswith("out = ")
+        return
+    assert _parse_text(text) == cfg
+
+
+# values each key accepts (not every combination validates), and junk
+_GOOD_VALUES = {
+    "scheme": (*SCHEMES, "baseline_rc(0.5)", "baseline_rc(1e-3)"),
+    "K": ("1", "2", "3"),
+    "M": ("1", "2"),
+    "T": ("1", "2"),
+    "R": ("1", "2", "3"),
+    "snr_db": ("0", "0, 10", "[4, 8]", "inf", "-3.5, inf"),
+    "n_channels": ("1", "2"),
+    "n_blocks": ("1", "2"),
+    "seed": ("0", "7", "123456789012345678901234567890"),
+    "out": ("r.csv", "a b.csv", "", "dir/x.csv"),
+}
+_JUNK = st.sampled_from(
+    ("", "0", "-1", "1.5", "nan", "-inf", "1e400", "0,,4", "zf", "baseline_rc(2)", "x = y", "# c")
+) | st.text(max_size=8)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from((*_GOOD_VALUES, "turbo", "L", "constellation")) | st.text(max_size=4),
+        st.none() | _JUNK,
+    ),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, database=None)
+@given(
+    values=st.fixed_dictionaries({key: st.sampled_from(v) for key, v in _GOOD_VALUES.items()}),
+    edits=_EDITS,
+)
+def test_config_text_parses_or_raises_config_error(values, edits):
+    # a valid config text, with lines dropped, replaced by junk or added
+    for key, value in edits:
+        if value is None:
+            values.pop(key, None)
+        else:
+            values[key] = value
+    try:
+        cfg = _parse_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    except ConfigError:
+        return
+    assert _parse_text(serialize_config(cfg)) == cfg
 
 
 # ------------------------------------------------------------------- sweeps
