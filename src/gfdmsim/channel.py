@@ -12,7 +12,7 @@ streams; identical streams reproduce channels and noise bit for bit.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,26 @@ class MimoChannel:
 
     taps[r, t] holds the impulse response of the (receive r, transmit t) pair;
     freq[r, t] its ``block_len``-point DFT (the eigenvalues of the corresponding
-    circulant matrix).
+    circulant matrix), derived once from the taps. Both are read-only, and
+    taps is a copy of the input. Raises ``ValueError`` unless the taps are
+    (R, T, n_taps) with 1 <= n_taps <= ``block_len``.
     """
 
     taps: np.ndarray  # (R, T, n_taps) complex
-    freq: np.ndarray  # (R, T, block_len) complex
+    block_len: int
+    freq: np.ndarray = field(init=False)  # (R, T, block_len) complex
+
+    def __post_init__(self):
+        taps = np.array(self.taps, dtype=complex)
+        if taps.ndim != 3 or not 1 <= taps.shape[2] <= self.block_len:
+            raise ValueError(
+                f"taps must be (R, T, n_taps) with 1 <= n_taps <= {self.block_len}, "
+                f"got shape {taps.shape}"
+            )
+        freq = np.fft.fft(taps, n=self.block_len, axis=2)
+        taps.flags.writeable = freq.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "freq", freq)
 
     @property
     def n_rx(self) -> int:
@@ -50,10 +65,6 @@ class MimoChannel:
     @property
     def n_tx(self) -> int:
         return self.taps.shape[1]
-
-    @property
-    def block_len(self) -> int:
-        return self.freq.shape[2]
 
 
 def generate_channel(
@@ -72,8 +83,7 @@ def generate_channel(
     shape = (n_rx, n_tx, len(powers))
     scale = np.sqrt(powers / 2.0)
     taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-    freq = np.fft.fft(taps, n=block_len, axis=2)
-    return MimoChannel(taps=taps, freq=freq)
+    return MimoChannel(taps, block_len)
 
 
 def apply_channel(

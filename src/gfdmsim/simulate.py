@@ -105,8 +105,10 @@ class SimConfig:
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
         for snr in self.snr_db:
-            if math.isnan(snr) or snr == -math.inf:
-                raise ConfigError(f"snr_db points must be finite or +inf, got {snr}")
+            # -300 dB is noise power 1e30, far from where the noise power or
+            # the decoders' squared residuals overflow; nan and -inf fail too
+            if not snr >= -300.0:
+                raise ConfigError(f"snr_db points must be at least -300 dB or +inf, got {snr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.scheme not in SCHEMES:

@@ -65,12 +65,41 @@ def test_channel_energy_multitap():
 
 
 def test_freq_response_matches_taps():
+    # freq is the taps' D-point DFT, computed once, to the last bit
     ch = generate_channel(2, 2, np.random.default_rng(9), 24)  # 3 taps
+    assert ch.freq.tobytes() == np.fft.fft(ch.taps, n=24, axis=2).tobytes()
     for r in range(2):
         for t in range(2):
-            npt.assert_allclose(
-                ch.freq[r, t], np.fft.fft(ch.taps[r, t], n=24), atol=1e-12
-            )
+            assert ch.freq[r, t].tobytes() == np.fft.fft(ch.taps[r, t], n=24).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, d",
+    [((2, 2), 8), ((2, 2, 0), 8), ((2, 2, 9), 8), ((1, 1, 20), 16), ((1, 1, 1), 0)],
+    ids=["2-d", "no-taps", "9-taps-on-8", "20-taps-on-16", "empty-block"],
+)
+def test_channel_rejects_taps_that_do_not_fit(shape, d):
+    # both receivers read one channel, so taps that a D-point block cannot
+    # hold are rejected before either sees them
+    MimoChannel(np.ones((2, 2, 8)), 8)
+    with pytest.raises(ValueError, match=r"taps must be \(R, T, n_taps\)"):
+        MimoChannel(np.ones(shape), d)
+
+
+def test_channel_is_a_read_only_copy_of_its_taps():
+    rng = np.random.default_rng(10)
+    taps = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    kept = taps.copy()
+    ch = MimoChannel(taps, 16)
+    freq = ch.freq.copy()
+    taps[...] = 0.0  # the caller's array is not the channel's
+    assert np.array_equal(ch.taps, kept) and np.array_equal(ch.freq, freq)
+    assert (ch.n_rx, ch.n_tx, ch.block_len) == (3, 2, 16)
+    for arr in (ch.taps, ch.freq):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1.0
+    real = MimoChannel(np.ones((1, 1, 2)), 4)  # real taps are stored complex
+    assert real.taps.dtype == complex
 
 
 def test_build_circulant_examples():
@@ -103,7 +132,7 @@ def test_circulant_matches_reference_and_diagonalizes():
 def test_apply_channel_identity():
     taps = np.zeros((2, 2, 1), dtype=complex)
     taps[0, 0, 0] = taps[1, 1, 0] = 1.0
-    ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
+    ch = MimoChannel(taps, 8)
     x = np.arange(16, dtype=complex).reshape(2, 8)
     npt.assert_allclose(apply_channel(x, ch, 0.0), x, atol=1e-12)
 
@@ -133,7 +162,7 @@ def test_apply_channel_equals_cp_transmission():
 
 def test_noise_only_variance():
     taps = np.zeros((4, 1, 1), dtype=complex)
-    ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=1024, axis=2))
+    ch = MimoChannel(taps, 1024)
     n0 = 0.3
     y = apply_channel(np.zeros((1, 1024)), ch, n0, np.random.default_rng(8))
     measured = np.mean(np.abs(y) ** 2)
@@ -148,7 +177,7 @@ def test_noise_only_variance():
 def test_assemble_identity_channel_returns_a():
     a = build_transmitter_matrix(dirichlet_filter(4, 2))
     taps = np.ones((1, 1, 1), dtype=complex)
-    ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
+    ch = MimoChannel(taps, 8)
     npt.assert_allclose(assemble_full_matrix(ch, a), a, atol=1e-14)
 
 

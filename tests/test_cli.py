@@ -71,6 +71,10 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "unknown scheme" in capsys.readouterr().err
     assert main(["simulate", "--config", write_cfg(tmp_path), "--seed", "-1"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    # an SNR point whose noise power overflows is rejected up front
+    assert main(["simulate", "--config", write_cfg(tmp_path), "--snr=-4000"]) == 2
+    err = capsys.readouterr().err
+    assert "error: snr_db points must be at least -300 dB or +inf, got -4000.0" in err
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(BASE_CFG.encode() + b"# \xff\n")
     assert main(["simulate", "--config", str(binary)]) == 2

@@ -134,7 +134,7 @@ def test_data_permutation_t1_m1_is_bijection():
 def test_compute_blocks_identity_channel_unitary():
     # Dirichlet filter and a flat channel make every per-subcarrier block unitary
     taps = np.ones((1, 1, 1), dtype=complex)
-    ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=16, axis=2))
+    ch = MimoChannel(taps, 16)
     blocks = compute_blocks(ch, dirichlet_filter(4, 4))
     for k in range(4):
         npt.assert_allclose(blocks[k].conj().T @ blocks[k], np.eye(4), atol=1e-10)
@@ -240,7 +240,7 @@ def test_decomposition_residual_rc():
 
 def test_decomposition_zero_channel():
     taps = np.zeros((2, 2, 1), dtype=complex)
-    ch = MimoChannel(taps=taps, freq=np.fft.fft(taps, n=8, axis=2))
+    ch = MimoChannel(taps, 8)
     assert verify_decomposition(ch, dirichlet_filter(4, 2)) == 0.0
 
 

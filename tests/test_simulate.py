@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfdmsim.channel import apply_channel, generate_channel
+from gfdmsim.decoupling import verify_decomposition
 from gfdmsim.detect import QPSK
 from gfdmsim.simulate import (
     CSV_HEADER,
@@ -201,6 +202,7 @@ def test_parse_config_accepts_byte_order_mark(tmp_path):
         ("seed", -1),
         ("snr_db", (math.nan,)),
         ("snr_db", (-math.inf,)),
+        ("snr_db", (-400.0,)),
     ],
 )
 def test_validate_rejects_out_of_range_dimensions(field, value):
@@ -295,9 +297,9 @@ def _valid(cfg: SimConfig) -> SimConfig:
     )
 
 
-_SNR_POINT = st.floats(allow_nan=False).filter(lambda x: x > -math.inf)
+_SNR_POINT = st.floats(min_value=-300.0, allow_nan=False)
 # configs that validate accepts: every scheme, with and without a roll-off,
-# at dimensions 1-4 and finite or +inf SNR points
+# at dimensions 1-4 and SNR points from -300 dB up to +inf
 _VALID = st.builds(
     SimConfig,
     scheme=st.sampled_from(SCHEMES),
@@ -413,6 +415,46 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
         assert np.array_equal(x[b], x_b)
         y_b = apply_channel(x_b, ch, noise_power, np.random.default_rng(b))
         assert np.array_equal(stacked[b], y_b)
+
+
+# SNR points at, beyond and far beyond the -300 dB floor, and any finite one
+_SWEEP_SNR = st.sampled_from((-1e308, -4000.0, -300.0, 0.0, math.inf, 1e308)) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+# every scheme, baseline_rc with a roll-off, on one channel of one or two
+# blocks, as drawn or moved by _valid onto dimensions validate accepts;
+# M <= 3 and T <= 2 keep M·T <= 6, since at very low SNR the search is
+# near-exhaustive (about 4^(M·T) nodes per subcarrier)
+_SWEEP = st.builds(
+    SimConfig,
+    scheme=st.sampled_from(SCHEMES),
+    n_subcarriers=st.integers(1, 3),
+    n_subsymbols=st.integers(1, 3),
+    n_tx=st.integers(1, 2),
+    n_rx=st.integers(1, 3),
+    snr_db=st.lists(_SWEEP_SNR, min_size=1, max_size=2).map(tuple),
+    n_channels=st.just(1),
+    n_blocks=st.integers(1, 2),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(cfg=_SWEEP | _SWEEP.map(_valid))
+def test_sweep_is_rejected_or_runs_deterministically(cfg):
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    first = [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
+    assert first == [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
+    assert [r.snr_db for r in first] == list(cfg.snr_db)
+    assert all(0 <= r.errors <= r.symbols for r in first)
+    if cfg.scheme in ("proposed_dirichlet", "ofdm"):
+        filt = dirichlet_filter(cfg.n_subcarriers, cfg.n_subsymbols)
+        ch = generate_channel(cfg.n_tx, cfg.n_rx, np.random.default_rng(cfg.seed), cfg.block_len)
+        assert verify_decomposition(ch, filt) <= 1e-10
 
 
 def test_sweep_random_guessing_at_very_low_snr():
