@@ -31,7 +31,7 @@ def power_delay_profile(block_len: int) -> np.ndarray:
     return ramp / ramp.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MimoChannel:
     """One realization of an R x T channel over blocks of ``block_len`` samples.
 
@@ -39,7 +39,8 @@ class MimoChannel:
     freq[r, t] its ``block_len``-point DFT (the eigenvalues of the corresponding
     circulant matrix), derived once from the taps. Both are read-only, and
     taps is a copy of the input. Raises ``ValueError`` unless the taps are
-    (R, T, n_taps) with 1 <= n_taps <= ``block_len``.
+    (R, T, n_taps) with 1 <= n_taps <= ``block_len``. A channel compares and
+    hashes by identity, as its arrays give ``==`` no single truth value.
     """
 
     taps: np.ndarray  # (R, T, n_taps) complex
@@ -149,8 +150,12 @@ def snr_db_to_noise_power(snr_db: float) -> float:
 
     Channels have unit average power and the prototype filter unit energy, so
     Es/N0 is the receive-side symbol SNR. CP overhead is excluded; +inf dB
-    gives N0 = 0.
+    gives N0 = 0. Raises ``ValueError`` below about -3082.5 dB, where N0 leaves
+    the float range.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return 0.0
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db} dB gives a noise power beyond the float range") from None

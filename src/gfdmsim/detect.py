@@ -23,7 +23,6 @@ complex-by-complex); the closed-form QR/SIC counts live in the simulation
 layer.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ import numpy as np
 from .channel import MimoChannel
 from .decoupling import data_permutation
 from .waveform import PrototypeFilter
-
-logger = logging.getLogger(__name__)
 
 # The symbol alphabet, (+-1 +-1j)/sqrt(2). Its unit average energy is what
 # the SNR conversion and the MMSE regularization assume; its order fixes the
@@ -64,14 +61,17 @@ class DetectionStats:
 class SqrdFactorization:
     """Sorted QR factors: F[:, perm] = Q @ R with R upper triangular.
 
-    Q has orthonormal columns; the diagonal of R is real and nonnegative;
-    ``perm[i]`` is the original column processed at step i. :func:`sqrd`
-    returns one matrix's factors; :func:`factorize_blocks` returns a stack
-    of K, with a leading block axis on every field (``q[k]``, ``r[k]``,
-    ``perm[k]`` factor block k). :func:`baseline_factorization` factors the
-    MMSE extension F = [H; sqrt(N0) * I] and keeps only the top rows of Q,
-    those that apply to received data: its ``q`` is the top block of an
-    orthonormal matrix and is not orthonormal on its own.
+    The diagonal of R is real and nonnegative, and Q's columns are
+    orthonormal except at a dead column, where :func:`sqrd`'s rank test found
+    the pivot dependent on the columns before it: there Q has a zero column
+    and R a zero row. ``perm[i]`` is the original column processed at step
+    i. :func:`sqrd` returns one matrix's factors; :func:`factorize_blocks`
+    returns a stack of K, with a leading block axis on every field
+    (``q[k]``, ``r[k]``, ``perm[k]`` factor block k).
+    :func:`baseline_factorization` factors the MMSE extension
+    F = [H; sqrt(N0) * I] and keeps only the top rows of Q, those that apply
+    to received data: its ``q`` is the top block of an orthonormal matrix and
+    is not orthonormal on its own.
     """
 
     q: np.ndarray
@@ -85,9 +85,11 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     At every step the unprocessed column of smallest residual norm is chosen
     next (ties go to the lowest index), which pushes weak columns early in
     the triangular system and strong ones to the bottom where detection
-    starts. Raises ``numpy.linalg.LinAlgError`` when a residual column norm
-    is at most 1e-12 times the Frobenius norm of the input, which includes
-    every column of an all-zero matrix.
+    starts. It always factors: a pivot whose residual norm is at most 1e-12
+    times the Frobenius norm of the input, every column of an all-zero
+    matrix included, is a dead column. It gets a zero column of Q and a zero
+    row of R, so F[:, perm] = Q @ R still holds to that tolerance, and it
+    leaves the residual of the other columns as it was.
 
     Pivot ties are structural, not rare. Within an antenna, the columns of
     an ICI-free per-subcarrier block have equal norms in exact arithmetic;
@@ -137,10 +139,8 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
             perm[i], perm[j] = perm[j], perm[i]
         re, im = col.real, col.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
-        if norm <= 1e-12 * fro:
-            raise np.linalg.LinAlgError(
-                f"column {perm[i]} is numerically rank deficient (norm {norm:.3e})"
-            )
+        if norm <= 1e-12 * fro:  # a dead column: Q and R keep their zeros
+            continue
         r[i, i] = norm
         q_i = np.divide(col, norm, out=q_t[i])
         if i + 1 < n:
@@ -171,7 +171,9 @@ def sphere_decode(
     ordering (children sorted by increasing incremental metric, ties by
     :data:`QPSK` index), infinite initial radius, and radius shrinking at
     every improved leaf. Equal-metric leaves keep the first one found. R
-    must be upper triangular with positive diagonal.
+    must be upper triangular with a real nonnegative diagonal. A zero on it,
+    a dead column of :func:`sqrd`, ties the four children, so the lowest
+    index goes first.
 
     Raises ``ValueError`` on a non-finite entry of R or z, and on a partial
     metric that overflows: to infinity on any level before the first leaf
@@ -317,8 +319,9 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
     taken from, which is read no more, and the rank-one update runs column
     by column through one (K, MR) buffer allocated per call. No temporary
     is as large as the stack, so a realization allocates no more than its
-    factors and their input copy. Raises ``numpy.linalg.LinAlgError``,
-    naming the block, under ``sqrd``'s rank test. ``sqrd`` keeps its own
+    factors and their input copy. A block's dead columns, under ``sqrd``'s
+    rank test, get a zero column of Q before the projection, so their row
+    of R is zero and their update subtracts zeros. ``sqrd`` keeps its own
     serial loop: on the baseline's single large matrix a batch of one runs
     slower than it.
     """
@@ -353,14 +356,12 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
             np.matmul(col.real[:, None, :], col.real[:, :, None])
             + np.matmul(col.imag[:, None, :], col.imag[:, :, None])
         )[:, 0, 0]
-        bad = np.flatnonzero(norm <= tol)
-        if bad.size:
-            k = int(bad[0])
-            raise np.linalg.LinAlgError(
-                f"block {k}: column {perm[k, i]} is numerically rank deficient"
-                f" (norm {norm[k]:.3e})"
-            )
         r[:, i, i] = norm
+        bad = np.flatnonzero(norm <= tol)
+        if bad.size:  # dead columns: a zero column of Q, so a zero row of R
+            r[bad, i, i] = 0.0
+            col[bad] = 0.0
+            norm[bad] = 1.0
         q_i = np.divide(col, norm[:, None], out=col)
         v[:, :, i] = q_i
         if i + 1 < n:
@@ -497,26 +498,18 @@ def detect_proposed(
 
 
 def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:
-    """MMSE-SQRD of the full stacked matrix, with a tiny-regularization fallback.
+    """MMSE-SQRD of the full stacked matrix.
 
     Sorted QR of the noise-regularized extension [H; sqrt(N0) * I]. Symbols
     have unit energy, so R^H R = perm'(H^H H + N0 I)perm; ``q`` is a view of
     the top RD rows of the extended Q, the only rows that apply to received
     data, and with N0 = 0 the factors are those of plain ``sqrd(h_full)``.
-    Computed once per channel realization and SNR; a rank-deficient
-    noiseless system falls back to a 1e-12 regularization with a logged
-    warning.
+    Computed once per channel realization and SNR. A rank-deficient
+    noiseless system gets dead columns, as :func:`sqrd` gives any matrix.
     """
     h_full = np.asarray(h_full, dtype=complex)
     eye = np.eye(h_full.shape[1], dtype=complex)
-    try:
-        fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
-    except np.linalg.LinAlgError:
-        logger.warning(
-            "rank-deficient system at noise power %g; retrying with 1e-12 regularization",
-            noise_power,
-        )
-        fact = sqrd(np.vstack([h_full, math.sqrt(1e-12) * eye]))
+    fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
     return SqrdFactorization(q=fact.q[: len(h_full)], r=fact.r, perm=fact.perm)
 
 

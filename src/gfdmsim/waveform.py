@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrototypeFilter:
     """Unit-energy prototype pulse, held as its frequency response g_f.
 
@@ -31,7 +31,8 @@ class PrototypeFilter:
     and the M-bin window :attr:`support` are derived from g_f, so none of
     them can disagree with it. The filter holds a read-only copy of g_f, so
     the pulse and the window, each computed once per filter, stay those of
-    its spectrum.
+    its spectrum. A filter compares and hashes by identity, as g_f gives
+    ``==`` no single truth value.
     """
 
     g_f: np.ndarray

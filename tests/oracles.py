@@ -126,17 +126,16 @@ def sign_flip_p_value(diffs) -> float:
 
 
 # gfdmsim.detect.sqrd as it was before its loop moved to in-place swaps and a
-# preallocated update buffer; the rewrite keeps its arithmetic, so q, r, perm
-# and the rank-deficiency message must match bit for bit.
+# preallocated update buffer; the rewrite keeps its arithmetic, so q, r and
+# perm, dead columns included, must match bit for bit.
 def sqrd_ref(f: np.ndarray) -> SqrdFactorization:
     """Sorted QR via modified Gram-Schmidt with min-norm column pivoting.
 
     At every step the unprocessed column of smallest residual norm is chosen
     next (ties go to the lowest index), which pushes weak columns early in
     the triangular system and strong ones to the bottom where detection
-    starts. Raises ``numpy.linalg.LinAlgError`` when a residual column norm
-    is at most 1e-12 times the Frobenius norm of the input, which includes
-    every column of an all-zero matrix.
+    starts. A pivot whose residual norm is at most 1e-12 times the Frobenius
+    norm of the input is a dead column: a zero column of Q, a zero row of R.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
@@ -157,9 +156,7 @@ def sqrd_ref(f: np.ndarray) -> SqrdFactorization:
             perm[[i, j]] = perm[[j, i]]
         norm = np.linalg.norm(v[:, i])
         if norm <= 1e-12 * fro:
-            raise np.linalg.LinAlgError(
-                f"column {perm[i]} is numerically rank deficient (norm {norm:.3e})"
-            )
+            continue
         r[i, i] = norm
         q[:, i] = v[:, i] / norm
         if i + 1 < n:

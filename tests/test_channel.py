@@ -102,6 +102,14 @@ def test_channel_is_a_read_only_copy_of_its_taps():
     assert real.taps.dtype == complex
 
 
+def test_channels_compare_and_hash_by_identity():
+    # generated equality would compare the tap arrays, whose == has no truth value
+    a = generate_channel(2, 2, np.random.default_rng(0), 16)
+    b = generate_channel(2, 2, np.random.default_rng(0), 16)
+    assert a == a and a != b and np.array_equal(a.taps, b.taps)
+    assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+
+
 def test_build_circulant_examples():
     npt.assert_allclose(build_circulant(np.array([1.0]), 3), np.eye(3), atol=1e-15)
     a, b = 2.0 + 1j, -0.5 + 0.25j
@@ -228,3 +236,6 @@ def test_snr_conversion():
     assert snr_db_to_noise_power(0.0) == pytest.approx(1.0)
     assert snr_db_to_noise_power(10.0) == pytest.approx(0.1)
     assert snr_db_to_noise_power(float("inf")) == 0.0
+    assert snr_db_to_noise_power(-300.0) == pytest.approx(1e30)
+    with pytest.raises(ValueError, match="SNR -4000 dB"):
+        snr_db_to_noise_power(-4000)

@@ -6,13 +6,15 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdmsim.channel import (
     apply_channel,
     assemble_full_matrix,
     generate_channel,
+    snr_db_to_noise_power,
 )
-from gfdmsim.decoupling import compute_blocks, receive_transform
+from gfdmsim.decoupling import compute_blocks, data_permutation, receive_transform
 from gfdmsim.detect import (
     QPSK,
     DetectionStats,
@@ -46,6 +48,17 @@ from oracles import (
 
 def random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def with_dead_columns(blocks):
+    """A copy of a (K, rows, cols) stack whose factors have dead columns.
+
+    Block 0 is zero, and every other block's last column repeats its first.
+    """
+    dead = blocks.copy()
+    dead[0] = 0.0
+    dead[1:, :, -1] = dead[1:, :, 0]
+    return dead
 
 
 # ----------------------------------------------------------------- alphabet
@@ -93,22 +106,28 @@ def test_sqrd_reconstruction_properties(shape):
         assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
 
 
-def test_sqrd_rejects_rank_deficiency_and_wide_input():
-    f = np.ones((4, 2), dtype=complex)  # second column is a copy of the first
-    with pytest.raises(np.linalg.LinAlgError):
-        sqrd(f)
+def test_sqrd_gives_dead_columns_and_rejects_wide_input():
+    # a column that the rank test finds dependent is dead: a zero column of
+    # Q and a zero row of R, and the factors still reproduce the input
+    rng = np.random.default_rng(9)
+    dup = random_complex((5, 4), rng)
+    dup[:, 3] = dup[:, 1]
+    dup[:, 2] = 2j * dup[:, 0]
+    for f, n_dead in ((dup, 2), (np.ones((4, 2), dtype=complex), 1), (np.zeros((3, 3)), 3)):
+        fact = sqrd(f)
+        dead = np.flatnonzero(np.diag(fact.r) == 0.0)
+        assert len(dead) == n_dead
+        assert np.all(fact.q[:, dead] == 0.0) and np.all(fact.r[dead] == 0.0)
+        assert np.linalg.norm(f[:, fact.perm] - fact.q @ fact.r) <= 1e-12 * np.linalg.norm(f)
+        live = np.flatnonzero(np.diag(fact.r) != 0.0)
+        q_live = fact.q[:, live]
+        npt.assert_allclose(q_live.conj().T @ q_live, np.eye(len(live)), atol=1e-12)
     with pytest.raises(ValueError):
         sqrd(np.ones((2, 4), dtype=complex))
 
 
 def assert_sqrd_matches_reference(f):
-    try:
-        ref = sqrd_ref(f)
-    except np.linalg.LinAlgError as exc:
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            sqrd(f)
-        assert str(got.value) == str(exc)
-        return
+    ref = sqrd_ref(f)
     out = sqrd(f)
     assert np.array_equal(out.q, ref.q)
     assert np.array_equal(out.r, ref.r)
@@ -139,21 +158,18 @@ def test_sqrd_matches_reference_bit_for_bit_on_random_matrices():
         m = int(rng.integers(1, 40))
         f = random_complex((m, int(rng.integers(1, m + 1))), rng)
         assert_sqrd_matches_reference(f)
-        if f.shape[1] > 1:  # rank deficient: the same column, the same message
+        if f.shape[1] > 1:  # rank deficient: the same dead columns
             f[:, -1] = f[:, 0]
             assert_sqrd_matches_reference(f)
     assert_sqrd_matches_reference(np.zeros((3, 2)))
 
 
-def test_sqrd_and_baseline_on_all_zero_matrix(caplog):
-    # the rank check compares against the Frobenius norm, which is 0 here
-    with pytest.raises(np.linalg.LinAlgError):
-        sqrd(np.zeros((2, 2)))
-    with caplog.at_level("WARNING", logger="gfdmsim.detect"):
-        fact = baseline_factorization(np.zeros((4, 2)), 0.0)
-    assert len(caplog.records) == 1
-    assert np.all(np.isfinite(fact.q))
-    npt.assert_allclose(fact.r, 1e-6 * np.eye(2), atol=1e-18)
+def test_sqrd_and_baseline_on_all_zero_matrix():
+    # the rank check compares against the Frobenius norm, which is 0 here,
+    # so every column is dead, in the plain and in the noiseless MMSE factor
+    for fact in (sqrd(np.zeros((2, 2))), baseline_factorization(np.zeros((4, 2)), 0.0)):
+        assert np.all(fact.q == 0.0) and np.all(fact.r == 0.0)
+        npt.assert_array_equal(fact.perm, [0, 1])
 
 
 def test_baseline_factorization_zero_noise_reduces_to_sqrd():
@@ -206,23 +222,18 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
         else:
             filt = dirichlet_filter(k, m)
         blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
-        before = blocks.tobytes()
-        serial = [sqrd(b) for b in blocks]
-        for stack in (blocks, np.asfortranarray(blocks)):
-            stacked = factorize_blocks(stack)
-            assert stack.tobytes() == before
-            assert stacked.q.flags.c_contiguous and stacked.r.flags.c_contiguous
-            assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
-            assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
-            assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
-
-
-def test_factorize_blocks_names_rank_deficient_block():
-    rng = np.random.default_rng(8)
-    blocks = random_complex((4, 4, 2), rng)
-    blocks[2] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="block 2"):
-        factorize_blocks(blocks)
+        for source in (blocks, with_dead_columns(blocks)):
+            before = source.tobytes()
+            serial = [sqrd(b) for b in source]
+            for stack in (source, np.asfortranarray(source)):
+                stacked = factorize_blocks(stack)
+                assert stack.tobytes() == before
+                assert stacked.q.flags.c_contiguous and stacked.r.flags.c_contiguous
+                assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
+                assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
+                assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
+        dead = np.count_nonzero(np.diagonal(stacked.r, axis1=1, axis2=2) == 0.0)
+        assert dead == m * t + k - 1
 
 
 # ----------------------------------------------------------- sphere decoder
@@ -279,6 +290,21 @@ def test_sphere_decode_matches_reference_traversal():
         eye = np.eye(n, dtype=complex)
         for z in (0j, QPSK[2], (QPSK[0] + QPSK[1]) / 2):
             cases.append((eye, np.full(n, z)))
+    # zero rows of R, the dead columns of a sorted QR: all four children tie
+    # there. Noiseless, whether a leaf's metric equals that of a tied sibling
+    # rests on the last bit of the off-diagonal sums, which the two round
+    # differently; the zero rows of the identity tie on exact arithmetic
+    for n in (1, 2, 3, 4, 8):
+        for snr_db in (0.0, 8.0, 20.0):
+            n0 = 10.0 ** (-snr_db / 10.0)
+            for _ in range(10):
+                r = random_upper_triangular(n, rng)
+                r[rng.integers(0, n, 1 + n // 4)] = 0.0
+                s = QPSK[rng.integers(0, 4, n)]
+                cases.append((r, r @ s + math.sqrt(n0 / 2) * random_complex(n, rng)))
+        dead = np.eye(n, dtype=complex)
+        dead[::2] = 0.0
+        cases += [(dead, np.full(n, z)) for z in (0j, QPSK[2], (QPSK[0] + QPSK[1]) / 2)]
     for r, z in cases:
         fast, ref = DetectionStats(), DetectionStats()
         npt.assert_array_equal(sphere_decode(r, z, fast), sphere_decode_ref(r, z, ref))
@@ -399,6 +425,8 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
         for snr_db in (0.0, 4.0, 8.0, 16.0, 30.0, math.inf):
             n0 = 10.0 ** (-snr_db / 10.0)
             r = np.stack([random_upper_triangular(n, rng) for _ in range(60)])
+            if n > 1:  # dead columns: a zero row of R in every third problem
+                r[::3, rng.integers(0, n)] = 0.0
             s = QPSK[rng.integers(0, 4, (60, n))]
             noise = math.sqrt(n0 / 2) * random_complex((60, n), rng)
             z = np.matmul(r, s[:, :, None])[:, :, 0] + noise
@@ -452,19 +480,24 @@ def test_first_descent_matches_reference_bit_for_bit(k, m, t, r, n_blocks):
     # over a realization's stack, at noise levels that certify some problems
     rng = np.random.default_rng(k * 100 + m * 10 + t + r + n_blocks)
     filt = dirichlet_filter(k, m)
-    factors = factorize_blocks(compute_blocks(generate_channel(t, r, rng, k * m), filt))
-    outcomes = set()
-    for snr_db in (0.0, 8.0, 30.0):
-        n0 = 10.0 ** (-snr_db / 10.0)
-        s = QPSK[rng.integers(0, 4, (n_blocks, k, m * t))]
-        noise = math.sqrt(n0 / 2) * random_complex(s.shape, rng)
-        z = np.matmul(factors.r, s[..., None])[..., 0] + noise
-        idx, certified = _first_descent(factors.r, z)
-        idx_ref, certified_ref = first_descent_ref(factors.r, z)
-        assert idx.tobytes() == idx_ref.tobytes()
-        assert certified.tobytes() == certified_ref.tobytes()
-        outcomes.update(certified.ravel().tolist())
-    assert outcomes == {True, False}
+    blocks = compute_blocks(generate_channel(t, r, rng, k * m), filt)
+    # the second stack's factors hold zero rows of R, where all four children tie
+    live = factorize_blocks(blocks)
+    for factors in (live, factorize_blocks(with_dead_columns(blocks))):
+        outcomes = set()
+        for snr_db in (0.0, 8.0, 30.0):
+            n0 = 10.0 ** (-snr_db / 10.0)
+            s = QPSK[rng.integers(0, 4, (n_blocks, k, m * t))]
+            noise = math.sqrt(n0 / 2) * random_complex(s.shape, rng)
+            z = np.matmul(factors.r, s[..., None])[..., 0] + noise
+            idx, certified = _first_descent(factors.r, z)
+            idx_ref, certified_ref = first_descent_ref(factors.r, z)
+            assert idx.tobytes() == idx_ref.tobytes()
+            assert certified.tobytes() == certified_ref.tobytes()
+            outcomes.update(certified.ravel().tolist())
+        # a tie at a dead level certifies only when the levels below it add zero
+        if factors is live:
+            assert outcomes == {True, False}
 
 
 def test_first_descent_matches_reference_on_ties_and_overflow():
@@ -481,9 +514,12 @@ def test_first_descent_matches_reference_on_ties_and_overflow():
         np.array([0.5, np.nan]),
     ]
     for z in cases:
-        r = np.eye(len(z), dtype=complex)[None]
-        for got, want in zip(_first_descent(r, z[None]), first_descent_ref(r, z[None])):
-            assert got.tobytes() == want.tobytes()
+        eye = np.eye(len(z), dtype=complex)
+        dead = eye.copy()
+        dead[-1] = 0.0  # a zero row of R: all four children tie
+        for r in (eye[None], dead[None]):
+            for got, want in zip(_first_descent(r, z[None]), first_descent_ref(r, z[None])):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_sphere_decode_rejects_bad_shapes():
@@ -661,6 +697,71 @@ def test_detect_proposed_is_exact_ml_at_k1(m):
     assert_proposed_equals_global_exhaustive(1, m, (60 + m, 70 + m), 20)
 
 
+def residual(y, h, d):
+    """||y - H d||^2, the metric that every ML decision minimizes."""
+    e = y - h @ d
+    return float(np.vdot(e, e).real)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0, math.inf])
+def test_detect_proposed_is_ml_on_a_window_with_a_zero_bin(snr_db):
+    # the zero bin leaves M*T - rank = 2 dead columns in every block; the
+    # receiver decides anyway, and every block's metric is the exhaustive
+    # search's (decisions may differ where dependent columns tie). Noiseless,
+    # both metrics are rounding error, so the tolerance is relative to the
+    # block's observation energy
+    filt = window_filter(8, 4, [0, 1, 1, 1], 0)
+    ch = generate_channel(2, 2, np.random.default_rng(56), filt.length)
+    blocks = compute_blocks(ch, filt)
+    factors = factorize_blocks(blocks)
+    assert np.all(np.count_nonzero(np.diagonal(factors.r, axis1=1, axis2=2) == 0.0, axis=1) == 2)
+    rng = np.random.default_rng(57)
+    data = QPSK[rng.integers(0, 4, 2 * filt.length)]
+    y = apply_channel(transmit(data, filt, 2), ch, snr_db_to_noise_power(snr_db), rng)
+    ybar = receive_transform(y, filt).reshape(filt.n_subcarriers, -1)
+    d_hat = detect_proposed(ybar.reshape(-1), factors, filt)
+    for y_k, f_k, pos_k in zip(ybar, blocks, data_permutation(filt, 2)):
+        ml = residual(y_k, f_k, exhaustive_ml(y_k, f_k))
+        assert abs(residual(y_k, f_k, d_hat[pos_k]) - ml) <= 1e-12 * (ml + np.vdot(y_k, y_k).real)
+
+
+@st.composite
+def ici_free_links(draw):
+    """A small ICI-free link: K*M*T <= 8 symbols, R from T to 3, any SNR."""
+    t = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8 // t))
+    k = draw(st.integers(1, 8 // (t * m)))
+    r = draw(st.integers(t, 3))
+    snr_db = draw(st.floats(-10.0, 40.0) | st.just(math.inf))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        filt = dirichlet_filter(k, m)
+    else:  # any window, zero bins included, at any start
+        zeros = draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda z: not all(z)))
+        g_1 = np.where(zeros, 0.0, random_complex(m, rng))
+        filt = window_filter(k, m, g_1, draw(st.integers(0, k * m - 1)))
+    return filt, t, r, snr_db, rng
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(link=ici_free_links())
+def test_detect_proposed_is_ml_across_the_ici_free_class(link):
+    # the dense system's metric, at every SNR: the decoupled receiver, dead
+    # columns and all, is exact ML on the whole RD x TD system; noiseless, both
+    # metrics are rounding error, so the tolerance is relative to ||y||^2
+    filt, t, r, snr_db, rng = link
+    ch = generate_channel(t, r, rng, filt.length)
+    data = QPSK[rng.integers(0, 4, t * filt.length)]
+    y = apply_channel(transmit(data, filt, t), ch, snr_db_to_noise_power(snr_db), rng)
+    factors = factorize_blocks(compute_blocks(ch, filt))
+    d_hat = detect_proposed(receive_transform(y, filt), factors, filt)
+    y = y.reshape(-1)
+    h_full = assemble_full_matrix(ch, build_transmitter_matrix(filt))
+    ml = residual(y, h_full, exhaustive_ml(y, h_full))
+    assert abs(residual(y, h_full, d_hat) - ml) <= 1e-9 * (ml + np.vdot(y, y).real)
+
+
 def test_detect_proposed_m1_equals_detect_ofdm():
     filt, ch, factors = proposed_setup(8, 1, 2, 2, seed=14)
     rng = np.random.default_rng(15)
@@ -799,13 +900,20 @@ def test_detect_baseline_stack_rotates_like_one_block_reference(monkeypatch):
                     assert np.array_equal(z, seen["ref"][b * n_groups + g])
 
 
-def test_detect_baseline_noiseless_rank_deficient_falls_back():
+def test_detect_baseline_noiseless_rank_deficient_has_dead_column(caplog):
     h = np.zeros((4, 2), dtype=complex)
     h[:, 0] = [1.0, 1.0, 0.0, 0.0]
     h[:, 1] = [1.0, 1.0, 0.0, 0.0]  # rank 1
-    data = QPSK[np.array([2, 2])]
-    out = detect_baseline_near_ml(h @ data, baseline_factorization(h, 0.0), 1)
-    assert out.shape == (2,)  # regularized fallback still returns a decision
+    y = h @ QPSK[np.array([2, 2])]
+    with caplog.at_level("DEBUG"):
+        fact = baseline_factorization(h, 0.0)
+    assert not caplog.records
+    assert fact.r[1, 1] == 0.0  # the second column is dead
+    # one group of all T*D symbols is exact ML; symbol by symbol, SIC takes
+    # the lowest-index point at the dead level and cannot revise it
+    ml = residual(y, h, exhaustive_ml(y, h))
+    assert residual(y, h, detect_baseline_near_ml(y, fact, 2)) == ml == 0.0
+    assert residual(y, h, detect_baseline_near_ml(y, fact, 1)) == pytest.approx(4.0)
 
 
 def test_baseline_sic_never_beats_exact_ml_on_average():

@@ -258,6 +258,15 @@ def test_spectrum_is_a_read_only_copy():
     assert f.g_f[0] == 0.0
 
 
+def test_filters_compare_and_hash_by_identity():
+    # generated equality would compare the spectra, whose == has no truth
+    # value; the cached pulse and window still work on an identity-hashed filter
+    a, b = dirichlet_filter(4, 2), dirichlet_filter(4, 2)
+    assert a == a and a != b and np.array_equal(a.g_f, b.g_f)
+    assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+    assert a.support is a.support and a.g is a.g
+
+
 def test_pulse_is_computed_once_and_read_only():
     # fast_modulate and build_transmitter_matrix read g on every call, so the
     # filter keeps one copy of the inverse DFT, which no caller can change
