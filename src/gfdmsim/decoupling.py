@@ -56,22 +56,13 @@ def data_permutation(f: PrototypeFilter, n_tx: int) -> np.ndarray:
     return grid.transpose(2, 0, 1).reshape(k_sc, n_tx * m_ss)
 
 
-def _window_diag_dft(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
-    """The M x M factor diag(g_1) * shift-up(l) * W_M / sqrt(K) shared by all blocks."""
-    m_ss = len(g_1)
-    mm, nn = np.meshgrid(np.arange(m_ss), np.arange(m_ss), indexing="ij")
-    w_m = np.exp(-2j * np.pi * mm * nn / m_ss) / math.sqrt(m_ss)
-    # the exponent of the inner cyclic shift is the frequency-window start,
-    # reduced mod M; confirmed against the dense factorization to 1e-12
-    return g_1[:, None] * np.roll(w_m, -shift, axis=0) / math.sqrt(k_sc)
-
-
 def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     """Per-subcarrier MR x MT matrices from the analytic window formula.
 
     Returns the C-contiguous (K, M*R, M*T) stack whose block k stacks, over
     antenna pairs, diag of the M channel-frequency gains at subcarrier k
-    times the shared window/DFT factor. Costs O(K M^2 T R) given the
+    times the filter's :attr:`~gfdmsim.waveform.PrototypeFilter.block_factor`, the
+    window/DFT factor they all share. Costs O(K M^2 T R) given the
     channel's precomputed frequency response; no dense D x D products are
     formed. The products run with the subcarrier axis innermost, as
     (M, M, R, T, K), and one transposing copy gives the stack.
@@ -80,10 +71,10 @@ def compute_blocks(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
         raise ValueError("per-subcarrier blocks require a filter with an M-bin window")
     if ch.block_len != f.length:
         raise ValueError("channel block length does not match the filter length")
-    g_1, shift = f.support
+    shift = f.support[1]
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     r, t = ch.n_rx, ch.n_tx
-    core = _window_diag_dft(g_1, shift, k_sc)
+    core = f.block_factor
     # gains[m, :, :, k] is the channel at bin l + k*M + m
     gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss).transpose(3, 0, 1, 2)
     # the gain is the first factor, as complex products need not commute

@@ -7,8 +7,9 @@ receivers share the same sphere-decoder core:
   channel realization in one batched plain sorted QR and solves K
   independent ML subproblems per data block; for a stack of a
   realization's blocks it runs the sphere decoder's first descent on every
-  subproblem at once and calls the scalar decoder only for the subproblems
-  whose first leaf that descent cannot certify as the decoder's answer;
+  subproblem at once, and for the subproblems whose first leaf that descent
+  cannot certify as the decoder's answer it resumes the scalar search from
+  that leaf;
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
   interference cancellation;
@@ -160,6 +161,131 @@ def _require_finite(r: np.ndarray, z: np.ndarray) -> None:
         raise ValueError("the observation and the triangular factor must be finite")
 
 
+def _order(v0: float, v1: float, v2: float, v3: float) -> tuple[tuple, tuple]:
+    """A level's four child metrics, point q's at [q], in ``sorted((metric, q))`` order.
+
+    Returns the sorted metrics and their QPSK indices. Points 0 and 1 share a
+    real coordinate, and so do 2 and 3: each pair is put in order, then the
+    two pairs are merged. A tie goes to the lower index, and since no
+    comparison holds for NaN, an all-NaN level keeps index order.
+    """
+    if v1 < v0:
+        a0, a1, i0, i1 = v1, v0, 1, 0
+    else:
+        a0, a1, i0, i1 = v0, v1, 0, 1
+    if v3 < v2:
+        b0, b1, j0, j1 = v3, v2, 3, 2
+    else:
+        b0, b1, j0, j1 = v2, v3, 2, 3
+    if b0 < a0:
+        if b1 < a0:
+            return (b0, b1, a0, a1), (j0, j1, i0, i1)
+        if b1 < a1:
+            return (b0, a0, b1, a1), (j0, i0, j1, i1)
+        return (b0, a0, a1, b1), (j0, i0, i1, j1)
+    if b0 < a1:
+        if b1 < a1:
+            return (a0, b0, b1, a1), (i0, j0, j1, i1)
+        return (a0, b0, a1, b1), (i0, j0, i1, j1)
+    return (a0, a1, b0, b1), (i0, i1, j0, j1)
+
+
+def _row_lists(r_mat: np.ndarray) -> tuple[list, list]:
+    """R's rows and its real diagonal as Python scalars, the form :func:`_search` reads."""
+    return r_mat.tolist(), r_mat.diagonal().real.tolist()
+
+
+def _search(rows, diag, zs, path, raw, base, best, level):
+    """The depth-first search of :func:`sphere_decode`, from the expansion of ``level``.
+
+    ``rows`` and ``diag`` come from :func:`_row_lists`, and ``zs`` is z as
+    Python complex numbers. ``path[l]`` is the QPSK index taken at level l,
+    ``base[l]`` the level's partial metric, that of the path above it, and
+    ``raw[l]`` its four child metrics, point q's at [q]. Every level above
+    ``level`` is open on its first child. For ``level`` itself, ``raw`` holds
+    the metrics the vectorized first descent formed, or ``None`` for the
+    search to form them. ``best`` is the radius; while it is finite,
+    ``path`` ends in the leaf it belongs to. The lists are updated in place.
+    Returns the best leaf's indices, and the nodes and complex-multiplication
+    units of the work done beyond the given state.
+
+    The open levels are always the contiguous range level..n-1, so flat
+    lists indexed by level hold them, and a depth of M*T levels needs no
+    recursion. A level's best child comes from pairwise minima. Its other
+    children are put in :func:`_order`'s order (``vals`` and ``kids``) only
+    when the search comes back for its second; ``nxt`` is the rank of the
+    next. Level 0 takes only its best child: once a leaf is taken, its
+    siblings cannot beat the radius.
+    """
+    n = len(zs)
+    up, down = _COORD
+    pts = [_POINTS[q] for q in path]
+    best_idx = path.copy()
+    nxt, vals, kids = [1] * n, [None] * n, [None] * n
+    v, acc = raw[level], base[level]
+    nodes = cms = 0
+    while True:
+        if v is None:  # the expansion: n - 1 - level products, 4 candidates
+            cms += n + 3 - level
+            off = 0j
+            row = rows[level]
+            for j in range(level + 1, n):
+                off += row[j] * pts[j]
+            rhs = zs[level] - off
+            re, im = rhs.real, rhs.imag
+            d = diag[level]
+            hi, lo = d * up, d * down  # R[l, l] times each coordinate value
+            a, b = re - hi, re - lo
+            re_hi, re_lo = a * a, b * b
+            a, b = im - hi, im - lo
+            im_hi, im_lo = a * a, b * b
+            v = (re_hi + im_hi, re_hi + im_lo, re_lo + im_hi, re_lo + im_lo)
+        v0, v1, v2, v3 = v
+        q, m = (1, v1) if v1 < v0 else (0, v0)  # ties to the lower index
+        if v3 < v2:
+            if v3 < m:
+                q, m = 3, v3
+        elif v2 < m:
+            q, m = 2, v2
+        raw[level], base[level], nxt[level] = v, acc, 1
+        v = None
+        metric = acc + m
+        while True:  # child q of level, at partial metric `metric`
+            if metric >= best:  # sorted: the rest cannot beat the radius
+                if best == math.inf:  # backtracking with no leaf found
+                    raise ValueError(f"partial metric overflows at level {level}")
+            else:
+                path[level] = q
+                nodes += 1
+                if level:
+                    pts[level] = _POINTS[q]
+                    break
+                if metric != metric:
+                    raise ValueError("partial metric overflows to NaN")
+                best = metric
+                best_idx = path.copy()
+            # back up to the deepest open level with an untried child
+            level += 1
+            while level < n and nxt[level] == 4:
+                level += 1
+            if level == n:
+                return best_idx, nodes, cms
+            k = nxt[level]
+            if k == 1:
+                vals[level], kids[level] = _order(*raw[level])
+            nxt[level] = k + 1
+            q = kids[level][k]
+            metric = base[level] + vals[level][k]
+        level -= 1
+        acc = metric
+
+
+def _decode(rows: list, diag: list, zs: list) -> tuple[list, int, int]:
+    """:func:`_search` from scratch: no level open and an infinite radius."""
+    n = len(zs)
+    return _search(rows, diag, zs, [0] * n, [None] * n, [0.0] * n, math.inf, n - 1)
+
+
 def sphere_decode(
     r_mat: np.ndarray,
     z: np.ndarray,
@@ -185,14 +311,14 @@ def sphere_decode(
     one complex-multiplication unit per off-diagonal product in the partial
     residuals and per candidate-symbol metric evaluation.
 
-    The search state lives in Python scalars and lists: a search visits a
-    few dozen nodes on average, each with one child per QPSK point, too few
-    for array calls to pay off. Every QPSK coordinate is +-1/sqrt(2), so a
-    level's four metrics are sums of two real squares for the real part
-    and two for the imaginary part. Partial residuals are summed left to
-    right in Python complex arithmetic, so the result does not depend on
-    the BLAS build. The open levels are an explicit stack, not recursion:
-    a block of M*T symbols can be deeper than Python's recursion limit.
+    The search state lives in Python scalars and flat lists indexed by level
+    (see :func:`_search`, which :func:`detect_proposed` resumes from its
+    vectorized first descent): a search visits a few dozen nodes on average,
+    each with one child per QPSK point, too few for array calls to pay off.
+    Every QPSK coordinate is +-1/sqrt(2), so a level's four metrics are sums
+    of two real squares for the real part and two for the imaginary part.
+    Partial residuals are summed left to right in Python complex arithmetic,
+    so the result does not depend on the BLAS build.
     """
     r_mat = np.asarray(r_mat)
     z = np.asarray(z)
@@ -202,58 +328,7 @@ def sphere_decode(
     if r_mat.shape != (n, n):
         raise ValueError(f"triangular factor {r_mat.shape} does not match length {n}")
     _require_finite(r_mat, z)
-    rows = r_mat.tolist()
-    tails = [row[l + 1 :] for l, row in enumerate(rows)]
-    diag = r_mat.diagonal().real.tolist()
-    zs = z.tolist()
-    up, down = _COORD
-    s_idx = [0] * n
-    s_pts = [0j] * n
-    best = math.inf
-    best_idx = [0] * n
-    nodes = 0
-    cms = 4  # the top level's expansion: no products, 4 candidates
-
-    def children(level: int) -> list[tuple[float, int]]:
-        # (incremental metric, QPSK index) pairs, best first; the top level's
-        # empty sum leaves z[n - 1] as it is
-        off = 0j
-        for j, r_lj in enumerate(tails[level], level + 1):
-            off += r_lj * s_pts[j]
-        rhs = zs[level] - off
-        re, im = rhs.real, rhs.imag
-        d = diag[level]
-        hi, lo = d * up, d * down  # R[l, l] times each coordinate value
-        re_hi, re_lo = (re - hi) * (re - hi), (re - lo) * (re - lo)
-        im_hi, im_lo = (im - hi) * (im - hi), (im - lo) * (im - lo)
-        return sorted(
-            [(re_hi + im_hi, 0), (re_hi + im_lo, 1), (re_lo + im_hi, 2), (re_lo + im_lo, 3)]
-        )
-
-    # open levels, innermost last: (level, partial metric, its untried children)
-    stack = [(n - 1, 0.0, iter(children(n - 1)))]
-    push, pop = stack.append, stack.pop
-    while stack:
-        level, acc, kids = entry = pop()
-        for val, q in kids:
-            metric = acc + val
-            if metric >= best:
-                if best == math.inf:  # backtracking with no leaf found
-                    raise ValueError(f"partial metric overflows at level {level}")
-                break  # children are sorted: the rest cannot beat the radius
-            s_idx[level] = q
-            s_pts[level] = _POINTS[q]
-            nodes += 1
-            if level == 0:
-                if metric != metric:
-                    raise ValueError("partial metric overflows to NaN")
-                best = metric
-                best_idx = s_idx.copy()
-            else:  # this level stays open beneath its child
-                cms += n + 4 - level  # its expansion: n - level products, 4 candidates
-                push(entry)
-                push((level - 1, metric, iter(children(level - 1))))
-                break
+    best_idx, nodes, cms = _decode(*_row_lists(r_mat), z.tolist())
     if stats is not None:
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
@@ -375,8 +450,8 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
-def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First leaf of :func:`sphere_decode` for a stack of problems, and whether it is final.
+def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """First leaf of :func:`sphere_decode` for a stack of problems, its certificate and state.
 
     ``r`` (..., n, n) and ``z`` (..., n) broadcast over their leading axes.
     Going down from level n - 1, each problem takes its best Schnorr-Euchner
@@ -388,8 +463,11 @@ def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     when its leaf metric is finite and, at every level, the second child's
     metric is at least the leaf's: ``sphere_decode`` then prunes every other
     branch and returns this leaf after n nodes. Returns the leaf's QPSK
-    indices (..., n) and the certified mask (...); ``r`` must be finite, as
-    :func:`sphere_decode` requires.
+    indices (..., n), the certified mask (...), each level's four child
+    metrics, point q's at [q] (..., n, 4), each level's partial metric, that
+    of the path above it (..., n), and the leaf metric (...): the state from
+    which :func:`_search` resumes an uncertified problem. ``r`` must be
+    finite, as :func:`sphere_decode` requires.
 
     Every pass runs over the problems, innermost, one level at a time: the
     level axes of ``r`` and ``z`` go first, and ``r`` broadcasts over the
@@ -406,7 +484,8 @@ def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     idx = np.empty((n,) + shape, dtype=np.intp)
     sr = np.empty((n,) + shape)  # the chosen points' real and imaginary parts
     si = np.empty((n,) + shape)
-    metric = np.zeros(shape)
+    child = np.empty((n, 4) + shape)
+    acc = np.zeros((n + 1,) + shape)  # acc[l + 1] is level l's partial metric, acc[0] the leaf's
     second = np.full(shape, np.inf)  # the least second-child metric over the levels
     for lev in range(n - 1, -1, -1):
         re, im = zt[lev].real, zt[lev].imag
@@ -430,19 +509,29 @@ def _first_descent(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # the four children's metrics, point q at [q], and the first two of
         # their stable sort, ties to the lower index; with R finite, a level's
         # metrics are all NaN or none is, and all NaN keep point 0 as the sort does
-        v0, v1, v2, v3 = re_hi + im_hi, re_hi + im_lo, re_lo + im_hi, re_lo + im_lo
+        v0 = np.add(re_hi, im_hi, out=child[lev, 0])
+        v1 = np.add(re_hi, im_lo, out=child[lev, 1])
+        v2 = np.add(re_lo, im_hi, out=child[lev, 2])
+        v3 = np.add(re_lo, im_lo, out=child[lev, 3])
         low01, low23 = np.minimum(v0, v1), np.minimum(v2, v3)
         q_re = low23 < low01  # the chosen point's q >> 1 and q & 1
         q_im = np.where(q_re, v3 < v2, v1 < v0)
         runner = np.where(
             q_re, np.minimum(low01, np.maximum(v2, v3)), np.minimum(low23, np.maximum(v0, v1))
         )
-        second = np.minimum(second, metric + runner)
-        metric = metric + np.where(q_re, low23, low01)
+        second = np.minimum(second, acc[lev + 1] + runner)
+        np.add(acc[lev + 1], np.where(q_re, low23, low01), out=acc[lev])
         idx[lev] = 2 * q_re + q_im
         sr[lev] = np.where(q_re, down, up)
         si[lev] = np.where(q_im, down, up)
-    return np.moveaxis(idx, 0, -1), (metric < np.inf) & (second >= metric)
+    leaf = acc[0]
+    return (
+        np.moveaxis(idx, 0, -1),
+        (leaf < np.inf) & (second >= leaf),
+        np.moveaxis(child, (0, 1), (-2, -1)),
+        np.moveaxis(acc[1:], 0, -1),
+        leaf,
+    )
 
 
 def detect_proposed(
@@ -460,10 +549,16 @@ def detect_proposed(
     Returns the detected data, T*D symbols per observation, with the
     input's stacking. All rotated observations Q_k^H ybar_k are formed in
     one batched product. The B*K subproblems of size MT then run one
-    vectorized first descent of the sphere decoder (:func:`_first_descent`),
-    and only those it cannot certify are solved by :func:`sphere_decode`
-    from scratch. Decisions and node/CM counts are therefore those of one
-    sphere-decoder call per subproblem. All decisions go to data order in one
+    vectorized first descent of the sphere decoder (:func:`_first_descent`).
+    Each subproblem it cannot certify resumes the scalar search at the first
+    leaf, with that leaf's metric as the radius and every level above on its
+    second child, so no subproblem runs its first descent twice; one whose
+    leaf metric overflows runs from scratch, to raise as
+    :func:`sphere_decode` does. R's rows become Python scalars once per
+    subcarrier. Each subproblem is charged the first descent's n nodes and
+    n(n - 1)/2 + 4n CM units once, plus what the resumed search visits, so
+    decisions and node/CM counts are those of one sphere-decoder call per
+    subproblem. All decisions go to data order in one
     scatter through the filter's :func:`data_permutation` map. The QR is plain
     and unregularized, so no noise power enters. Raises ``ValueError`` on a
     non-finite entry of ``ybar`` or of the triangular factors, and when the
@@ -482,14 +577,26 @@ def detect_proposed(
     _require_finite(r, ybar)
     stack = ybar.reshape(-1, k_sc, rows, 1)
     z = np.matmul(q.conj().transpose(0, 2, 1), stack)[..., 0]
-    idx, certified = _first_descent(r, z)
-    s = QPSK[idx]
-    for b, k in zip(*np.nonzero(~certified)):
-        s[b, k] = sphere_decode(r[k], z[b, k], stats)
+    idx, certified, child, partial, leaf = _first_descent(r, z)
+    n_desc, nodes, cms = int(np.count_nonzero(certified)), 0, 0
+    sel = np.nonzero(~certified)
+    todo = (a.tolist() for a in (*sel, z[sel], idx[sel], child[sel], partial[sel], leaf[sel]))
+    lists = {}  # each subcarrier's R as Python scalars, shared by the blocks
+    for b, k, zs, path, raw, base, best in zip(*todo):
+        if k not in lists:
+            lists[k] = _row_lists(r[k])
+        if math.isfinite(best):  # from the first leaf, every level above on its second child
+            idx[b, k], n_k, cm_k = _search(*lists[k], zs, path, raw, base, best, 0)
+            n_desc += 1
+        else:  # from scratch, to raise where the search first overflows
+            idx[b, k], n_k, cm_k = _decode(*lists[k], zs)
+        nodes += n_k
+        cms += cm_k
     if stats is not None:
-        n_cert = int(np.count_nonzero(certified))
-        stats.sd_nodes_visited += n_cert * cols
-        stats.cm_count += n_cert * (cols * (cols - 1) // 2 + len(QPSK) * cols)
+        # each first descent once: n nodes, n(n - 1)/2 products and 4n candidates
+        stats.sd_nodes_visited += nodes + n_desc * cols
+        stats.cm_count += cms + n_desc * (cols * (cols - 1) // 2 + len(QPSK) * cols)
+    s = QPSK[idx]
     # step i of block k decided the symbol at data position pos[k, i]
     pos = np.take_along_axis(data_permutation(f, cols // m_ss), perm, 1)
     d_hat = np.empty((len(stack), k_sc * cols), dtype=complex)

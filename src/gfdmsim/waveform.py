@@ -27,11 +27,12 @@ class PrototypeFilter:
     """Unit-energy prototype pulse, held as its frequency response g_f.
 
     The pulse spans one block of D = K*M samples: ``n_subcarriers`` is K,
-    and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`
-    and the M-bin window :attr:`support` are derived from g_f, so none of
-    them can disagree with it. The filter holds a read-only copy of g_f, so
-    the pulse and the window, each computed once per filter, stay those of
-    its spectrum. A filter compares and hashes by identity, as g_f gives
+    and :attr:`n_subsymbols` is M = D // K. The time-domain pulse :attr:`g`,
+    the M-bin window :attr:`support` and the per-subcarrier
+    :attr:`block_factor` are derived from g_f, so none of them can disagree
+    with it. The filter holds a read-only copy of g_f, so the pulse, the
+    window and the block factor, each computed once per filter, stay those
+    of its spectrum. A filter compares and hashes by identity, as g_f gives
     ``==`` no single truth value.
     """
 
@@ -83,6 +84,25 @@ class PrototypeFilter:
         if inside == 0 or inside < np.count_nonzero(self.g_f):
             return None
         return g_1, start
+
+    @cached_property
+    def block_factor(self) -> np.ndarray | None:
+        """The M x M factor diag(g_1) * shift-up(l) * W_M / sqrt(K) of every per-subcarrier block.
+
+        Computed once per filter from :attr:`support`, read-only; None when
+        the spectrum has no M-bin window.
+        """
+        if self.support is None:
+            return None
+        g_1, shift = self.support
+        m_ss = len(g_1)
+        mm, nn = np.meshgrid(np.arange(m_ss), np.arange(m_ss), indexing="ij")
+        w_m = np.exp(-2j * np.pi * mm * nn / m_ss) / math.sqrt(m_ss)
+        # the exponent of the inner cyclic shift is the frequency-window start,
+        # reduced mod M; confirmed against the dense factorization to 1e-12
+        core = g_1[:, None] * np.roll(w_m, -shift, axis=0) / math.sqrt(self.n_subcarriers)
+        core.flags.writeable = False
+        return core
 
 
 def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:

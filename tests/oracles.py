@@ -18,7 +18,6 @@ from gfdmsim.detect import (
     sphere_decode,
 )
 from gfdmsim.channel import MimoChannel
-from gfdmsim.decoupling import _window_diag_dft
 from gfdmsim.waveform import PrototypeFilter
 
 
@@ -180,7 +179,8 @@ def sphere_decode_ref(
     ordering (children sorted by increasing incremental metric, ties by
     QPSK index), infinite initial radius, and radius shrinking at
     every improved leaf. Equal-metric leaves keep the first one found. R
-    must be upper triangular with positive diagonal.
+    must be upper triangular with a real nonnegative diagonal: a zero on
+    it, a dead column, ties the four children.
 
     Bookkeeping per call: one node per child that survives the radius test,
     one complex-multiplication unit per off-diagonal product in the partial
@@ -317,15 +317,27 @@ def detect_baseline_near_ml_ref(
     return d_hat
 
 
+# The M x M window/DFT factor as gfdmsim.decoupling formed it on every
+# compute_blocks call, before the filter kept it: the cached copy must
+# match it bit for bit.
+def window_diag_dft_ref(g_1: np.ndarray, shift: int, k_sc: int) -> np.ndarray:
+    """The M x M factor diag(g_1) * shift-up(l) * W_M / sqrt(K) shared by all blocks."""
+    m_ss = len(g_1)
+    mm, nn = np.meshgrid(np.arange(m_ss), np.arange(m_ss), indexing="ij")
+    w_m = np.exp(-2j * np.pi * mm * nn / m_ss) / math.sqrt(m_ss)
+    return g_1[:, None] * np.roll(w_m, -shift, axis=0) / math.sqrt(k_sc)
+
+
 # gfdmsim.decoupling.compute_blocks as it was when its product ran with the
-# subcarrier axis outside the M x M factor: the rewrite forms the same
-# products in another layout, so the stack must match bit for bit.
+# subcarrier axis outside the M x M factor and formed that factor per call:
+# the rewrite forms the same products in another layout, so the stack must
+# match bit for bit.
 def compute_blocks_ref(ch: MimoChannel, f: PrototypeFilter) -> np.ndarray:
     """Per-subcarrier MR x MT matrices, formed as an (R, T, K, M, M) product."""
     g_1, shift = f.support
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     r, t = ch.n_rx, ch.n_tx
-    core = _window_diag_dft(g_1, shift, k_sc)
+    core = window_diag_dft_ref(g_1, shift, k_sc)
     gains = np.roll(ch.freq, -shift, axis=2).reshape(r, t, k_sc, m_ss)
     blocks = gains[..., None] * core[None, None, None, :, :]  # (R, T, K, M, M)
     return blocks.transpose(2, 0, 3, 1, 4).reshape(k_sc, r * m_ss, t * m_ss)

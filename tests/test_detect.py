@@ -19,6 +19,9 @@ from gfdmsim.detect import (
     QPSK,
     DetectionStats,
     _first_descent,
+    _order,
+    _row_lists,
+    _search,
     baseline_factorization,
     detect_baseline_near_ml,
     detect_ofdm,
@@ -315,8 +318,8 @@ def test_sphere_decode_matches_reference_traversal():
 
 
 def test_sphere_decode_runs_deeper_than_the_recursion_limit():
-    # the open levels are an explicit stack, so no depth is too deep; a
-    # noiseless identity system ends at its first leaf
+    # the open levels are flat lists indexed by level, not recursion, so no
+    # depth is too deep; a noiseless identity system ends at its first leaf
     n = sys.getrecursionlimit() + 50
     z = QPSK[np.random.default_rng(33).integers(0, 4, n)]
     stats = DetectionStats()
@@ -347,6 +350,39 @@ def test_sphere_decode_ties_on_decision_boundaries():
         fast, ref = DetectionStats(), DetectionStats()
         npt.assert_array_equal(sphere_decode(r, z, fast), sphere_decode_ref(r, z, ref))
         assert (fast.sd_nodes_visited, fast.cm_count) == (ref.sd_nodes_visited, ref.cm_count)
+
+
+def test_child_order_equals_sorted_metric_index_pairs():
+    # the search puts a level's children in sorted((metric, index)) order from
+    # comparisons of the summed metrics; the metrics come from the decoder's
+    # formula on residuals with exact ties (a zero diagonal, points and
+    # decision boundaries), NaN, overflow to inf, and absorption: at a real
+    # part near 1e20 the imaginary parts differ below the ulp of the sum, so
+    # the sums tie although the parts do not
+    c = float(QPSK[0].real)
+    rng = np.random.default_rng(37)
+    residuals = [complex(a, b) for a in (0.0, c, -c, 0.5) for b in (0.0, c, -c, 0.5)]
+    residuals += [complex(*rng.standard_normal(2)) for _ in range(200)]
+    residuals += [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1e200, 0.3)]
+    residuals += [complex(1e200, 1e200), complex(1e20, 0.3), complex(-1e20, -0.3)]
+    cases = []
+    for rhs in residuals:
+        for d in (0.0, 1.0, 0.7, 3.0):
+            a, b = rhs.real - d * c, rhs.real + d * c
+            e, f = rhs.imag - d * c, rhs.imag + d * c
+            re_hi, re_lo, im_hi, im_lo = a * a, b * b, e * e, f * f
+            cases.append((re_hi + im_hi, re_hi + im_lo, re_lo + im_hi, re_lo + im_lo))
+    # the parts put point 1 before 0 and 3 before 2; the sums tie
+    absorbed = (1e40 + 0.5, 1e40 + 0.25, 1e40 + 0.5, 1e40 + 0.25)
+    assert len(set(absorbed)) == 1
+    cases.append(absorbed)
+    cases += [tuple(rng.permutation([1.0, 1.0, 2.0, math.inf]).tolist()) for _ in range(20)]
+    for v in cases:
+        vals, kids = _order(*v)
+        want = sorted((metric, q) for q, metric in enumerate(v))
+        assert [(repr(m), q) for m, q in zip(vals, kids)] == [(repr(m), q) for m, q in want]
+    vals, kids = _order(*absorbed)
+    assert kids == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("n", [9, 16])
@@ -396,6 +432,21 @@ def test_receivers_reject_non_finite_input():
     # finite, but every top-level metric overflows: the search finds no leaf
     with pytest.raises(ValueError, match="overflows"):
         detect_proposed(ybar * 1e200, factors, filt)
+    # finite entries whose products overflow at level 0 of subcarrier 1: the
+    # first descent takes point 0 at every level above, where the residual
+    # sum's imaginary part is inf - inf. A first leaf whose metric overflows
+    # is searched from scratch, so either message is that of one
+    # sphere_decode call per subcarrier
+    r_big = factors.r.copy()
+    r_big[1] = np.eye(4)
+    r_big[1, 0, 1], r_big[1, 0, 2] = 1.7e308 * (1 + 1j), -1.7e308 * (1 + 1j)
+    big = dataclasses.replace(factors, r=r_big)
+    for y_bad, fact in ((ybar * 1e200, factors), (np.zeros_like(ybar), big)):
+        with pytest.raises(ValueError) as want:
+            detect_proposed_ref(y_bad, fact, filt)
+        with pytest.raises(ValueError) as got:
+            detect_proposed(y_bad, fact, filt)
+        assert str(got.value) == str(want.value)
     h = random_complex((8, 4), rng)
     fact = baseline_factorization(h, 0.1)
     y = h @ QPSK[np.array([0, 3, 1, 2])]
@@ -444,21 +495,24 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
     for z, expect_certified, expect_idx in built:
         r_list.append(np.eye(len(z), dtype=complex)[None])
         z_list.append(z[None])
-        idx, certified = _first_descent(r_list[-1], z_list[-1])
+        idx, certified, *_ = _first_descent(r_list[-1], z_list[-1])
         assert bool(certified[0]) == expect_certified
         npt.assert_array_equal(idx[0], expect_idx)
     # metrics that overflow, so that the scalar search reaches no leaf: the
     # descent leaves it uncertified, and the scalar search raises
     z = np.full(2, 1e200 + 0j)
-    idx, certified = _first_descent(np.eye(2, dtype=complex)[None], z[None])
+    idx, certified, *_ = _first_descent(np.eye(2, dtype=complex)[None], z[None])
     assert not certified[0]
     npt.assert_array_equal(idx[0], [0, 0])
     with pytest.raises(ValueError, match="overflows at level 1"):
         sphere_decode(np.eye(2, dtype=complex), z)
+    # an uncertified problem resumed at its first leaf, every level above on
+    # its second child, finishes the scalar search: the same decision, and
+    # the same counts once the descent's are added
     outcomes = set()
     for r, z in zip(r_list, z_list):
         n = z.shape[1]
-        idx, certified = _first_descent(r, z)
+        idx, certified, child, partial, leaf = _first_descent(r, z)
         outcomes.update(certified.tolist())
         for p in range(len(z)):
             stats = DetectionStats()
@@ -467,6 +521,12 @@ def test_first_descent_certifies_exactly_the_n_node_searches():
             if certified[p]:
                 npt.assert_array_equal(out, QPSK[idx[p]])
                 assert stats.cm_count == n * (n - 1) // 2 + 4 * n
+            else:
+                state = (a[p].tolist() for a in (z, idx, child, partial, leaf))
+                found, nodes, cms = _search(*_row_lists(r[p]), *state, 0)
+                npt.assert_array_equal(QPSK[found], out)
+                charged = (nodes + n, cms + n * (n - 1) // 2 + 4 * n)
+                assert charged == (stats.sd_nodes_visited, stats.cm_count)
     assert outcomes == {True, False}
 
 
@@ -490,7 +550,7 @@ def test_first_descent_matches_reference_bit_for_bit(k, m, t, r, n_blocks):
             s = QPSK[rng.integers(0, 4, (n_blocks, k, m * t))]
             noise = math.sqrt(n0 / 2) * random_complex(s.shape, rng)
             z = np.matmul(factors.r, s[..., None])[..., 0] + noise
-            idx, certified = _first_descent(factors.r, z)
+            idx, certified, *_ = _first_descent(factors.r, z)
             idx_ref, certified_ref = first_descent_ref(factors.r, z)
             assert idx.tobytes() == idx_ref.tobytes()
             assert certified.tobytes() == certified_ref.tobytes()

@@ -14,7 +14,7 @@ from gfdmsim.waveform import (
     window_filter,
 )
 
-from oracles import dft_matrix_ref, transmitter_matrix_ref
+from oracles import dft_matrix_ref, transmitter_matrix_ref, window_diag_dft_ref
 
 GRID = [(2, 2), (4, 2), (4, 4), (8, 2), (8, 4), (3, 5)]
 
@@ -269,12 +269,18 @@ def test_filters_compare_and_hash_by_identity():
 
 def test_pulse_is_computed_once_and_read_only():
     # fast_modulate and build_transmitter_matrix read g on every call, so the
-    # filter keeps one copy of the inverse DFT, which no caller can change
+    # filter keeps one copy of the inverse DFT, which no caller can change;
+    # compute_blocks reads the M x M block factor on every call, kept likewise
     f = window_filter(8, 4, np.linspace(0.5, 1.0, 4) * np.exp(1j * np.arange(4)), 5)
     assert f.g.tobytes() == np.fft.ifft(f.g_f).tobytes()
     assert f.g is f.g
     with pytest.raises(ValueError):
         f.g[0] = 3.0
+    assert f.block_factor.tobytes() == window_diag_dft_ref(*f.support, 8).tobytes()
+    assert f.block_factor is f.block_factor
+    with pytest.raises(ValueError):
+        f.block_factor[0, 0] = 3.0
+    assert rc_filter(8, 4, 0.9).block_factor is None
 
 
 @pytest.mark.parametrize("k,m", GRID + [(8, 1), (1, 4)])
