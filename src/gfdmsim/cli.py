@@ -8,7 +8,14 @@ import numpy as np
 
 from . import channel as chan
 from .decoupling import verify_decomposition
-from .simulate import ConfigError, parse_config, run_sweep, closed_form_cm, write_report
+from .simulate import (
+    _DENSE_SCHEMES,
+    ConfigError,
+    closed_form_cm,
+    parse_config,
+    run_sweep,
+    write_report,
+)
 from .waveform import dirichlet_filter
 
 # block lengths beyond this run the full-matrix baseline into minutes-to-hours
@@ -39,12 +46,11 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.large and cfg.block_len > LARGE_BLOCK_LEN:
-        print(
-            f"warning: D = {cfg.block_len} is full scale; the full-matrix baseline "
-            "factorization is intentionally expensive at this size",
-            file=sys.stderr,
-        )
+    if cfg.block_len > LARGE_BLOCK_LEN:
+        warning = f"warning: D = {cfg.block_len} is full scale"
+        if cfg.scheme in _DENSE_SCHEMES:
+            warning += "; the full-matrix baseline factorization is expensive at this size"
+        print(warning, file=sys.stderr)
     out = cfg.out or "results.csv"
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):

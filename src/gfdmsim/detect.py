@@ -1,6 +1,6 @@
 """MIMO detection: sorted QR, depth-first sphere decoding, and full receivers.
 
-Every receiver decides over one symbol alphabet, :data:`QPSK`. Three
+Every receiver decides over one symbol alphabet, :data:`QPSK`. Two
 receivers share the same sphere-decoder core:
 
 * the per-subcarrier detector, which factors all K MR x MT blocks of a
@@ -12,9 +12,10 @@ receivers share the same sphere-decoder core:
   that leaf;
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
-  interference cancellation;
-* the OFDM detector for M = 1 blocks, an independent reference for the
-  per-subcarrier detector at M = 1 (sweeps run ``ofdm`` through the latter).
+  interference cancellation.
+
+:func:`detect_ofdm` runs the per-subcarrier detector at M = 1, as sweeps
+do for the ``ofdm`` scheme.
 
 An exhaustive ML search over all candidate vectors is provided as an oracle
 for the tests and demos. Complexity bookkeeping: sphere-decoder work is
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel
-from .decoupling import data_permutation
-from .waveform import PrototypeFilter
+from .decoupling import compute_blocks, data_permutation, receive_transform
+from .waveform import PrototypeFilter, dirichlet_filter
 
 # The symbol alphabet, (+-1 +-1j)/sqrt(2). Its unit average energy is what
 # the SNR conversion and the MMSE regularization assume; its order fixes the
@@ -667,21 +668,12 @@ def detect_ofdm(
 ) -> np.ndarray:
     """Per-subcarrier detection for M = 1 blocks (A = inverse DFT matrix).
 
-    Each of the D subcarriers is an R x T system solved by sorted QR plus a
-    size-T sphere-decoder call over QPSK. Output stacking matches the transmit data
-    (antenna-major). Built from the channel's frequency response without
-    the block factorization, it is the reference that :func:`detect_proposed`
-    at M = 1 must match (acceptance criterion 5); sweeps do not call it.
+    The per-subcarrier receiver at K = D, M = 1, the path sweeps run for
+    ``ofdm``: each of the D subcarriers is an R x T system, factored by
+    :func:`factorize_blocks` and decoded by :func:`detect_proposed`. ``y``
+    is the received (R, D) array, or a (B, R, D) stack through the channel;
+    the T*D decisions per block are antenna-major, as the transmit data.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    d = ch.block_len
-    if y.shape != (ch.n_rx, d):
-        raise ValueError(f"expected received array of shape {(ch.n_rx, d)}, got {y.shape}")
-    yf = np.fft.fft(y, axis=1) / math.sqrt(d)
-    d_hat = np.empty(ch.n_tx * d, dtype=complex)
-    for i in range(d):
-        fact = sqrd(ch.freq[:, :, i])
-        z = fact.q.conj().T @ yf[:, i]
-        s_sorted = sphere_decode(fact.r, z, stats)
-        d_hat[fact.perm * d + i] = s_sorted
-    return d_hat
+    f = dirichlet_filter(ch.block_len, 1)
+    factors = factorize_blocks(compute_blocks(ch, f))
+    return detect_proposed(receive_transform(y, f), factors, f, stats)

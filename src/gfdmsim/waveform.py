@@ -41,6 +41,8 @@ class PrototypeFilter:
 
     def __post_init__(self):
         g_f = np.array(self.g_f)
+        if g_f.ndim != 1:
+            raise ValueError(f"the filter spectrum must be 1-D, got shape {g_f.shape}")
         g_f.flags.writeable = False
         object.__setattr__(self, "g_f", g_f)
         if self.n_subcarriers < 1 or self.length == 0 or self.length % self.n_subcarriers:

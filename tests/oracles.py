@@ -16,6 +16,7 @@ from gfdmsim.detect import (
     SqrdFactorization,
     _require_finite,
     sphere_decode,
+    sqrd,
 )
 from gfdmsim.channel import MimoChannel
 from gfdmsim.waveform import PrototypeFilter
@@ -314,6 +315,35 @@ def detect_baseline_near_ml_ref(
         s_sorted[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_adj, stats)
     d_hat = np.empty(n, dtype=complex)
     d_hat[factor.perm] = s_sorted
+    return d_hat
+
+
+# gfdmsim.detect.detect_ofdm as it was before it ran the per-subcarrier
+# receiver at M = 1: one sorted QR of the channel's frequency response and one
+# sphere_decode call per bin, so that receiver must match its decisions and
+# node/CM counts exactly.
+def detect_ofdm_ref(
+    y: np.ndarray,
+    ch: MimoChannel,
+    stats: DetectionStats | None = None,
+) -> np.ndarray:
+    """Per-subcarrier detection for M = 1 blocks (A = inverse DFT matrix).
+
+    Each of the D subcarriers is an R x T system solved by sorted QR plus a
+    size-T sphere-decoder call over QPSK. Output stacking matches the transmit data
+    (antenna-major).
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=complex))
+    d = ch.block_len
+    if y.shape != (ch.n_rx, d):
+        raise ValueError(f"expected received array of shape {(ch.n_rx, d)}, got {y.shape}")
+    yf = np.fft.fft(y, axis=1) / math.sqrt(d)
+    d_hat = np.empty(ch.n_tx * d, dtype=complex)
+    for i in range(d):
+        fact = sqrd(ch.freq[:, :, i])
+        z = fact.q.conj().T @ yf[:, i]
+        s_sorted = sphere_decode(fact.r, z, stats)
+        d_hat[fact.perm * d + i] = s_sorted
     return d_hat
 
 

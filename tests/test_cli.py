@@ -122,7 +122,24 @@ def test_simulate_large_flag_runs_full_scale_proposed(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--large"]) == 0
-    assert "full scale" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "full scale" in err
+    assert "baseline" not in err  # the proposed run factors no full matrix
+    assert out.exists()
+
+
+def test_simulate_large_flag_names_the_baseline_cost_for_dense_schemes(tmp_path, capsys):
+    # D = 72 is just past the desk-scale limit and cheap for one 72 x 72 system
+    text = (
+        "scheme = baseline_dirichlet\nK = 36\nM = 2\nT = 1\nR = 1\n"
+        "snr_db = 10\nn_channels = 1\nn_blocks = 1\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--large"]) == 0
+    err = capsys.readouterr().err
+    assert "D = 72 is full scale" in err
+    assert "full-matrix baseline factorization is expensive" in err
     assert out.exists()
 
 

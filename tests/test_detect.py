@@ -42,6 +42,7 @@ from gfdmsim.waveform import (
 from oracles import (
     brute_force_ml_ref,
     detect_baseline_near_ml_ref,
+    detect_ofdm_ref,
     detect_proposed_ref,
     first_descent_ref,
     sphere_decode_ref,
@@ -830,8 +831,39 @@ def test_detect_proposed_m1_equals_detect_ofdm():
         y = apply_channel(transmit(data, filt, 2), ch, 0.2, rng)
         ybar = receive_transform(y, filt)
         via_blocks = detect_proposed(ybar, factors, filt)
-        via_ofdm = detect_ofdm(y, ch)
+        via_ofdm = detect_ofdm_ref(y, ch)
         npt.assert_array_equal(via_blocks, via_ofdm)
+
+
+# (D, T, R, SNR in dB): one antenna, more receive than transmit antennas, a
+# single bin, a deep noise floor, and no noise at all
+OFDM_CASES = [
+    (8, 1, 1, 10.0), (8, 1, 3, 5.0), (16, 2, 3, 20.0), (1, 2, 2, 10.0), (1, 1, 2, 0.0),
+    (8, 2, 2, -10.0), (16, 3, 3, -10.0), (8, 2, 2, math.inf), (4, 1, 3, math.inf),
+]
+
+
+@pytest.mark.parametrize("d, t, r, snr_db", OFDM_CASES)
+def test_detect_ofdm_matches_reference_decisions_and_counts(d, t, r, snr_db):
+    # the per-subcarrier receiver at M = 1 against the per-bin loop it
+    # replaced: the same decisions, sphere-decoder nodes and CM units
+    filt = dirichlet_filter(d, 1)
+    for seed in range(10):
+        rng = np.random.default_rng([20, d, t, r, seed])
+        ch = generate_channel(t, r, rng, d)
+        data = QPSK[rng.integers(0, 4, t * d)]
+        y = apply_channel(transmit(data, filt, t), ch, snr_db_to_noise_power(snr_db), rng)
+        got, want = DetectionStats(), DetectionStats()
+        npt.assert_array_equal(detect_ofdm(y, ch, got), detect_ofdm_ref(y, ch, want))
+        assert got == want
+
+
+def test_detect_ofdm_stack_equals_block_calls():
+    filt, ch, _ = proposed_setup(8, 1, 2, 2, seed=14)
+    data = QPSK[np.random.default_rng(21).integers(0, 4, (3, 2, 8))]
+    rngs = [np.random.default_rng([22, b]) for b in range(3)]
+    y = apply_channel(fast_modulate(data, filt), ch, 0.2, rngs)
+    npt.assert_array_equal(detect_ofdm(y, ch), [detect_ofdm(block, ch) for block in y])
 
 
 def test_detect_ofdm_single_antenna_nearest_point():

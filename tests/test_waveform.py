@@ -36,6 +36,12 @@ def test_config_dimensions_and_defaults():
             PrototypeFilter(g_f=g, n_subcarriers=k_sc)
 
 
+@pytest.mark.parametrize("g_f", [np.ones((4, 2)), np.array(1.0), np.ones((1, 8))])
+def test_filter_spectrum_must_be_one_dimensional(g_f):
+    with pytest.raises(ValueError, match="1-D"):
+        PrototypeFilter(g_f=g_f, n_subcarriers=2)
+
+
 def test_transmitter_matrix_dimension_mismatch():
     # the grid comes from the filter, so a filter whose length is not a
     # multiple of K cannot be built, and the matrix is always D x D
