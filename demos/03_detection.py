@@ -61,7 +61,7 @@ print(f"sphere decoder visited {stats.sd_nodes_visited} nodes "
       f"({stats.cm_count} complex multiplications) vs 65536 exhaustive candidates")
 
 # any window on M consecutive bins decouples, not only the flat (unitary) one
-taper = window_filter(k_sc, m_ss, np.array([1.0, 0.3 - 0.2j]), filt.support[1])
+taper = window_filter(k_sc, np.array([1.0, 0.3 - 0.2j]), filt.support[1])
 a_taper = build_transmitter_matrix(taper)
 y = apply_channel(fast_modulate(data.reshape(n_tx, d_len), taper), ch, noise_power, rng)
 d_taper = detect_proposed(

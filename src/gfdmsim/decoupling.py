@@ -100,7 +100,7 @@ def verify_decomposition(ch: MimoChannel, f: PrototypeFilter) -> float:
     if denom == 0.0:
         return 0.0
     if f.support is None:
-        in_window = (np.arange(d) - dominant_window(f.g_f, m_ss)[1]) % d < m_ss
+        in_window = (np.arange(d) - dominant_window(f.g_f, m_ss)) % d < m_ss
         f = PrototypeFilter(g_f=np.where(in_window, f.g_f, 0), n_subcarriers=k_sc)
     # every column in one transform; C order, as the norm below sums in memory order
     lhs = np.ascontiguousarray(receive_transform(h_full.T.reshape(-1, ch.n_rx, d), f).T)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import MimoChannel
 from .decoupling import compute_blocks, data_permutation, receive_transform
-from .waveform import PrototypeFilter, dirichlet_filter
+from .waveform import PrototypeFilter, _integer, dirichlet_filter
 
 # The symbol alphabet, (+-1 +-1j)/sqrt(2). Its unit average energy is what
 # the SNR conversion and the MMSE regularization assume; its order fixes the
@@ -132,27 +132,25 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     for i in range(n):
         j = i + int(norms_sq[i:].argmin())
         col[:] = v[:, j]
-        if j != i:  # column i is read no more, so it takes j's place
-            v[:, j] = v[:, i]
-            r_j = r[:i, j].copy()
-            r[:i, j] = r[:i, i]
-            r[:i, i] = r_j
-            norms_sq[j] = norms_sq[i]
-            perm[i], perm[j] = perm[j], perm[i]
+        v[:, j] = v[:, i]  # column i is read no more, so it takes j's place
+        r_j = r[:i, j].copy()
+        r[:i, j] = r[:i, i]
+        r[:i, i] = r_j
+        norms_sq[j] = norms_sq[i]
+        perm[i], perm[j] = perm[j], perm[i]
         re, im = col.real, col.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
         if norm <= 1e-12 * fro:  # a dead column: Q and R keep their zeros
             continue
         r[i, i] = norm
         q_i = np.divide(col, norm, out=q_t[i])
-        if i + 1 < n:
-            proj = np.matmul(q_i.conj(), v[:, i + 1 :], out=r[i, i + 1 :])
-            upd = outer[: m * (n - i - 1)].reshape(m, n - i - 1)
-            v[:, i + 1 :] -= np.multiply(q_i[:, None], proj, out=upd)
-            down = np.abs(proj)
-            np.square(down, out=down)
-            np.subtract(norms_sq[i + 1 :], down, out=down)
-            np.maximum(down, 0.0, out=norms_sq[i + 1 :])
+        proj = np.matmul(q_i.conj(), v[:, i + 1 :], out=r[i, i + 1 :])
+        upd = outer[: m * (n - i - 1)].reshape(m, n - i - 1)
+        v[:, i + 1 :] -= np.multiply(q_i[:, None], proj, out=upd)
+        down = np.abs(proj)
+        np.square(down, out=down)
+        np.subtract(norms_sq[i + 1 :], down, out=down)
+        np.maximum(down, 0.0, out=norms_sq[i + 1 :])
     return SqrdFactorization(q=np.ascontiguousarray(q_t.T), r=r, perm=perm)
 
 
@@ -639,13 +637,14 @@ def detect_baseline_near_ml(
     observation, then cancelled from the remaining rows. Q^H y and the
     cancellations are stacked matrix-vector ``np.matmul`` calls, so each
     observation's result equals its own call's bit for bit. Raises
-    ``ValueError`` on a non-finite entry of ``y`` or of the triangular factor.
+    ``ValueError`` on a group size that is not a positive integer and on a
+    non-finite entry of ``y`` or of the triangular factor.
     """
     y = np.asarray(y)
     n_obs, n = factor.q.shape
     if y.ndim not in (1, 2) or y.shape[-1] != n_obs:
         raise ValueError(f"expected {n_obs} received samples or a stack of them, got {y.shape}")
-    group = int(group_size)
+    group = _integer("group size", group_size)
     if group < 1:
         raise ValueError("group size must be positive")
     _require_finite(factor.r, y)

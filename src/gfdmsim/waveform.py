@@ -7,7 +7,9 @@ computes A @ d for any filter without forming A. Filters whose frequency
 response occupies at most M consecutive (cyclic) DFT bins admit, at the
 receiver, per-subcarrier detection. A filter's :attr:`PrototypeFilter.support`
 is that window, read from its spectrum; :func:`window_filter` builds any
-member of the class, and the Dirichlet filter is its flat, orthogonal member.
+member of the class from its window, whose length is M, and the Dirichlet
+filter is its flat, orthogonal member. Grid values (K, M, a window start)
+are integers, numpy's included; anything else raises ``ValueError``.
 
 Conventions: the DFT matrix W_p is unitary ([W_p]_{mn} = exp(-2j*pi*m*n/p)/sqrt(p)),
 the frequency-domain filter is g_f = sqrt(D) * W_D @ g (i.e. the plain FFT of g),
@@ -16,6 +18,7 @@ column of A has unit norm.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +48,7 @@ class PrototypeFilter:
             raise ValueError(f"the filter spectrum must be 1-D, got shape {g_f.shape}")
         g_f.flags.writeable = False
         object.__setattr__(self, "g_f", g_f)
+        object.__setattr__(self, "n_subcarriers", _integer("K", self.n_subcarriers))
         if self.n_subcarriers < 1 or self.length == 0 or self.length % self.n_subcarriers:
             raise ValueError(
                 f"filter length {self.length} is not a positive multiple of "
@@ -80,7 +84,7 @@ class PrototypeFilter:
         if self.n_subcarriers == 1:
             start = m_ss // 2
         else:
-            start = dominant_window(self.g_f, m_ss)[1]
+            start = dominant_window(self.g_f, m_ss)
         g_1 = self.g_f[(start + np.arange(m_ss)) % d]
         inside = np.count_nonzero(g_1)
         if inside == 0 or inside < np.count_nonzero(self.g_f):
@@ -107,23 +111,39 @@ class PrototypeFilter:
         return core
 
 
-def window_filter(k: int, m: int, g_1, shift: int) -> PrototypeFilter:
-    """Unit-energy K x M filter whose spectrum is the window g_1 on M cyclic bins.
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _grid(k, m) -> tuple[int, int]:
+    """(K, M) as Python ints; ``ValueError`` unless both are positive integers."""
+    k, m = _integer("K", k), _integer("M", m)
+    if k < 1 or m < 1:
+        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
+    return k, m
+
+
+def window_filter(k: int, g_1, shift: int) -> PrototypeFilter:
+    """Unit-energy K x M filter whose spectrum is the window g_1 on M = len(g_1) cyclic bins.
 
     g_f holds g_1, scaled to unit pulse energy, on bins shift, ...,
     shift + M - 1 (mod D = K*M) and zero elsewhere, so the filter is ICI-free
     by construction; :func:`dirichlet_filter` is the flat window. Its
     :attr:`PrototypeFilter.support` starts at shift mod D when no bin of g_1
-    is zero. Raises ``ValueError`` for K < 1, for a g_1 that is
-    not 1-D of length M >= 1, and for a window of zero or non-finite energy.
+    is zero. Raises ``ValueError`` for a K or shift that is not an integer,
+    for K < 1, for a g_1 that is not 1-D and nonempty, and for a window of
+    zero or non-finite energy.
     """
     g_1 = np.asarray(g_1, dtype=complex)
-    if k < 1 or m < 1:
-        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
-    if g_1.shape != (m,):
-        raise ValueError(f"window must be 1-D of length M = {m}, got shape {g_1.shape}")
+    if g_1.ndim != 1:
+        raise ValueError(f"window must be 1-D, got shape {g_1.shape}")
+    k, m = _grid(k, len(g_1))
     d_len = k * m
-    shift = shift % d_len
+    shift = _integer("shift", shift) % d_len
     g_f = np.zeros(d_len, dtype=complex)
     g_f[(shift + np.arange(m)) % d_len] = g_1
     energy = np.linalg.norm(g_f)
@@ -142,7 +162,8 @@ def dirichlet_filter(k: int, m: int) -> PrototypeFilter:
     inverse DFT. For M = 1 this is the OFDM rectangular pulse and A equals
     the inverse DFT matrix.
     """
-    return window_filter(k, m, [1] * m, m // 2)
+    k, m = _grid(k, m)
+    return window_filter(k, [1] * m, m // 2)
 
 
 def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
@@ -158,8 +179,7 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
-    if k < 1 or m < 1:
-        raise ValueError(f"K and M must be positive, got K = {k}, M = {m}")
+    k, m = _grid(k, m)
     d = k * m
     center = m // 2 + (m - 1) / 2.0
     # signed cyclic bin distance from the window center, in (-D/2, D/2]
@@ -176,17 +196,15 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     return PrototypeFilter(g_f=g_f, n_subcarriers=k)
 
 
-def dominant_window(g_f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
-    """The cyclic M-bin window of ``g_f`` that holds the most energy, as (g_1, l).
+def dominant_window(g_f: np.ndarray, m: int) -> int:
+    """The start l of the cyclic M-bin window of ``g_f`` that holds the most energy.
 
-    g_1 holds the window contents g_f[(l + i) % D] and l its start index;
-    ties resolve to the smallest start. Requires M <= D.
+    The window is g_f[(l + i) % D] for i < M; ties resolve to the smallest
+    start. Requires M <= D.
     """
-    d = len(g_f)
     energy = np.abs(g_f) ** 2
-    sums = np.convolve(np.concatenate([energy, energy[: m - 1]]), np.ones(m), "valid")[:d]
-    start = int(np.argmax(sums))
-    return g_f[(start + np.arange(m)) % d].copy(), start
+    sums = np.convolve(np.concatenate([energy, energy[: m - 1]]), np.ones(m), "valid")[: len(g_f)]
+    return int(np.argmax(sums))
 
 
 def _shifted_pulses(f: PrototypeFilter, m: np.ndarray) -> np.ndarray:

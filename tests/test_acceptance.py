@@ -109,7 +109,7 @@ def test_criterion_3_proposed_equals_global_ml():
 def _random_window_filter(rng):
     """A K = M = 2 filter of the ICI-free class with a random non-flat window."""
     g_1 = rng.uniform(0.2, 1.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-    return window_filter(2, 2, g_1, int(rng.integers(0, 4)))
+    return window_filter(2, g_1, int(rng.integers(0, 4)))
 
 
 def test_criterion_3b_proposed_equals_global_ml_across_filter_class():

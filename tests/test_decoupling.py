@@ -48,7 +48,7 @@ def test_interleave_2_3_example():
 def test_receive_transform_degenerates_to_dft():
     d = 8
     y = np.random.default_rng(1).standard_normal((1, d)) + 0j
-    out = receive_transform(y, window_filter(d, 1, np.ones(1), 0))
+    out = receive_transform(y, window_filter(d, np.ones(1), 0))
     npt.assert_allclose(out, np.fft.fft(y[0]) / math.sqrt(d), atol=1e-12)
 
 
@@ -58,13 +58,13 @@ def test_receive_transform_matches_dense_operator(k, m, r, shift):
     rng = np.random.default_rng(5)
     y = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
     expected = receive_operator_ref(k, m, r, shift) @ y.reshape(-1)
-    npt.assert_allclose(receive_transform(y, window_filter(k, m, np.ones(m), shift)), expected, atol=1e-10)
+    npt.assert_allclose(receive_transform(y, window_filter(k, np.ones(m), shift)), expected, atol=1e-10)
 
 
 def test_receive_transform_is_unitary():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-    out = receive_transform(y, window_filter(4, 2, np.ones(2), 3))
+    out = receive_transform(y, window_filter(4, np.ones(2), 3))
     assert abs(np.linalg.norm(out) - np.linalg.norm(y)) < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_stacked_channel_and_receive_transform_match_block_calls(
     # a realization's blocks go through apply_channel and receive_transform
     # in one call each; every block must equal its own one-block calls bit
     # for bit, its noise drawn from its own generator
-    filt = window_filter(k, m, np.linspace(1.0, 0.5, m), shift)
+    filt = window_filter(k, np.linspace(1.0, 0.5, m), shift)
     rng = np.random.default_rng(41)
     ch = generate_channel(t, r, rng, k * m)
     x = rng.standard_normal((n_blocks, t, k * m)) + 1j * rng.standard_normal((n_blocks, t, k * m))
@@ -180,7 +180,7 @@ def test_compute_blocks_matches_reference_bit_for_bit(k, m):
     # and so every bit of the stack, are those of the reference layout
     rng = np.random.default_rng(k * 10 + m)
     g_1 = rng.uniform(0.2, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
-    for filt in (dirichlet_filter(k, m), window_filter(k, m, g_1, int(rng.integers(0, k * m)))):
+    for filt in (dirichlet_filter(k, m), window_filter(k, g_1, int(rng.integers(0, k * m)))):
         for t, r in ((2, 2), (1, 3), (3, 2)):
             ch = random_channel(k, m, t, r, seed=int(rng.integers(1000)))
             blocks = compute_blocks(ch, filt)
@@ -219,7 +219,7 @@ def test_decomposition_residual_random_window_filters():
     for k, m, t, r in [(k, m, 2, 2) for k, m in shapes]:
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        filt = window_filter(k, m, g_1, int(rng.integers(0, d_len)))
+        filt = window_filter(k, g_1, int(rng.integers(0, d_len)))
         ch = generate_channel(t, r, rng, d_len)
         assert verify_decomposition(ch, filt) <= 1e-10
 

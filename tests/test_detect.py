@@ -222,7 +222,7 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
     for seed in range(3):
         if window:
             g_1 = rng.uniform(0.2, 1.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
-            filt = window_filter(k, m, g_1, int(rng.integers(0, k * m)))
+            filt = window_filter(k, g_1, int(rng.integers(0, k * m)))
         else:
             filt = dirichlet_filter(k, m)
         blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
@@ -771,7 +771,7 @@ def test_detect_proposed_is_ml_on_a_window_with_a_zero_bin(snr_db):
     # search's (decisions may differ where dependent columns tie). Noiseless,
     # both metrics are rounding error, so the tolerance is relative to the
     # block's observation energy
-    filt = window_filter(8, 4, [0, 1, 1, 1], 0)
+    filt = window_filter(8, [0, 1, 1, 1], 0)
     ch = generate_channel(2, 2, np.random.default_rng(56), filt.length)
     blocks = compute_blocks(ch, filt)
     factors = factorize_blocks(blocks)
@@ -801,7 +801,7 @@ def ici_free_links(draw):
     else:  # any window, zero bins included, at any start
         zeros = draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda z: not all(z)))
         g_1 = np.where(zeros, 0.0, random_complex(m, rng))
-        filt = window_filter(k, m, g_1, draw(st.integers(0, k * m - 1)))
+        filt = window_filter(k, g_1, draw(st.integers(0, k * m - 1)))
     return filt, t, r, snr_db, rng
 
 
@@ -914,6 +914,18 @@ def test_detect_baseline_rejects_wrong_received_length():
             detect_baseline_near_ml(np.zeros(length, dtype=complex), fact, 2)
     data = QPSK[np.array([0, 3, 1, 2])]
     assert detect_baseline_near_ml(h @ data, fact, 2).shape == (4,)
+
+
+@pytest.mark.parametrize(
+    "group", ["2", 2.0, 2.5, 0, -1], ids=["str", "whole-float", "float", "zero", "negative"]
+)
+def test_detect_baseline_rejects_group_size_that_is_not_a_positive_integer(group):
+    h = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
+    fact = sqrd(h)
+    data = QPSK[np.array([1, 2, 0, 3])]
+    npt.assert_array_equal(detect_baseline_near_ml(h @ data, fact, np.int64(2)), data)
+    with pytest.raises(ValueError, match="group size must be"):
+        detect_baseline_near_ml(h @ data, fact, group)
 
 
 @pytest.mark.parametrize("k, m", [(8, 2), (8, 4), (16, 2)])

@@ -59,8 +59,8 @@ def test_transmitter_matrix_dimension_mismatch():
         lambda: dirichlet_filter(4, 0),
         lambda: dirichlet_filter(-1, 4),
         lambda: rc_filter(4, 0, 0.5),
-        lambda: window_filter(0, 2, [1, 1], 0),
-        lambda: window_filter(2, 0, [], 0),
+        lambda: window_filter(0, [1, 1], 0),
+        lambda: window_filter(2, [], 0),
     ],
     ids=["dirichlet-k0", "dirichlet-m0", "dirichlet-k-1", "rc-m0", "window-k0", "window-m0"],
 )
@@ -72,16 +72,38 @@ def test_filter_constructors_reject_empty_grid(make):
 @pytest.mark.parametrize(
     "g_1,match",
     [
-        ([1, 1, 1], "length M"),
-        ([[1, 1]], "length M"),
+        (1.0, "1-D"),
+        ([[1, 1]], "1-D"),
         ([0, 0], "nonzero energy"),
         ([1, np.nan], "nonzero energy"),
     ],
-    ids=["too-long", "2-d", "all-zero", "nan"],
+    ids=["0-d", "2-d", "all-zero", "nan"],
 )
 def test_window_filter_rejects_bad_window(g_1, match):
     with pytest.raises(ValueError, match=match):
-        window_filter(2, 2, g_1, 0)
+        window_filter(2, g_1, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda i: PrototypeFilter(g_f=np.ones(4), n_subcarriers=i(2)),
+        lambda i: dirichlet_filter(i(2), 2),
+        lambda i: dirichlet_filter(2, i(2)),
+        lambda i: rc_filter(i(2), 2, 0.5),
+        lambda i: rc_filter(2, i(2), 0.5),
+        lambda i: window_filter(i(2), [1, 1], 0),
+        lambda i: window_filter(2, [1, 1], i(1)),
+    ],
+    ids=["prototype-k", "dirichlet-k", "dirichlet-m", "rc-k", "rc-m", "window-k", "window-shift"],
+)
+def test_grid_values_must_be_integers(make):
+    # numpy integers are integers; a float is not, even a whole one
+    f = make(np.int64)
+    assert (f.n_subcarriers, f.n_subsymbols) == (2, 2) and type(f.n_subcarriers) is int
+    for cast in (float, str):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(cast)
 
 
 def test_window_filter_random_windows():
@@ -90,7 +112,7 @@ def test_window_filter_random_windows():
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         shift = int(rng.integers(0, d_len))
-        f = window_filter(k, m, g_1, shift - 2 * d_len)
+        f = window_filter(k, g_1, shift - 2 * d_len)
         assert abs(np.linalg.norm(f.g) - 1.0) < 1e-12
         npt.assert_array_equal(f.g, np.fft.ifft(f.g_f))
         # the window read from g_f is the input window, scaled to unit
@@ -202,7 +224,7 @@ def test_fast_modulate_random_window_filters():
         d_len = k * m
         g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         shift = int(rng.integers(0, d_len))
-        f = window_filter(k, m, g_1, shift)
+        f = window_filter(k, g_1, shift)
         a = build_transmitter_matrix(f)
         d = random_data(d_len, seed=int(rng.integers(1 << 30)))
         assert np.linalg.norm(a @ d - fast_modulate(d, f)) < 1e-10
@@ -239,7 +261,7 @@ def test_k1_window_is_centred(m):
     # at K = 1 every start holds the whole spectrum; the window keeps the
     # constructors' centred start, which orders the rows of the one block
     centred = (m - math.ceil(-m / 2)) % m
-    taper = window_filter(1, m, np.arange(1, m + 1), 0)
+    taper = window_filter(1, np.arange(1, m + 1), 0)
     for f in (dirichlet_filter(1, m), rc_filter(1, m, 0.9), taper):
         g_1, start = f.support
         assert start == centred
@@ -277,7 +299,7 @@ def test_pulse_is_computed_once_and_read_only():
     # fast_modulate and build_transmitter_matrix read g on every call, so the
     # filter keeps one copy of the inverse DFT, which no caller can change;
     # compute_blocks reads the M x M block factor on every call, kept likewise
-    f = window_filter(8, 4, np.linspace(0.5, 1.0, 4) * np.exp(1j * np.arange(4)), 5)
+    f = window_filter(8, np.linspace(0.5, 1.0, 4) * np.exp(1j * np.arange(4)), 5)
     assert f.g.tobytes() == np.fft.ifft(f.g_f).tobytes()
     assert f.g is f.g
     with pytest.raises(ValueError):
@@ -296,7 +318,7 @@ def test_rc_small_rolloff_has_window_and_fast_path(k, m):
     rng = np.random.default_rng([k, m])
     filters = [rc_filter(k, m, alpha) for alpha in (0.0, 0.5 / m, 1.0 / m)]
     g_1 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    filters.append(window_filter(k, m, g_1, int(rng.integers(0, k * m))))
+    filters.append(window_filter(k, g_1, int(rng.integers(0, k * m))))
     for f in filters:
         assert f.support is not None
         d = random_data(k * m, seed=int(rng.integers(1 << 30)))
@@ -309,10 +331,10 @@ def test_rc_small_rolloff_has_window_and_fast_path(k, m):
 def test_dominant_window_ties_go_to_smallest_start():
     # bins 3-4 and the cyclic pair 7-0 hold equal energy
     g_f = np.array([1, 0, 0, 1, 1, 0, 0, 1], dtype=complex)
-    g_1, start = dominant_window(g_f, 2)
+    start = dominant_window(g_f, 2)
     assert start == 3
-    npt.assert_array_equal(g_1, [1, 1])
-    assert dominant_window(np.roll(g_f, 1), 2)[1] == 0
+    npt.assert_array_equal(g_f[start : start + 2], [1, 1])
+    assert dominant_window(np.roll(g_f, 1), 2) == 0
 
 
 def test_rc_zero_rolloff_equals_dirichlet_rectangle():
