@@ -373,13 +373,16 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return QPSK[digits]
 
 
-def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
-    """Sorted QR of every block of a (K, MR, MT) stack, computed once per channel realization.
+def factorize_blocks(blocks) -> SqrdFactorization:
+    """Sorted QR of every block of a (..., K, MR, MT) stack, computed once per channel realization.
 
-    Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all K
-    blocks at once and returns the factors stacked: ``q`` (K, MR, MT), ``r``
-    (K, MT, MT) and ``perm`` (K, MT), all C-contiguous; the input is not
-    modified. Block k's factors equal ``sqrd(blocks[k])`` bit for bit.
+    Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all
+    blocks at once and returns the factors with the input's leading axes:
+    ``q`` (..., K, MR, MT), ``r`` (..., K, MT, MT) and ``perm`` (..., K, MT),
+    all C-contiguous; the input is not modified. A sweep passes a chunk of
+    realizations as a (C, K, MR, MT) stack, or as a list of C per-realization
+    (K, MR, MT) stacks, whose one input copy is then also the stacking copy.
+    Every block's factors equal ``sqrd`` of that block bit for bit.
     Within an antenna the columns of an ICI-free block tie in exact
     arithmetic, so the pivot order rests on the last bit of every norm; each
     per-block reduction therefore goes through the same numpy/BLAS kernel
@@ -391,18 +394,20 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
     gather of the pivot columns and one scatter of column i into their
     place, each step's column of Q overwrites the residual column it was
     taken from, which is read no more, and the rank-one update runs column
-    by column through one (K, MR) buffer allocated per call. No temporary
-    is as large as the stack, so a realization allocates no more than its
+    by column through one (blocks, MR) buffer allocated per call. No
+    temporary is as large as the stack, so a call allocates no more than its
     factors and their input copy. A block's dead columns, under ``sqrd``'s
     rank test, get a zero column of Q before the projection, so their row
     of R is zero and their update subtracts zeros. ``sqrd`` keeps its own
     serial loop: on the baseline's single large matrix a batch of one runs
     slower than it.
     """
-    v = np.array(blocks, dtype=complex, order="C")
-    if v.ndim != 3 or v.shape[1] < v.shape[2]:
-        raise ValueError(f"expected a (K, rows, cols) stack of tall blocks, got shape {v.shape}")
-    n_blk, m, n = v.shape
+    stack = np.array(blocks, dtype=complex, order="C")
+    if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
+        raise ValueError(f"expected a (..., K, rows, cols) stack of tall blocks, got {stack.shape}")
+    lead, (m, n) = stack.shape[:-2], stack.shape[-2:]
+    v = stack.reshape(-1, m, n)
+    n_blk = len(v)
     r = np.zeros((n_blk, n, n), dtype=complex)
     perm = np.tile(np.arange(n), (n_blk, 1))
     # the rows one by one, as sqrd's sum adds them
@@ -445,7 +450,7 @@ def factorize_blocks(blocks: np.ndarray) -> SqrdFactorization:
             for c in range(i + 1, n):
                 v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
             norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
-    return SqrdFactorization(q=v, r=r, perm=perm)
+    return SqrdFactorization(q=stack, r=r.reshape(lead + (n, n)), perm=perm.reshape(lead + (n,)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
@@ -546,60 +551,76 @@ def detect_proposed(
     realization, and ``factors`` their :func:`factorize_blocks` output under
     the filter ``f``, which gives K and M (T comes from the factors).
     Returns the detected data, T*D symbols per observation, with the
-    input's stacking. All rotated observations Q_k^H ybar_k are formed in
-    one batched product. The B*K subproblems of size MT then run one
-    vectorized first descent of the sphere decoder (:func:`_first_descent`).
-    Each subproblem it cannot certify resumes the scalar search at the first
-    leaf, with that leaf's metric as the radius and every level above on its
-    second child, so no subproblem runs its first descent twice; one whose
-    leaf metric overflows runs from scratch, to raise as
-    :func:`sphere_decode` does. R's rows become Python scalars once per
-    subcarrier. Each subproblem is charged the first descent's n nodes and
-    n(n - 1)/2 + 4n CM units once, plus what the resumed search visits, so
-    decisions and node/CM counts are those of one sphere-decoder call per
-    subproblem. All decisions go to data order in one
-    scatter through the filter's :func:`data_permutation` map. The QR is plain
-    and unregularized, so no noise power enters. Raises ``ValueError`` on a
-    non-finite entry of ``ybar`` or of the triangular factors, and when the
-    factors' column count is not a multiple of M.
+    input's stacking. A chunk of C realizations passes (C, K, ...) factors
+    and a (C, B, K*M*R) ``ybar`` and gets (C, B, T*D), realization c's
+    result equal to its own call's bit for bit. All rotated observations
+    Q_k^H ybar_k are formed in one batched product. The C*B*K subproblems
+    of size MT then run one vectorized first descent of the sphere decoder
+    (:func:`_first_descent`). Each subproblem it cannot certify resumes the
+    scalar search at the first leaf, with that leaf's metric as the radius
+    and every level above on its second child, so no subproblem runs its
+    first descent twice; one whose leaf metric overflows runs from scratch,
+    to raise as :func:`sphere_decode` does. The scalar searches run one
+    realization at a time, in the order one call per realization would run
+    them, and hold only that realization's search state as Python lists; R's
+    rows become Python scalars once per subcarrier and realization. Each
+    subproblem is charged the first descent's n nodes and n(n - 1)/2 + 4n
+    CM units once, plus what the resumed search visits, so decisions and
+    node/CM counts are those of one sphere-decoder call per subproblem. All
+    decisions go to data order in one scatter through the filter's
+    :func:`data_permutation` map. The QR is plain and unregularized, so no
+    noise power enters. Raises ``ValueError`` on a non-finite entry of
+    ``ybar`` or of the triangular factors, when the factors' column count
+    is not a multiple of M, and when ``ybar``'s shape does not match the
+    factors'.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
     q, r, perm = factors.q, factors.r, factors.perm
-    if q.ndim != 3 or q.shape[0] != k_sc or q.shape[2] % m_ss:
+    if q.ndim not in (3, 4) or q.shape[-3] != k_sc or q.shape[-1] % m_ss:
         raise ValueError(
             f"expected a stack of {k_sc} block factorizations of M*T columns, got shape {q.shape}"
         )
-    _, rows, cols = q.shape
+    rows, cols = q.shape[-2:]
     ybar = np.asarray(ybar)
-    if ybar.ndim not in (1, 2) or ybar.shape[-1] != k_sc * rows:
+    if q.ndim == 3:  # one realization: a chunk of one
+        shaped = ybar.ndim in (1, 2)
+        q, r, perm = q[None], r[None], perm[None]
+    else:
+        shaped = ybar.ndim == 3 and len(ybar) == len(q)
+    if not shaped or ybar.shape[-1] != k_sc * rows:
         raise ValueError("observation length does not match the block system")
     _require_finite(r, ybar)
-    stack = ybar.reshape(-1, k_sc, rows, 1)
-    z = np.matmul(q.conj().transpose(0, 2, 1), stack)[..., 0]
-    idx, certified, child, partial, leaf = _first_descent(r, z)
+    n_real = len(q)
+    stack = ybar.reshape(n_real, -1, k_sc, rows, 1)
+    z = np.matmul(q.conj().swapaxes(-1, -2)[:, None], stack)[..., 0]
+    idx, certified, child, partial, leaf = _first_descent(r[:, None], z)
     n_desc, nodes, cms = int(np.count_nonzero(certified)), 0, 0
-    sel = np.nonzero(~certified)
-    todo = (a.tolist() for a in (*sel, z[sel], idx[sel], child[sel], partial[sel], leaf[sel]))
-    lists = {}  # each subcarrier's R as Python scalars, shared by the blocks
-    for b, k, zs, path, raw, base, best in zip(*todo):
-        if k not in lists:
-            lists[k] = _row_lists(r[k])
-        if math.isfinite(best):  # from the first leaf, every level above on its second child
-            idx[b, k], n_k, cm_k = _search(*lists[k], zs, path, raw, base, best, 0)
-            n_desc += 1
-        else:  # from scratch, to raise where the search first overflows
-            idx[b, k], n_k, cm_k = _decode(*lists[k], zs)
-        nodes += n_k
-        cms += cm_k
+    for c in range(n_real):
+        sel = np.nonzero(~certified[c])
+        todo = (
+            a.tolist()
+            for a in (*sel, z[c][sel], idx[c][sel], child[c][sel], partial[c][sel], leaf[c][sel])
+        )
+        lists = {}  # each subcarrier's R as Python scalars, shared by the blocks
+        for b, k, zs, path, raw, base, best in zip(*todo):
+            if k not in lists:
+                lists[k] = _row_lists(r[c, k])
+            if math.isfinite(best):  # from the first leaf, every level above on its second child
+                idx[c, b, k], n_k, cm_k = _search(*lists[k], zs, path, raw, base, best, 0)
+                n_desc += 1
+            else:  # from scratch, to raise where the search first overflows
+                idx[c, b, k], n_k, cm_k = _decode(*lists[k], zs)
+            nodes += n_k
+            cms += cm_k
     if stats is not None:
         # each first descent once: n nodes, n(n - 1)/2 products and 4n candidates
         stats.sd_nodes_visited += nodes + n_desc * cols
         stats.cm_count += cms + n_desc * (cols * (cols - 1) // 2 + len(QPSK) * cols)
-    s = QPSK[idx]
-    # step i of block k decided the symbol at data position pos[k, i]
-    pos = np.take_along_axis(data_permutation(f, cols // m_ss), perm, 1)
-    d_hat = np.empty((len(stack), k_sc * cols), dtype=complex)
-    d_hat[:, pos.reshape(-1)] = s.reshape(len(stack), -1)
+    s = QPSK[idx].reshape(n_real, stack.shape[1], -1)
+    # step i of block k decided the symbol at data position pos[c, k, i]
+    pos = np.take_along_axis(data_permutation(f, cols // m_ss)[None], perm, -1)
+    d_hat = np.empty_like(s)
+    np.put_along_axis(d_hat, pos.reshape(n_real, 1, -1), s, -1)
     return d_hat.reshape(ybar.shape[:-1] + (-1,))
 
 

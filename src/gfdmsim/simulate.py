@@ -32,6 +32,15 @@ SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
 # detected on the full matrix; the others (ofdm as M = 1) run the per-subcarrier receiver
 _DENSE_SCHEMES = ("baseline_dirichlet", "baseline_rc")
 DEFAULT_RC_ROLLOFF = 0.9
+# A sweep's chunk of realizations holds at most this many received samples
+# (n_blocks*R*D per realization), and at most as many factored entries
+# (K*MR*MT per realization for the per-subcarrier receiver, (RD + TD)*TD for
+# the dense MMSE extension): 2^14 complex entries, 256 KB. On the benchmark's
+# workloads that is 12 realizations per chunk on desk_proposed, 4 on
+# full_ofdm, 2 on desk_baseline_rc and 1 on full_proposed, and peak RSS read
+# 41.3 -> 44.2 MB on desk_proposed and 40.8 -> 43.2 MB on full_ofdm against
+# one realization per chunk (medians of ten runs each).
+CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
 _STREAM_CHANNEL = 0
@@ -321,23 +330,38 @@ def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, *counters]))
 
 
+def _chunk_size(cfg: SimConfig) -> int:
+    """Realizations per chunk: the most, at least one, that keep within :data:`CHUNK_ENTRIES`."""
+    d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
+    if cfg.scheme in _DENSE_SCHEMES:  # one MMSE extension at a time
+        factored = (n_rx * d + n_tx * d) * n_tx * d
+    else:  # K blocks of MR x MT
+        factored = d * cfg.n_subsymbols * n_rx * n_tx
+    return max(1, CHUNK_ENTRIES // max(cfg.n_blocks * n_rx * d, factored))
+
+
 def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     """Run the configured Monte Carlo sweep and return one record per SNR point.
 
     Per SNR point: n_channels independent Rayleigh realizations, n_blocks
     uniformly drawn data blocks each, detection with the configured scheme,
     symbol-error and sphere-decoder counters accumulated. Output is a pure
-    function of cfg. Each block draws its data and noise from its own
-    substream. Every scheme stacks a realization's n_blocks blocks and runs
-    one front end on the stack: one :func:`gfdmsim.waveform.fast_modulate`
-    call and one :func:`gfdmsim.channel.apply_channel` call with one noise
-    generator per block. Only factorization and detection differ, each once
-    per realization on the whole stack: the dense baseline factors the full
-    matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml`;
-    the per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``)
-    factors its K blocks and calls :func:`gfdmsim.decoupling.receive_transform`
-    and :func:`gfdmsim.detect.detect_proposed`. Every block's result equals
-    that of a one-block call bit for bit.
+    function of cfg. Each realization draws its channel, and each block its
+    data and noise, from its own substream. The realizations run in chunks
+    of :func:`_chunk_size`: :func:`gfdmsim.channel.generate_channel` draws
+    each realization's channel, in index order, and one
+    :func:`gfdmsim.waveform.fast_modulate` call modulates the chunk's blocks.
+    :func:`gfdmsim.channel.apply_channel` then passes each realization's
+    n_blocks blocks through its channel in one call, with one noise
+    generator per block. The dense baseline factors each realization's full
+    matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml` on its
+    blocks, one realization at a time; the per-subcarrier receiver
+    (``proposed_dirichlet`` and ``ofdm``) factors the chunk's K blocks per
+    realization in one :func:`gfdmsim.detect.factorize_blocks` call and runs
+    one :func:`gfdmsim.decoupling.receive_transform` and one
+    :func:`gfdmsim.detect.detect_proposed` call on the chunk. Every block's
+    result equals that of a one-block call bit for bit, so the chunk size
+    changes no output.
     """
     cfg.validate()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
@@ -348,6 +372,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         filt = waveform.dirichlet_filter(k_sc, m_ss)
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
+    chunk = _chunk_size(cfg)
     blocks = range(cfg.n_blocks)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
@@ -355,24 +380,34 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         stats = detect.DetectionStats()
         errors = 0
         start = time.perf_counter()
-        for c_idx in range(cfg.n_channels):
-            rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c_idx)
-            ch = chan.generate_channel(n_tx, n_rx, rng_ch, d)
-            # each block keeps its own data and noise substreams
-            data = [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c_idx, b) for b in blocks]
-            noise = [_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c_idx, b) for b in blocks]
+        for first in range(0, cfg.n_channels, chunk):
+            span = range(first, min(first + chunk, cfg.n_channels))
+            chans, data, noise = [], [], []
+            for c in span:
+                rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c)
+                chans.append(chan.generate_channel(n_tx, n_rx, rng_ch, d))
+                # each block keeps its own data and noise substreams
+                data += [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c, b) for b in blocks]
+                noise.append([_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c, b) for b in blocks])
             sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
-            x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
-            y = chan.apply_channel(x, ch, noise_power, noise)
+            sent = sent.reshape(len(span), cfg.n_blocks, n_tx * d)
+            x = waveform.fast_modulate(sent.reshape(len(span), -1, n_tx, d), filt)
+            y = [
+                chan.apply_channel(x_c, ch, noise_power, g) for x_c, ch, g in zip(x, chans, noise)
+            ]
             if dense:
-                h_full = chan.assemble_full_matrix(ch, a_mat)
-                factor = detect.baseline_factorization(h_full, noise_power)
-                y_flat = y.reshape(len(y), -1)
-                d_hat = detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats)
+                d_hat = []
+                for ch, y_c in zip(chans, y):
+                    h_full = chan.assemble_full_matrix(ch, a_mat)
+                    factor = detect.baseline_factorization(h_full, noise_power)
+                    y_flat = y_c.reshape(cfg.n_blocks, -1)
+                    d_hat.append(detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats))
             else:
-                factors = detect.factorize_blocks(compute_blocks(ch, filt))
-                d_hat = detect.detect_proposed(receive_transform(y, filt), factors, filt, stats)
-            errors += int(np.sum(d_hat != sent))
+                factors = detect.factorize_blocks([compute_blocks(ch, filt) for ch in chans])
+                ybar = receive_transform(np.reshape(y, (-1, n_rx, d)), filt)
+                ybar = ybar.reshape(len(span), cfg.n_blocks, -1)
+                d_hat = detect.detect_proposed(ybar, factors, filt, stats)
+            errors += int(np.count_nonzero(np.asarray(d_hat) != sent))
         records.append(
             TrialRecord(
                 config=cfg,

@@ -18,6 +18,7 @@ column of A has unit norm.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -176,7 +177,10 @@ def rc_filter(k: int, m: int, alpha: float) -> PrototypeFilter:
     larger alpha (and M > 1) the response spills outside every M-bin window,
     so the filter is not ICI-free and has no :attr:`PrototypeFilter.support`:
     :func:`fast_modulate` sends it, but only the dense receiver detects it.
+    Raises ``ValueError`` for a roll-off that is not a real number in [0, 1].
     """
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"roll-off must be a real number, got {alpha!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {alpha}")
     k, m = _grid(k, m)

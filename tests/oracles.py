@@ -18,7 +18,10 @@ from gfdmsim.detect import (
     sphere_decode,
     sqrd,
 )
+from gfdmsim import channel as chan
+from gfdmsim import detect, simulate, waveform
 from gfdmsim.channel import MimoChannel
+from gfdmsim.decoupling import compute_blocks, receive_transform
 from gfdmsim.waveform import PrototypeFilter
 
 
@@ -414,3 +417,54 @@ def first_descent_ref(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
         sr[..., lev] = pr[choice]
         si[..., lev] = pi[choice]
     return idx, (metric < np.inf) & (second >= metric)
+
+
+# gfdmsim.simulate.run_sweep as it was before it ran its realizations in
+# chunks: one realization per iteration, each with its own front end,
+# factorization and detector call. Every stage equals its per-realization
+# calls bit for bit, so the chunked sweep must match its records exactly.
+def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
+    """The configured sweep, one realization at a time."""
+    cfg.validate()
+    k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
+    n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
+    if cfg.scheme == "baseline_rc":
+        filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
+    else:
+        filt = waveform.dirichlet_filter(k_sc, m_ss)
+    dense = cfg.scheme in simulate._DENSE_SCHEMES
+    a_mat = waveform.build_transmitter_matrix(filt) if dense else None
+    blocks = range(cfg.n_blocks)
+    records = []
+    for s_idx, snr in enumerate(cfg.snr_db):
+        noise_power = chan.snr_db_to_noise_power(snr)
+        stats = DetectionStats()
+        errors = 0
+        for c_idx in range(cfg.n_channels):
+            rng_ch = simulate._trial_rng(cfg.seed, simulate._STREAM_CHANNEL, s_idx, c_idx)
+            ch = chan.generate_channel(n_tx, n_rx, rng_ch, d)
+            data = [simulate._trial_rng(cfg.seed, simulate._STREAM_DATA, s_idx, c_idx, b) for b in blocks]
+            noise = [simulate._trial_rng(cfg.seed, simulate._STREAM_NOISE, s_idx, c_idx, b) for b in blocks]
+            sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
+            x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
+            y = chan.apply_channel(x, ch, noise_power, noise)
+            if dense:
+                h_full = chan.assemble_full_matrix(ch, a_mat)
+                factor = detect.baseline_factorization(h_full, noise_power)
+                y_flat = y.reshape(len(y), -1)
+                d_hat = detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats)
+            else:
+                factors = detect.factorize_blocks(compute_blocks(ch, filt))
+                d_hat = detect.detect_proposed(receive_transform(y, filt), factors, filt, stats)
+            errors += int(np.sum(d_hat != sent))
+        records.append(
+            simulate.TrialRecord(
+                config=cfg,
+                snr_db=float(snr),
+                errors=errors,
+                cm_sd=stats.cm_count,
+                sd_nodes=stats.sd_nodes_visited,
+                wall_time=0.0,
+            )
+        )
+    return records

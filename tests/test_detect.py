@@ -217,7 +217,8 @@ def test_baseline_factorization_normal_equations():
 def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
     # the columns of one antenna tie in exact arithmetic, so the pivot order
     # depends on every last bit: the batch must repeat sqrd exactly, whatever
-    # the memory order of its input, and leave that input as it was
+    # the memory order of its input or the realization axis in front of its
+    # blocks, and leave that input as it was
     rng = np.random.default_rng(k * 100 + m * 10 + t + r)
     for seed in range(3):
         if window:
@@ -227,15 +228,20 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
             filt = dirichlet_filter(k, m)
         blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
         for source in (blocks, with_dead_columns(blocks)):
-            before = source.tobytes()
-            serial = [sqrd(b) for b in source]
-            for stack in (source, np.asfortranarray(source)):
+            chunk = np.stack([source, source[::-1]])  # two realizations
+            for stack in (chunk, source, np.asfortranarray(source)):
+                before = stack.tobytes()
+                serial = [sqrd(b) for b in stack.reshape(-1, *stack.shape[-2:])]
                 stacked = factorize_blocks(stack)
                 assert stack.tobytes() == before
                 assert stacked.q.flags.c_contiguous and stacked.r.flags.c_contiguous
+                assert stacked.q.shape == stack.shape and stacked.perm.shape == stack.shape[:-2] + (m * t,)
                 assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
                 assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
-                assert np.array_equal(stacked.perm, np.stack([s.perm for s in serial]))
+                assert np.array_equal(stacked.perm.reshape(len(serial), -1), [s.perm for s in serial])
+            # a list of per-realization stacks is stacked by the input copy
+            listed = factorize_blocks(list(chunk))
+            assert listed.q.tobytes() == factorize_blocks(chunk).q.tobytes()
         dead = np.count_nonzero(np.diagonal(stacked.r, axis1=1, axis2=2) == 0.0)
         assert dead == m * t + k - 1
 
@@ -701,6 +707,54 @@ def test_detect_proposed_noiseless():
         detect_proposed(ybar, odd, filt)
 
 
+def assert_chunk_matches_per_realization_calls(filt, t, r, n_blocks, snr_db, n_real):
+    """One detect_proposed call on a chunk of n_real realizations, n_blocks blocks each.
+
+    Every realization must equal its own call, every block its one-block
+    call and the per-subcarrier loop, decisions and counters alike.
+    """
+    k, m = filt.n_subcarriers, filt.n_subsymbols
+    chans = [generate_channel(t, r, np.random.default_rng(22 + c), k * m) for c in range(n_real)]
+    per_real = [factorize_blocks(compute_blocks(ch, filt)) for ch in chans]
+    chunk = factorize_blocks([compute_blocks(ch, filt) for ch in chans])
+    rng = np.random.default_rng(23)
+    n0 = 10.0 ** (-snr_db / 10.0)
+    data = QPSK[rng.integers(0, 4, (n_real, n_blocks, t * filt.length))]
+    ybar = np.stack([
+        [receive_transform(apply_channel(transmit(b, filt, t), ch, n0, rng), filt) for b in d_c]
+        for ch, d_c in zip(chans, data)
+    ])
+    chunked, real, single, loop = (DetectionStats() for _ in range(4))
+    out = detect_proposed(ybar, chunk, filt, chunked)
+    assert out.shape == data.shape
+    for c, factors in enumerate(per_real):
+        npt.assert_array_equal(out[c], detect_proposed(ybar[c], factors, filt, real))
+        for b in range(n_blocks):
+            npt.assert_array_equal(out[c, b], detect_proposed(ybar[c, b], factors, filt, single))
+            npt.assert_array_equal(out[c, b], detect_proposed_ref(ybar[c, b], factors, filt, loop))
+    assert chunked == real == single == loop
+    assert chunked.sd_nodes_visited >= n_real * n_blocks * k * m * t
+    # finite, but every top-level metric overflows: the chunk raises as one call does
+    with pytest.raises(ValueError) as want:
+        detect_proposed(ybar[0, 0] * 1e200, per_real[0], filt)
+    with pytest.raises(ValueError) as got:
+        detect_proposed(ybar * 1e200, chunk, filt)
+    assert str(got.value) == str(want.value)
+    y_real = ybar[0]
+    for bad, factors in (
+        (y_real[:, :-1], per_real[0]),
+        (y_real[None], per_real[0]),
+        (y_real[0, 0], per_real[0]),
+        (y_real, chunk),  # a realization's stack for a chunk's factors
+        (np.concatenate([ybar, ybar[:1]]), chunk),  # another realization count
+        (ybar[..., :-1], chunk),
+        (ybar[None], chunk),
+    ):
+        with pytest.raises(ValueError, match="observation length"):
+            detect_proposed(bad, factors, filt)
+    return chunk
+
+
 @pytest.mark.parametrize(
     "k, m, t, r, n_blocks, snr_db",
     [
@@ -713,24 +767,19 @@ def test_detect_proposed_noiseless():
     ],
 )
 def test_detect_proposed_stack_matches_single_blocks_and_loop(k, m, t, r, n_blocks, snr_db):
-    filt, ch, factors = proposed_setup(k, m, t, r, seed=22)
-    rng = np.random.default_rng(23)
-    n0 = 10.0 ** (-snr_db / 10.0)
-    data = QPSK[rng.integers(0, 4, (n_blocks, t * filt.length))]
-    ybar = np.stack(
-        [receive_transform(apply_channel(transmit(b, filt, t), ch, n0, rng), filt) for b in data]
-    )
-    stacked, single, loop = DetectionStats(), DetectionStats(), DetectionStats()
-    out = detect_proposed(ybar, factors, filt, stacked)
-    assert out.shape == data.shape
-    for b in range(n_blocks):
-        npt.assert_array_equal(out[b], detect_proposed(ybar[b], factors, filt, single))
-        npt.assert_array_equal(out[b], detect_proposed_ref(ybar[b], factors, filt, loop))
-    assert stacked == single == loop
-    assert stacked.sd_nodes_visited >= n_blocks * k * m * t
-    for bad in (ybar[:, :-1], ybar[None], ybar[0, 0]):
-        with pytest.raises(ValueError, match="observation length"):
-            detect_proposed(bad, factors, filt)
+    for n_real in (1, 3):
+        assert_chunk_matches_per_realization_calls(
+            dirichlet_filter(k, m), t, r, n_blocks, snr_db, n_real
+        )
+
+
+def test_detect_proposed_chunk_with_dead_columns_matches_per_realization_calls():
+    # a zero bin of the window leaves dead columns in every block
+    for n_real in (1, 3):
+        chunk = assert_chunk_matches_per_realization_calls(
+            window_filter(4, [0, 1, 1, 1], 0), 2, 2, 3, 10.0, n_real
+        )
+        assert np.all(np.diagonal(chunk.r, axis1=-2, axis2=-1).min(axis=-1) == 0.0)
 
 
 def assert_proposed_equals_global_exhaustive(k, m, seeds, trials):

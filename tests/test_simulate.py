@@ -16,6 +16,7 @@ from gfdmsim.simulate import (
     SCHEMES,
     ConfigError,
     SimConfig,
+    _chunk_size,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -24,6 +25,8 @@ from gfdmsim.simulate import (
     write_report,
 )
 from gfdmsim.waveform import dirichlet_filter, fast_modulate, rc_filter
+
+from oracles import run_sweep_ref
 
 
 def small_config(**kw):
@@ -415,6 +418,28 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
         assert np.array_equal(x[b], x_b)
         y_b = apply_channel(x_b, ch, noise_power, np.random.default_rng(b))
         assert np.array_equal(stacked[b], y_b)
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha, k, m, t, r, n_blocks",
+    [
+        ("proposed_dirichlet", None, 4, 2, 1, 3, 64),  # T = 1 with R = 3
+        ("proposed_dirichlet", None, 1, 4, 2, 3, 100),  # K = 1
+        ("ofdm", None, 8, 1, 2, 2, 64),  # M = 1 at small D
+        ("baseline_dirichlet", None, 4, 2, 2, 2, 64),
+        ("baseline_rc", 0.9, 2, 2, 1, 3, 64),
+    ],
+)
+def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t, r, n_blocks):
+    # shapes off the reference grid, with two whole chunks and a remainder
+    # chunk of one realization, noisy and noiseless
+    cfg = SimConfig(scheme=scheme, alpha=alpha, n_subcarriers=k, n_subsymbols=m, n_tx=t,
+                    n_rx=r, snr_db=(6.0, math.inf), n_channels=1, n_blocks=n_blocks, seed=3)
+    chunk = _chunk_size(cfg)
+    assert chunk > 1
+    cfg = replace(cfg, n_channels=2 * chunk + 1)
+    got = [(rec.errors, rec.cm_sd, rec.sd_nodes) for rec in run_sweep(cfg)]
+    assert got == [(rec.errors, rec.cm_sd, rec.sd_nodes) for rec in run_sweep_ref(cfg)]
 
 
 # SNR points at, beyond and far beyond the -300 dB floor, and any finite one

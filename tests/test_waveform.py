@@ -106,6 +106,18 @@ def test_grid_values_must_be_integers(make):
             make(cast)
 
 
+def test_rolloff_must_be_a_real_number():
+    # numpy floats and the ints 0 and 1 are real numbers in [0, 1]; NaN is
+    # real but outside the range
+    for alpha in (np.float64(0.5), 0, 1):
+        assert rc_filter(2, 2, alpha).n_subsymbols == 2
+    for alpha in ("0.5", None, 1j):
+        with pytest.raises(ValueError, match="must be a real number"):
+            rc_filter(2, 2, alpha)
+    with pytest.raises(ValueError, match="must lie in"):
+        rc_filter(2, 2, math.nan)
+
+
 def test_window_filter_random_windows():
     rng = np.random.default_rng(23)
     for k, m in GRID:
