@@ -33,13 +33,18 @@ SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
 _DENSE_SCHEMES = ("baseline_dirichlet", "baseline_rc")
 DEFAULT_RC_ROLLOFF = 0.9
 # A sweep's chunk of realizations holds at most this many received samples
-# (n_blocks*R*D per realization), and at most as many factored entries
-# (K*MR*MT per realization for the per-subcarrier receiver, (RD + TD)*TD for
-# the dense MMSE extension): 2^14 complex entries, 256 KB. On the benchmark's
+# (n_blocks*R*D per realization), 2^14 complex entries (256 KB), and at most
+# four times as many factored entries (K*MR*MT per realization for the
+# per-subcarrier receiver, (RD + TD)*TD for the dense MMSE extension), 2^16
+# (1 MiB), so that full_proposed, whose one realization's factors fill 2^14,
+# still detects several realizations per call. On the benchmark's
 # workloads that is 12 realizations per chunk on desk_proposed, 4 on
-# full_ofdm, 2 on desk_baseline_rc and 1 on full_proposed, and peak RSS read
-# 41.3 -> 44.2 MB on desk_proposed and 40.8 -> 43.2 MB on full_ofdm against
-# one realization per chunk (medians of ten runs each).
+# full_proposed, and 8 on full_ofdm and desk_baseline_rc. At the
+# factorization about five copies of each factor entry are live (the block
+# list, factorize_blocks' stack and R, and the previous chunk's Q and R).
+# Peak RSS against one realization per chunk read 41.3 -> 44.2 MB on
+# desk_proposed, 41.6 -> 47.8 MB on full_proposed and 40.8 -> 46.9 MB on
+# full_ofdm, and did not move on desk_baseline_rc (medians of ten runs each).
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -331,13 +336,18 @@ def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
 
 
 def _chunk_size(cfg: SimConfig) -> int:
-    """Realizations per chunk: the most, at least one, that keep within :data:`CHUNK_ENTRIES`."""
+    """Realizations per chunk: the most, at least one, that keep within the budget.
+
+    The chunk's received samples fit in :data:`CHUNK_ENTRIES` and its
+    factored entries in four times that.
+    """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
     if cfg.scheme in _DENSE_SCHEMES:  # one MMSE extension at a time
         factored = (n_rx * d + n_tx * d) * n_tx * d
     else:  # K blocks of MR x MT
         factored = d * cfg.n_subsymbols * n_rx * n_tx
-    return max(1, CHUNK_ENTRIES // max(cfg.n_blocks * n_rx * d, factored))
+    received = cfg.n_blocks * n_rx * d
+    return max(1, min(CHUNK_ENTRIES // received, 4 * CHUNK_ENTRIES // factored))
 
 
 def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
@@ -348,9 +358,12 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     symbol-error and sphere-decoder counters accumulated. Output is a pure
     function of cfg. Each realization draws its channel, and each block its
     data and noise, from its own substream. The realizations run in chunks
-    of :func:`_chunk_size`: :func:`gfdmsim.channel.generate_channel` draws
-    each realization's channel, in index order, and one
-    :func:`gfdmsim.waveform.fast_modulate` call modulates the chunk's blocks.
+    of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples
+    and four times as many factored entries; a chunk's factors stay held
+    until the next chunk's factorization returns). Per chunk,
+    :func:`gfdmsim.channel.generate_channel` draws each realization's
+    channel, in index order, and one :func:`gfdmsim.waveform.fast_modulate`
+    call modulates the chunk's blocks.
     :func:`gfdmsim.channel.apply_channel` then passes each realization's
     n_blocks blocks through its channel in one call, with one noise
     generator per block. The dense baseline factors each realization's full

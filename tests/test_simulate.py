@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -428,11 +429,13 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
         ("ofdm", None, 8, 1, 2, 2, 64),  # M = 1 at small D
         ("baseline_dirichlet", None, 4, 2, 2, 2, 64),
         ("baseline_rc", 0.9, 2, 2, 1, 3, 64),
+        ("proposed_dirichlet", None, 256, 4, 2, 2, 1),  # full_proposed's shape
+        ("ofdm", None, 1024, 1, 2, 2, 1),  # full_ofdm's shape
     ],
 )
 def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t, r, n_blocks):
-    # shapes off the reference grid, with two whole chunks and a remainder
-    # chunk of one realization, noisy and noiseless
+    # shapes off the reference grid and at the paper's block length, with two
+    # whole chunks and a remainder chunk of one realization, noisy and noiseless
     cfg = SimConfig(scheme=scheme, alpha=alpha, n_subcarriers=k, n_subsymbols=m, n_tx=t,
                     n_rx=r, snr_db=(6.0, math.inf), n_channels=1, n_blocks=n_blocks, seed=3)
     chunk = _chunk_size(cfg)
@@ -440,6 +443,41 @@ def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t,
     cfg = replace(cfg, n_channels=2 * chunk + 1)
     got = [(rec.errors, rec.cm_sd, rec.sd_nodes) for rec in run_sweep(cfg)]
     assert got == [(rec.errors, rec.cm_sd, rec.sd_nodes) for rec in run_sweep_ref(cfg)]
+
+
+@pytest.mark.parametrize(
+    "config, overrides, chunk",
+    [
+        # the benchmark's four workloads, as perfbench/run.py builds them
+        ("desk_k8_m4", dict(scheme="proposed_dirichlet", snr_db="0, 4, 8, 12, 16, 20", n_blocks="20"), 12),
+        ("full_k256_m4", dict(scheme="proposed_dirichlet", snr_db="16, 20", n_blocks="1"), 4),
+        ("desk_k16_m2", dict(scheme="baseline_rc(0.9)", snr_db="0, 4, 8, 12, 16, 20", n_blocks="2"), 8),
+        ("full_ofdm_k1024", dict(scheme="ofdm", snr_db="16, 20", n_blocks="1"), 8),
+        # the CI smoke run's config as shipped: two chunks of 25
+        ("desk_k8_m2", {}, 25),
+    ],
+)
+def test_chunk_sizes_of_the_benchmark_workloads(config, overrides, chunk):
+    # the sizes README, the CHUNK_ENTRIES comment and tier1.yml state
+    path = Path(__file__).parent.parent / "configs" / f"{config}.cfg"
+    assert _chunk_size(parse_config(str(path), overrides)) == chunk
+
+
+def test_full_scale_chunk_keeps_its_memory_budget():
+    # a full_proposed-shape sweep in two chunks of 4: the traced peak read
+    # 7.27 MB (1.96 MB at one realization per chunk); the bound is that
+    # peak plus 20 %, which a chunk twice as large (9.30 MB in one chunk of
+    # 8) or another live copy of a chunk's Q and R (2.1 MB) exceeds
+    cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=256, n_subsymbols=4, n_tx=2,
+                    n_rx=2, snr_db=(20.0,), n_channels=8, n_blocks=1)
+    assert _chunk_size(cfg) == 4
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.7e6
 
 
 # SNR points at, beyond and far beyond the -300 dB floor, and any finite one
