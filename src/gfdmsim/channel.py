@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .waveform import _integer
+
 
 def power_delay_profile(block_len: int) -> np.ndarray:
     """Tap powers of a ``block_len``-sample block's channel, summing to one.
@@ -38,8 +40,9 @@ class MimoChannel:
     taps[r, t] holds the impulse response of the (receive r, transmit t) pair;
     freq[r, t] its ``block_len``-point DFT (the eigenvalues of the corresponding
     circulant matrix), derived once from the taps. Both are read-only, and
-    taps is a copy of the input. Raises ``ValueError`` unless the taps are
-    (R, T, n_taps) with 1 <= n_taps <= ``block_len``. A channel compares and
+    taps is a copy of the input. Raises ``ValueError`` unless ``block_len``
+    is an integer (numpy's included, stored as an int) and the taps are
+    (R, T, n_taps) with R, T >= 1 and 1 <= n_taps <= ``block_len``. A channel compares and
     hashes by identity, as its arrays give ``==`` no single truth value.
     """
 
@@ -48,10 +51,11 @@ class MimoChannel:
     freq: np.ndarray = field(init=False)  # (R, T, block_len) complex
 
     def __post_init__(self):
+        object.__setattr__(self, "block_len", _integer("block_len", self.block_len))
         taps = np.array(self.taps, dtype=complex)
-        if taps.ndim != 3 or not 1 <= taps.shape[2] <= self.block_len:
+        if taps.ndim != 3 or 0 in taps.shape[:2] or not 1 <= taps.shape[2] <= self.block_len:
             raise ValueError(
-                f"taps must be (R, T, n_taps) with 1 <= n_taps <= {self.block_len}, "
+                f"taps must be (R, T, n_taps) with R, T >= 1 and 1 <= n_taps <= {self.block_len}, "
                 f"got shape {taps.shape}"
             )
         freq = np.fft.fft(taps, n=self.block_len, axis=2)

@@ -16,6 +16,7 @@ its blocks.
 """
 
 import math
+import numbers
 import re
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -110,12 +111,30 @@ class SimConfig:
             return f"baseline_rc({self.alpha!r})"
         return self.scheme
 
-    def validate(self) -> None:
-        """Check the cross-field constraints; raises ConfigError on violation."""
+    def __post_init__(self):
+        """Check every field and the cross-field constraints; raises ConfigError on violation.
+
+        Integer fields are stored as Python ints (numpy's integers
+        included), the SNR points and the roll-off as floats, and snr_db as
+        a tuple, so a config that exists is one that :func:`run_sweep`
+        completes.
+        """
+        for key, name in _KEYS.items():
+            if _FIELDS[name].type is int:
+                try:
+                    value = waveform._integer(key, getattr(self, name))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+                object.__setattr__(self, name, value)
         for key in ("K", "M", "T", "R", "n_channels", "n_blocks"):
             value = getattr(self, _KEYS[key])
             if value < 1:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        try:
+            snr_db = tuple(_real("snr_db point", snr) for snr in self.snr_db)
+        except TypeError:
+            raise ConfigError(f"snr_db must list SNR points, got {self.snr_db!r}") from None
+        object.__setattr__(self, "snr_db", snr_db)
         if len(self.snr_db) == 0:
             raise ConfigError("snr_db must list at least one point")
         for snr in self.snr_db:
@@ -134,10 +153,22 @@ class SimConfig:
                 f"scheme '{self.scheme}' requires R >= T (got R = {self.n_rx}, T = {self.n_tx}): "
                 "its per-subcarrier sorted QR needs tall or square blocks"
             )
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _real("roll-off", self.alpha))
         if self.scheme != "baseline_rc" and self.alpha is not None:
             raise ConfigError(f"scheme '{self.scheme}' takes no roll-off, got {self.alpha}")
         if self.scheme == "baseline_rc" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"scheme 'baseline_rc' needs a roll-off in [0, 1], got {self.alpha}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless it is a real number within the float range."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a real number within the float range, got {value!r}")
 
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
@@ -188,7 +219,7 @@ def _typed(key: str, text: str, where: str):
 
 
 def parse_config(path: str, overrides: dict[str, str] | None = None) -> SimConfig:
-    """Read a key-value config file, apply flag overrides, and validate.
+    """Read a key-value config file, apply flag overrides, and build the checked SimConfig.
 
     The format is one ``key = value`` pair per line; '#' starts a comment.
     Allowed keys: scheme, K, M, T, R, snr_db, n_channels, n_blocks, seed,
@@ -232,9 +263,7 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> SimConfi
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     kwargs = {_KEYS[key]: value for key, value in values.items()}
     kwargs["scheme"], kwargs["alpha"] = parse_scheme(kwargs["scheme"])
-    cfg = SimConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return SimConfig(**kwargs)
 
 
 def serialize_config(cfg: SimConfig) -> str:
@@ -269,7 +298,11 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
                 SIC costs K^2 M^2 T^2.
     * proposed: K M^3 T^2 R + K M^2 T R + (K M^2 T^2 - K M T) / 2; no SIC.
     * ofdm:     the proposed count at (K*M, 1), i.e. D T^2 R + D T R + (D T^2 - D T) / 2.
+
+    Raises ``ValueError`` unless every dimension is a positive integer
+    (numpy's included).
     """
+    k, m, t, r = (waveform._integer(key, v) for key, v in zip("KMTR", (k, m, t, r)))
     if min(k, m, t, r) < 1:
         raise ValueError("dimensions must be positive")
     if scheme in ("proposed", "baseline"):
@@ -376,7 +409,6 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     result equals that of a one-block call bit for bit, so the chunk size
     changes no output.
     """
-    cfg.validate()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
     if cfg.scheme == "baseline_rc":

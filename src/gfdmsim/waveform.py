@@ -37,7 +37,8 @@ class PrototypeFilter:
     with it. The filter holds a read-only copy of g_f, so the pulse, the
     window and the block factor, each computed once per filter, stay those
     of its spectrum. A filter compares and hashes by identity, as g_f gives
-    ``==`` no single truth value.
+    ``==`` no single truth value. Raises ``ValueError`` for a spectrum that
+    is not 1-D and finite, or whose length is not a positive multiple of K.
     """
 
     g_f: np.ndarray
@@ -47,6 +48,8 @@ class PrototypeFilter:
         g_f = np.array(self.g_f)
         if g_f.ndim != 1:
             raise ValueError(f"the filter spectrum must be 1-D, got shape {g_f.shape}")
+        if not np.isfinite(g_f).all():
+            raise ValueError("the filter spectrum must be finite")
         g_f.flags.writeable = False
         object.__setattr__(self, "g_f", g_f)
         object.__setattr__(self, "n_subcarriers", _integer("K", self.n_subcarriers))

@@ -425,7 +425,6 @@ def first_descent_ref(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
 # calls bit for bit, so the chunked sweep must match its records exactly.
 def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
     """The configured sweep, one realization at a time."""
-    cfg.validate()
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
     if cfg.scheme == "baseline_rc":

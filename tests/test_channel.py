@@ -75,8 +75,9 @@ def test_freq_response_matches_taps():
 
 @pytest.mark.parametrize(
     "shape, d",
-    [((2, 2), 8), ((2, 2, 0), 8), ((2, 2, 9), 8), ((1, 1, 20), 16), ((1, 1, 1), 0)],
-    ids=["2-d", "no-taps", "9-taps-on-8", "20-taps-on-16", "empty-block"],
+    [((2, 2), 8), ((2, 2, 0), 8), ((2, 2, 9), 8), ((1, 1, 20), 16), ((1, 1, 1), 0),
+     ((2, 0, 1), 4), ((0, 2, 1), 4)],
+    ids=["2-d", "no-taps", "9-taps-on-8", "20-taps-on-16", "empty-block", "no-tx", "no-rx"],
 )
 def test_channel_rejects_taps_that_do_not_fit(shape, d):
     # both receivers read one channel, so taps that a D-point block cannot
@@ -84,6 +85,14 @@ def test_channel_rejects_taps_that_do_not_fit(shape, d):
     MimoChannel(np.ones((2, 2, 8)), 8)
     with pytest.raises(ValueError, match=r"taps must be \(R, T, n_taps\)"):
         MimoChannel(np.ones(shape), d)
+
+
+@pytest.mark.parametrize("block_len", [2.5, "4", 4.0, None])
+def test_channel_block_length_must_be_an_integer(block_len):
+    with pytest.raises(ValueError, match="block_len must be an integer"):
+        MimoChannel(np.ones((1, 1, 2)), block_len)
+    ch = MimoChannel(np.ones((1, 1, 2)), np.int64(4))  # numpy's integers are stored as int
+    assert type(ch.block_len) is int and ch.freq.shape == (1, 1, 4)
 
 
 def test_channel_is_a_read_only_copy_of_its_taps():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -81,6 +82,13 @@ def test_closed_form_errors():
         closed_form_cm("magic", 8, 2, 2, 2)
     with pytest.raises(ValueError):
         closed_form_cm("proposed", 0, 2, 2, 2)
+
+
+@pytest.mark.parametrize("dims", [(2.5, 1, 1, 1), (2, 1.0, 1, 1), (2, 1, "1", 1), (2, 1, 1, None)])
+def test_closed_form_takes_integer_dimensions(dims):
+    with pytest.raises(ValueError, match="must be an integer"):
+        closed_form_cm("ofdm", *dims)
+    assert closed_form_cm("ofdm", *(np.int64(2),) * 4) == closed_form_cm("ofdm", 2, 2, 2, 2)
 
 
 def test_closed_form_is_integer_for_odd_dimensions():
@@ -210,9 +218,9 @@ def test_parse_config_accepts_byte_order_mark(tmp_path):
     ],
 )
 def test_validate_rejects_out_of_range_dimensions(field, value):
-    small_config().validate()
+    small_config()
     with pytest.raises(ConfigError):
-        small_config(**{field: value}).validate()
+        small_config(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -226,14 +234,14 @@ def test_validate_rejects_out_of_range_dimensions(field, value):
     ],
 )
 def test_validate_rejects_misplaced_or_out_of_range_rolloff(scheme, alpha):
-    small_config(scheme="baseline_rc", alpha=0.9).validate()
+    small_config(scheme="baseline_rc", alpha=0.9)
     with pytest.raises(ConfigError, match="roll-off"):
-        small_config(scheme=scheme, alpha=alpha).validate()
+        small_config(scheme=scheme, alpha=alpha)
 
 
 def test_ofdm_requires_single_subsymbol():
     with pytest.raises(ConfigError, match="M = 1"):
-        small_config(scheme="ofdm").validate()
+        small_config(scheme="ofdm")
 
 
 @pytest.mark.parametrize(
@@ -248,13 +256,71 @@ def test_ofdm_requires_single_subsymbol():
 def test_fewer_rx_than_tx_antennas(scheme, m, alpha, runs):
     # the per-subcarrier receiver needs tall blocks; the baseline's MMSE
     # extension is tall for any R
-    cfg = small_config(scheme=scheme, n_subsymbols=m, alpha=alpha, n_tx=2, n_rx=1,
-                       snr_db=(10.0,), n_channels=1, n_blocks=1)
+    kw = dict(scheme=scheme, n_subsymbols=m, alpha=alpha, n_tx=2, n_rx=1,
+              snr_db=(10.0,), n_channels=1, n_blocks=1)
     if runs:
+        cfg = small_config(**kw)
         assert run_sweep(cfg)[0].symbols == 2 * cfg.block_len
     else:
         with pytest.raises(ConfigError, match="R >= T"):
-            cfg.validate()
+            small_config(**kw)
+
+
+@pytest.mark.parametrize("route", ["constructor", "replace"])
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("n_channels", 2.5, "n_channels must be an integer, got 2.5"),
+        ("n_tx", 2.0, "T must be an integer, got 2.0"),
+        ("n_subcarriers", 2.0, "K must be an integer, got 2.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("alpha", "0.5", "roll-off must be a real number"),
+        ("snr_db", ("10",), "snr_db point must be a real number"),
+        ("snr_db", (10**400,), "snr_db point must be a real number within the float range"),
+        ("snr_db", 10.0, "snr_db must list SNR points"),
+        ("n_channels", 0, "n_channels must be positive, got 0"),
+    ],
+    ids=["float-channels", "float-T", "float-K", "float-seed", "no-seed", "text-rolloff",
+         "text-snr", "huge-snr", "scalar-snr", "no-channels"],
+)
+def test_bad_field_is_rejected_when_the_config_is_built(route, field, value, match):
+    # the mistyped values once passed the check and then died mid-sweep or in
+    # the check itself; every route, dataclasses.replace too, checks them
+    rc = dict(scheme="baseline_rc", alpha=0.9)
+    cfg = small_config(**rc)
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        if route == "replace":
+            replace(cfg, **{field: value})
+        else:
+            small_config(**{**rc, field: value})
+
+
+def test_numpy_and_bool_values_are_stored_as_plain_numbers(tmp_path):
+    cfg = small_config(scheme="baseline_rc", alpha=np.float64(0.9), n_subcarriers=np.int64(4),
+                       n_channels=np.uint8(2), n_blocks=True, snr_db=[np.float64(10.0), 20])
+    plain = small_config(scheme="baseline_rc", alpha=0.9, n_subcarriers=4, n_channels=2,
+                         n_blocks=1, snr_db=(10.0, 20.0))
+    assert cfg == plain and hash(cfg) == hash(plain)
+    assert [type(getattr(cfg, f)) for f in ("n_subcarriers", "n_channels", "n_blocks")] == [int] * 3
+    assert type(cfg.alpha) is float and [type(s) for s in cfg.snr_db] == [float, float]
+    path = tmp_path / "sim.cfg"
+    path.write_text(serialize_config(cfg))
+    assert parse_config(str(path)) == plain
+    assert [rec.symbols for rec in run_sweep(cfg)] == [2 * 1 * 2 * 8] * 2
+
+
+def test_readme_example_config_parses_and_round_trips(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "sim.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = parse_config(str(path))
+    assert (cfg.scheme, cfg.block_len, cfg.snr_db, cfg.out) == (
+        "proposed_dirichlet", 16, (0.0, 4.0, 8.0, 12.0, 16.0, 20.0), "results.csv"
+    )
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert parse_config(str(path)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -291,21 +357,22 @@ def _parse_text(text: str) -> SimConfig:
 _OUT = st.none() | st.text(alphabet=" \t#=\n\r\x85\u2028a.") | st.text()
 
 
-def _valid(cfg: SimConfig) -> SimConfig:
-    dense = cfg.scheme.startswith("baseline")
-    return replace(
-        cfg,
-        n_subsymbols=1 if cfg.scheme == "ofdm" else cfg.n_subsymbols,
-        n_rx=cfg.n_rx if dense else max(cfg.n_rx, cfg.n_tx),
-        alpha=cfg.alpha if cfg.scheme == "baseline_rc" else None,
+def _valid(kw: dict) -> dict:
+    # SimConfig keywords moved onto the cross-field constraints: M = 1 for
+    # ofdm, R >= T for the per-subcarrier receiver, a roll-off for rc only
+    scheme = kw["scheme"]
+    return dict(
+        kw,
+        n_subsymbols=1 if scheme == "ofdm" else kw["n_subsymbols"],
+        n_rx=kw["n_rx"] if scheme.startswith("baseline") else max(kw["n_rx"], kw["n_tx"]),
+        alpha=kw["alpha"] if scheme == "baseline_rc" else None,
     )
 
 
 _SNR_POINT = st.floats(min_value=-300.0, allow_nan=False)
-# configs that validate accepts: every scheme, with and without a roll-off,
-# at dimensions 1-4 and SNR points from -300 dB up to +inf
-_VALID = st.builds(
-    SimConfig,
+# keywords of configs that construct: every scheme, with and without a
+# roll-off, at dimensions 1-4 and SNR points from -300 dB up to +inf
+_VALID = st.fixed_dictionaries(dict(
     scheme=st.sampled_from(SCHEMES),
     n_subcarriers=st.integers(1, 4),
     n_subsymbols=st.integers(1, 4),
@@ -317,30 +384,41 @@ _VALID = st.builds(
     alpha=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**70),
     out=_OUT,
-).map(_valid)
-# anything the fields can hold: zero or negative dimensions and seeds, empty
-# SNR lists with nan and -inf, misplaced or out-of-range roll-offs
-_ANY = st.builds(
-    SimConfig,
+)).map(_valid)
+# anything the fields can be given: zero or negative dimensions and seeds,
+# empty SNR lists or lists with nan, -inf, integers beyond the float range
+# or strings, misplaced, out-of-range or mistyped roll-offs
+_ANY = st.fixed_dictionaries(dict(
     scheme=st.sampled_from((*SCHEMES, "zf")),
     n_subcarriers=st.integers(-1, 4),
     n_subsymbols=st.integers(-1, 4),
     n_tx=st.integers(-1, 4),
     n_rx=st.integers(-1, 4),
-    snr_db=st.lists(st.floats(), max_size=3).map(tuple),
+    snr_db=st.lists(st.floats(), max_size=3).map(tuple)
+    | st.lists(st.floats() | st.integers() | st.just("10"), max_size=3) | st.floats(),
     n_channels=st.integers(-1, 4),
     n_blocks=st.integers(-1, 4),
-    alpha=st.none() | st.floats(),
+    alpha=st.none() | st.floats() | st.just("0.5"),
     seed=st.integers(-1, 2**70),
     out=_OUT,
+))
+# a config that constructs with one integer field given another type: the
+# wrong kinds are rejected, numpy's integers and bools construct as ints
+_MISTYPED = st.builds(
+    lambda kw, name, value: {**kw, name: value},
+    _VALID,
+    st.sampled_from(
+        ("n_subcarriers", "n_subsymbols", "n_tx", "n_rx", "n_channels", "n_blocks", "seed")
+    ),
+    st.sampled_from((2.0, 2.5, "2", None, (2,), True, np.int64(2), np.uint8(3))),
 )
 
 
 @settings(derandomize=True, database=None, max_examples=200)
-@given(cfg=_VALID | _ANY)
-def test_config_is_rejected_or_round_trips(cfg):
+@given(kw=_VALID | _ANY | _MISTYPED)
+def test_config_is_rejected_or_round_trips(kw):
     try:
-        cfg.validate()
+        cfg = SimConfig(**kw)
     except ConfigError:
         return
     try:
@@ -352,7 +430,7 @@ def test_config_is_rejected_or_round_trips(cfg):
     assert _parse_text(text) == cfg
 
 
-# values each key accepts (not every combination validates), and junk
+# values each key accepts (not every combination constructs), and junk
 _GOOD_VALUES = {
     "scheme": (*SCHEMES, "baseline_rc(0.5)", "baseline_rc(1e-3)"),
     "K": ("1", "2", "3"),
@@ -485,11 +563,10 @@ _SWEEP_SNR = st.sampled_from((-1e308, -4000.0, -300.0, 0.0, math.inf, 1e308)) | 
     allow_nan=False, allow_infinity=False
 )
 # every scheme, baseline_rc with a roll-off, on one channel of one or two
-# blocks, as drawn or moved by _valid onto dimensions validate accepts;
+# blocks, as drawn or moved by _valid onto constraints a config accepts;
 # M <= 3 and T <= 2 keep M·T <= 6, since at very low SNR the search is
 # near-exhaustive (about 4^(M·T) nodes per subcarrier)
-_SWEEP = st.builds(
-    SimConfig,
+_SWEEP = st.fixed_dictionaries(dict(
     scheme=st.sampled_from(SCHEMES),
     n_subcarriers=st.integers(1, 3),
     n_subsymbols=st.integers(1, 3),
@@ -500,14 +577,14 @@ _SWEEP = st.builds(
     n_blocks=st.integers(1, 2),
     alpha=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64),
-)
+))
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(cfg=_SWEEP | _SWEEP.map(_valid))
-def test_sweep_is_rejected_or_runs_deterministically(cfg):
+@given(kw=_SWEEP | _SWEEP.map(_valid))
+def test_sweep_is_rejected_or_runs_deterministically(kw):
     try:
-        cfg.validate()
+        cfg = SimConfig(**kw)
     except ConfigError:
         return
     first = [replace(r, wall_time=0.0) for r in run_sweep(cfg)]

@@ -42,6 +42,13 @@ def test_filter_spectrum_must_be_one_dimensional(g_f):
         PrototypeFilter(g_f=g_f, n_subcarriers=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_filter_spectrum_must_be_finite(bad):
+    # a non-finite bin would reach the window and the transmitted samples
+    with pytest.raises(ValueError, match="finite"):
+        PrototypeFilter(g_f=np.array([bad, 1.0]), n_subcarriers=1)
+
+
 def test_transmitter_matrix_dimension_mismatch():
     # the grid comes from the filter, so a filter whose length is not a
     # multiple of K cannot be built, and the matrix is always D x D
