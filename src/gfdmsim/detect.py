@@ -373,15 +373,16 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return QPSK[digits]
 
 
-def factorize_blocks(blocks) -> SqrdFactorization:
+def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     """Sorted QR of every block of a (..., K, MR, MT) stack, computed once per channel realization.
 
     Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all
     blocks at once and returns the factors with the input's leading axes:
     ``q`` (..., K, MR, MT), ``r`` (..., K, MT, MT) and ``perm`` (..., K, MT),
-    all C-contiguous; the input is not modified. A sweep passes a chunk of
-    realizations as a (C, K, MR, MT) stack, or as a list of C per-realization
-    (K, MR, MT) stacks, whose one input copy is then also the stacking copy.
+    all C-contiguous; the input is not modified unless it is ``out``'s ``q``.
+    A chunk of realizations comes as a (C, K, MR, MT) stack, or as a list of
+    C per-realization (K, MR, MT) stacks, whose one input copy is then also
+    the stacking copy.
     Every block's factors equal ``sqrd`` of that block bit for bit.
     Within an antenna the columns of an ICI-free block tie in exact
     arithmetic, so the pivot order rests on the last bit of every norm; each
@@ -396,19 +397,37 @@ def factorize_blocks(blocks) -> SqrdFactorization:
     taken from, which is read no more, and the rank-one update runs column
     by column through one (blocks, MR) buffer allocated per call. No
     temporary is as large as the stack, so a call allocates no more than its
-    factors and their input copy. A block's dead columns, under ``sqrd``'s
-    rank test, get a zero column of Q before the projection, so their row
-    of R is zero and their update subtracts zeros. ``sqrd`` keeps its own
-    serial loop: on the baseline's single large matrix a batch of one runs
-    slower than it.
+    factors and their input copy. ``out=(q, r)`` takes that allocation
+    away: C-contiguous complex arrays of the factors' shapes that receive
+    the input copy, factored in place, and R, and are returned as ``q`` and
+    ``r``. As with numpy's ``out``, ``q`` may be the input itself, and a
+    caller can pass the same buffers, or leading-axis views of them, to
+    every call; R is zeroed first, so nothing of an earlier call's factors
+    is left. A block's dead columns, under ``sqrd``'s rank test, get a zero
+    column of Q before the projection, so their row of R is zero and their
+    update subtracts zeros. ``sqrd`` keeps its own serial loop: on the
+    baseline's single large matrix a batch of one runs slower than it.
     """
-    stack = np.array(blocks, dtype=complex, order="C")
+    stack = np.array(blocks, dtype=complex, order="C") if out is None else np.asarray(blocks)
     if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
         raise ValueError(f"expected a (..., K, rows, cols) stack of tall blocks, got {stack.shape}")
     lead, (m, n) = stack.shape[:-2], stack.shape[-2:]
+    if out is None:
+        r_out = np.zeros(lead + (n, n), dtype=complex)
+    else:
+        q_out, r_out = out
+        for name, a, shape in (("q", q_out, stack.shape), ("r", r_out, lead + (n, n))):
+            if not (
+                isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
+                and a.flags.c_contiguous and a.flags.writeable
+            ):
+                raise ValueError(f"out's {name} must be a writable C-contiguous complex {shape} array")
+        q_out[...] = stack  # copies nothing when q is the input itself
+        r_out[...] = 0.0
+        stack = q_out
     v = stack.reshape(-1, m, n)
     n_blk = len(v)
-    r = np.zeros((n_blk, n, n), dtype=complex)
+    r = r_out.reshape(n_blk, n, n)
     perm = np.tile(np.arange(n), (n_blk, 1))
     # the rows one by one, as sqrd's sum adds them
     norms_sq = np.square(np.abs(v[:, 0]))
@@ -450,7 +469,7 @@ def factorize_blocks(blocks) -> SqrdFactorization:
             for c in range(i + 1, n):
                 v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
             norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
-    return SqrdFactorization(q=stack, r=r.reshape(lead + (n, n)), perm=perm.reshape(lead + (n,)))
+    return SqrdFactorization(q=stack, r=r_out, perm=perm.reshape(lead + (n,)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
@@ -553,8 +572,9 @@ def detect_proposed(
     Returns the detected data, T*D symbols per observation, with the
     input's stacking. A chunk of C realizations passes (C, K, ...) factors
     and a (C, B, K*M*R) ``ybar`` and gets (C, B, T*D), realization c's
-    result equal to its own call's bit for bit. All rotated observations
-    Q_k^H ybar_k are formed in one batched product. The C*B*K subproblems
+    result equal to its own call's bit for bit. The rotated observations
+    Q_k^H ybar_k are formed in one batched product per realization, so no
+    conjugated copy of the whole chunk's Q is made. The C*B*K subproblems
     of size MT then run one vectorized first descent of the sphere decoder
     (:func:`_first_descent`). Each subproblem it cannot certify resumes the
     scalar search at the first leaf, with that leaf's metric as the radius
@@ -592,7 +612,10 @@ def detect_proposed(
     _require_finite(r, ybar)
     n_real = len(q)
     stack = ybar.reshape(n_real, -1, k_sc, rows, 1)
-    z = np.matmul(q.conj().swapaxes(-1, -2)[:, None], stack)[..., 0]
+    z = np.empty(stack.shape[:-2] + (cols, 1), dtype=complex)
+    for q_c, y_c, z_c in zip(q, stack, z):  # conjugates one realization's Q at a time
+        np.matmul(q_c.conj().swapaxes(-1, -2), y_c, out=z_c)
+    z = z[..., 0]
     idx, certified, child, partial, leaf = _first_descent(r[:, None], z)
     n_desc, nodes, cms = int(np.count_nonzero(certified)), 0, 0
     for c in range(n_real):

@@ -40,12 +40,14 @@ DEFAULT_RC_ROLLOFF = 0.9
 # (1 MiB), so that full_proposed, whose one realization's factors fill 2^14,
 # still detects several realizations per call. On the benchmark's
 # workloads that is 12 realizations per chunk on desk_proposed, 4 on
-# full_proposed, and 8 on full_ofdm and desk_baseline_rc. At the
-# factorization about five copies of each factor entry are live (the block
-# list, factorize_blocks' stack and R, and the previous chunk's Q and R).
-# Peak RSS against one realization per chunk read 41.3 -> 44.2 MB on
-# desk_proposed, 41.6 -> 47.8 MB on full_proposed and 40.8 -> 46.9 MB on
-# full_ofdm, and did not move on desk_baseline_rc (medians of ten runs each).
+# full_proposed, and 8 on full_ofdm and desk_baseline_rc. The
+# per-subcarrier receiver factors every chunk in one workspace, a chunk's Q
+# and R stacks allocated once per sweep: two chunk-sized stacks, where
+# allocating them per chunk kept five live at the factorization (the block
+# list, the input copy and R, and the previous chunk's Q and R). Peak RSS
+# against one realization per chunk reads 41.3 -> 44.2 MB on desk_proposed,
+# 41.6 -> 44.3 MB on full_proposed and 40.8 -> 46.4 MB on full_ofdm, and
+# does not move on desk_baseline_rc (medians of ten runs each).
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -56,6 +58,13 @@ _STREAM_NOISE = 2
 
 class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or violated constraints."""
+
+
+def _check_rolloff(alpha: float | None) -> float:
+    """``alpha``, the roll-off of a baseline_rc scheme; ConfigError unless it lies in [0, 1]."""
+    if alpha is None or not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"scheme 'baseline_rc' needs a roll-off in [0, 1], got {alpha}")
+    return alpha
 
 
 def parse_scheme(text: str) -> tuple[str, float | None]:
@@ -71,9 +80,7 @@ def parse_scheme(text: str) -> tuple[str, float | None]:
             alpha = float(match.group(1))
         except ValueError:
             raise ConfigError(f"invalid roll-off in scheme '{text}'") from None
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"roll-off must lie in [0, 1], got {alpha}")
-        return "baseline_rc", alpha
+        return "baseline_rc", _check_rolloff(alpha)
     if text == "baseline_rc":
         return "baseline_rc", DEFAULT_RC_ROLLOFF
     if text in SCHEMES:
@@ -131,6 +138,8 @@ class SimConfig:
             if value < 1:
                 raise ConfigError(f"{key} must be positive, got {value}")
         try:
+            if isinstance(self.snr_db, (str, bytes, bytearray)):  # not a list of its characters
+                raise TypeError
             snr_db = tuple(_real("snr_db point", snr) for snr in self.snr_db)
         except TypeError:
             raise ConfigError(f"snr_db must list SNR points, got {self.snr_db!r}") from None
@@ -157,8 +166,10 @@ class SimConfig:
             object.__setattr__(self, "alpha", _real("roll-off", self.alpha))
         if self.scheme != "baseline_rc" and self.alpha is not None:
             raise ConfigError(f"scheme '{self.scheme}' takes no roll-off, got {self.alpha}")
-        if self.scheme == "baseline_rc" and (self.alpha is None or not 0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"scheme 'baseline_rc' needs a roll-off in [0, 1], got {self.alpha}")
+        if self.scheme == "baseline_rc":
+            _check_rolloff(self.alpha)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string or None, got {self.out!r}")
 
 
 def _real(name: str, value) -> float:
@@ -365,7 +376,20 @@ class TrialRecord:
 
 
 def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, *counters]))
+    """The generator of ``SeedSequence([seed, stream, *counters])``, from one word array.
+
+    Each non-negative value is split into little-endian 32-bit words as
+    ``SeedSequence`` splits an int (0 gives one word), so the entropy pool
+    and every draw are those of the list; one uint32 array spares
+    ``SeedSequence`` converting each value on its own.
+    """
+    words = []
+    for value in (seed, stream, *counters):
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def _chunk_size(cfg: SimConfig) -> int:
@@ -392,8 +416,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     function of cfg. Each realization draws its channel, and each block its
     data and noise, from its own substream. The realizations run in chunks
     of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples
-    and four times as many factored entries; a chunk's factors stay held
-    until the next chunk's factorization returns). Per chunk,
+    and four times as many factored entries). Per chunk,
     :func:`gfdmsim.channel.generate_channel` draws each realization's
     channel, in index order, and one :func:`gfdmsim.waveform.fast_modulate`
     call modulates the chunk's blocks.
@@ -402,8 +425,10 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     generator per block. The dense baseline factors each realization's full
     matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml` on its
     blocks, one realization at a time; the per-subcarrier receiver
-    (``proposed_dirichlet`` and ``ofdm``) factors the chunk's K blocks per
-    realization in one :func:`gfdmsim.detect.factorize_blocks` call and runs
+    (``proposed_dirichlet`` and ``ofdm``) writes each realization's K blocks
+    into a workspace of one chunk's Q and R stacks, allocated once per
+    sweep, factors them there in one
+    :func:`gfdmsim.detect.factorize_blocks` call and runs
     one :func:`gfdmsim.decoupling.receive_transform` and one
     :func:`gfdmsim.detect.detect_proposed` call on the chunk. Every block's
     result equals that of a one-block call bit for bit, so the chunk size
@@ -418,6 +443,10 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     chunk = _chunk_size(cfg)
+    if not dense:  # the per-subcarrier receiver's factors, reused by every chunk
+        n_ws, rows, cols = min(chunk, cfg.n_channels), m_ss * n_rx, m_ss * n_tx
+        q_ws = np.empty((n_ws, k_sc, rows, cols), dtype=complex)
+        r_ws = np.empty((n_ws, k_sc, cols, cols), dtype=complex)
     blocks = range(cfg.n_blocks)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
@@ -448,7 +477,10 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                     y_flat = y_c.reshape(cfg.n_blocks, -1)
                     d_hat.append(detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats))
             else:
-                factors = detect.factorize_blocks([compute_blocks(ch, filt) for ch in chans])
+                q = q_ws[: len(span)]
+                for q_c, ch in zip(q, chans):
+                    q_c[...] = compute_blocks(ch, filt)
+                factors = detect.factorize_blocks(q, out=(q, r_ws[: len(span)]))
                 ybar = receive_transform(np.reshape(y, (-1, n_rx, d)), filt)
                 ybar = ybar.reshape(len(span), cfg.n_blocks, -1)
                 d_hat = detect.detect_proposed(ybar, factors, filt, stats)

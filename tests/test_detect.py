@@ -246,6 +246,48 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
         assert dead == m * t + k - 1
 
 
+def _same_factors(got, ref):
+    return (got.q.tobytes(), got.r.tobytes(), got.perm.tobytes()) == (
+        ref.q.tobytes(), ref.r.tobytes(), ref.perm.tobytes()
+    )
+
+
+@pytest.mark.parametrize("k, m", [(8, 4), (1024, 1)])
+def test_factorize_blocks_into_out_matches_the_allocating_call_bit_for_bit(k, m):
+    # a sweep factors every chunk into one workspace whose memory starts as
+    # garbage (NaN here) and then holds the last chunk's factors: in place,
+    # into separate buffers, on a remainder view, and for a second stack
+    # after a first with dead columns, no entry of an earlier call may remain
+    filt = dirichlet_filter(k, m)
+    chans = [generate_channel(2, 2, np.random.default_rng(s), k * m) for s in range(3)]
+    live = np.stack([compute_blocks(ch, filt) for ch in chans])
+    dead = np.stack([with_dead_columns(b) for b in live])
+    q_ws, r_ws = np.full_like(live, np.nan), np.full(live.shape[:-2] + (2 * m, 2 * m), np.nan + 0j)
+    for stack in (dead, live, live[:1], dead[:1], live[::-1]):
+        ref = factorize_blocks(stack)
+        n = len(stack)
+        sep = factorize_blocks(stack, out=(q_ws[:n], r_ws[:n]))
+        assert _same_factors(sep, ref)
+        assert np.shares_memory(sep.q, q_ws) and np.shares_memory(sep.r, r_ws)
+        q = q_ws[:n]
+        q[...] = stack
+        assert _same_factors(factorize_blocks(q, out=(q, r_ws[:n])), ref)
+
+
+def test_factorize_blocks_rejects_out_it_cannot_fill():
+    blocks = np.ones((2, 4, 3, 2), dtype=complex)
+    good_q, good_r = np.empty_like(blocks), np.empty((2, 4, 2, 2), dtype=complex)
+    for q, r in (
+        (good_q[:1], good_r),  # q not of the stack's shape
+        (good_q, good_r[:, :, :1]),  # r not (..., cols, cols)
+        (good_q.astype(np.complex64), good_r),
+        (np.asfortranarray(good_q), good_r),
+        (good_q, good_r.real),
+    ):
+        with pytest.raises(ValueError, match="out's"):
+            factorize_blocks(blocks, out=(q, r))
+
+
 # ----------------------------------------------------------- sphere decoder
 
 

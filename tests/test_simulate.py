@@ -19,6 +19,7 @@ from gfdmsim.simulate import (
     ConfigError,
     SimConfig,
     _chunk_size,
+    _trial_rng,
     parse_config,
     parse_scheme,
     run_sweep,
@@ -239,6 +240,24 @@ def test_validate_rejects_misplaced_or_out_of_range_rolloff(scheme, alpha):
         small_config(scheme=scheme, alpha=alpha)
 
 
+def test_rolloff_fault_reads_the_same_from_a_file_and_the_constructor(tmp_path):
+    path = tmp_path / "sim.cfg"
+    path.write_text(
+        "scheme = baseline_rc(1.5)\nK = 8\nM = 2\nT = 2\nR = 2\n"
+        "snr_db = 0\nn_channels = 1\nn_blocks = 1\n"
+    )
+    message = "scheme 'baseline_rc' needs a roll-off in [0, 1], got 1.5"
+    for build in (
+        lambda: parse_config(str(path)),
+        lambda: small_config(scheme="baseline_rc", alpha=1.5),
+        lambda: parse_scheme("baseline_rc(1.5)"),
+        lambda: closed_form_cm("baseline_rc(1.5)", 8, 2, 2, 2),
+    ):
+        with pytest.raises(ConfigError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 def test_ofdm_requires_single_subsymbol():
     with pytest.raises(ConfigError, match="M = 1"):
         small_config(scheme="ofdm")
@@ -279,10 +298,15 @@ def test_fewer_rx_than_tx_antennas(scheme, m, alpha, runs):
         ("snr_db", ("10",), "snr_db point must be a real number"),
         ("snr_db", (10**400,), "snr_db point must be a real number within the float range"),
         ("snr_db", 10.0, "snr_db must list SNR points"),
+        ("snr_db", b"0", "snr_db must list SNR points, got b'0'"),
+        ("snr_db", "0", "snr_db must list SNR points, got '0'"),
         ("n_channels", 0, "n_channels must be positive, got 0"),
+        ("out", 5, "out must be a path string or None, got 5"),
+        ("out", Path("x.csv"), f"out must be a path string or None, got {Path('x.csv')!r}"),
     ],
     ids=["float-channels", "float-T", "float-K", "float-seed", "no-seed", "text-rolloff",
-         "text-snr", "huge-snr", "scalar-snr", "no-channels"],
+         "text-snr", "huge-snr", "scalar-snr", "bytes-snr-list", "text-snr-list",
+         "no-channels", "int-out", "path-out"],
 )
 def test_bad_field_is_rejected_when_the_config_is_built(route, field, value, match):
     # the mistyped values once passed the check and then died mid-sweep or in
@@ -542,10 +566,13 @@ def test_chunk_sizes_of_the_benchmark_workloads(config, overrides, chunk):
 
 
 def test_full_scale_chunk_keeps_its_memory_budget():
-    # a full_proposed-shape sweep in two chunks of 4: the traced peak read
-    # 7.27 MB (1.96 MB at one realization per chunk); the bound is that
-    # peak plus 20 %, which a chunk twice as large (9.30 MB in one chunk of
-    # 8) or another live copy of a chunk's Q and R (2.1 MB) exceeds
+    # a full_proposed-shape sweep in two chunks of 4 factors both into one
+    # workspace: the traced peak read 4.35 MB (7.27 MB when each chunk's
+    # factors were allocated, 1.96 MB at one realization per chunk); the
+    # bound is that peak plus 20 %, which another live chunk-sized stack
+    # exceeds: the per-realization block list held through the
+    # factorization (5.40 MB) or a factorization that allocates its own
+    # Q and R (8.32 MB)
     cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=256, n_subsymbols=4, n_tx=2,
                     n_rx=2, snr_db=(20.0,), n_channels=8, n_blocks=1)
     assert _chunk_size(cfg) == 4
@@ -555,7 +582,18 @@ def test_full_scale_chunk_keeps_its_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.7e6
+    assert peak < 5.2e6
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 7])
+def test_substreams_are_those_of_the_seed_sequence_of_the_key(seed):
+    # the key goes to SeedSequence as one word array; each value must split
+    # into the words SeedSequence makes of an int, so no stream moves
+    for stream, counters in ((0, (0, 0)), (1, (3, 7)), (2, (5, 2**32 + 1, 19))):
+        ref = np.random.default_rng(np.random.SeedSequence([seed, stream, *counters]))
+        got = _trial_rng(seed, stream, *counters)
+        assert got.integers(0, 2**63, 16).tolist() == ref.integers(0, 2**63, 16).tolist()
+        assert got.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
 
 
 # SNR points at, beyond and far beyond the -300 dB floor, and any finite one
