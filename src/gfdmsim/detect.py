@@ -403,10 +403,11 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     ``r``. As with numpy's ``out``, ``q`` may be the input itself, and a
     caller can pass the same buffers, or leading-axis views of them, to
     every call; R is zeroed first, so nothing of an earlier call's factors
-    is left. A block's dead columns, under ``sqrd``'s rank test, get a zero
-    column of Q before the projection, so their row of R is zero and their
-    update subtracts zeros. ``sqrd`` keeps its own serial loop: on the
-    baseline's single large matrix a batch of one runs slower than it.
+    is left, and ``q`` and ``r`` must not share memory. A block's dead
+    columns, under ``sqrd``'s rank test, get a zero column of Q before the
+    projection, so their row of R is zero and their update subtracts zeros.
+    ``sqrd`` keeps its own serial loop: on the baseline's single large
+    matrix a batch of one runs slower than it.
     """
     stack = np.array(blocks, dtype=complex, order="C") if out is None else np.asarray(blocks)
     if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
@@ -422,6 +423,8 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
                 and a.flags.c_contiguous and a.flags.writeable
             ):
                 raise ValueError(f"out's {name} must be a writable C-contiguous complex {shape} array")
+        if np.shares_memory(q_out, r_out):  # zeroing R would wipe the copied blocks
+            raise ValueError("out's q and r must not share memory")
         q_out[...] = stack  # copies nothing when q is the input itself
         r_out[...] = 0.0
         stack = q_out

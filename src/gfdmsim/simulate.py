@@ -33,21 +33,18 @@ SCHEMES = ("baseline_dirichlet", "baseline_rc", "ofdm", "proposed_dirichlet")
 # detected on the full matrix; the others (ofdm as M = 1) run the per-subcarrier receiver
 _DENSE_SCHEMES = ("baseline_dirichlet", "baseline_rc")
 DEFAULT_RC_ROLLOFF = 0.9
-# A sweep's chunk of realizations holds at most this many received samples
-# (n_blocks*R*D per realization), 2^14 complex entries (256 KB), and at most
-# four times as many factored entries (K*MR*MT per realization for the
-# per-subcarrier receiver, (RD + TD)*TD for the dense MMSE extension), 2^16
-# (1 MiB), so that full_proposed, whose one realization's factors fill 2^14,
-# still detects several realizations per call. On the benchmark's
-# workloads that is 12 realizations per chunk on desk_proposed, 4 on
-# full_proposed, and 8 on full_ofdm and desk_baseline_rc. The
-# per-subcarrier receiver factors every chunk in one workspace, a chunk's Q
-# and R stacks allocated once per sweep: two chunk-sized stacks, where
-# allocating them per chunk kept five live at the factorization (the block
-# list, the input copy and R, and the previous chunk's Q and R). Peak RSS
-# against one realization per chunk reads 41.3 -> 44.2 MB on desk_proposed,
-# 41.6 -> 44.3 MB on full_proposed and 40.8 -> 46.4 MB on full_ofdm, and
-# does not move on desk_baseline_rc (medians of ten runs each).
+# A sweep's chunk of realizations keeps within three budgets. Its received
+# samples (n_blocks*R*D per realization) fit in 2^14 complex entries
+# (256 KB), as the front end's stacks grow with them. Its factored entries
+# (K*MR*MT per realization for the per-subcarrier receiver, (RD + TD)*TD for
+# the dense MMSE extension) fit in four times that, 2^16 (1 MiB), so that
+# full_proposed, whose one realization's factors fill 2^14, still detects
+# several realizations per call. The per-subcarrier receiver's first-descent
+# subproblems (n_blocks*K per realization) fit in a quarter of it, 2^12:
+# past that the batched stages' per-call cost is paid off, and a larger
+# chunk only holds more memory. On the benchmark's workloads that is 12
+# realizations per chunk on desk_proposed, 4 on full_proposed, 8 on
+# desk_baseline_rc and 4 on full_ofdm.
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -393,18 +390,24 @@ def _trial_rng(seed: int, stream: int, *counters: int) -> np.random.Generator:
 
 
 def _chunk_size(cfg: SimConfig) -> int:
-    """Realizations per chunk: the most, at least one, that keep within the budget.
+    """Realizations per chunk: the most, at least one, that keep within every budget.
 
-    The chunk's received samples fit in :data:`CHUNK_ENTRIES` and its
-    factored entries in four times that.
+    The chunk's received samples (n_blocks*R*D per realization) fit in
+    :data:`CHUNK_ENTRIES`, as its front end's stacks grow with them, and its
+    factored entries in four times that, as the factors are the receiver's
+    largest state. For the per-subcarrier receiver, its first-descent
+    subproblems (n_blocks*K per realization) also fit in a quarter of
+    :data:`CHUNK_ENTRIES`: past that, the batched stages' per-call cost is
+    paid off and a larger chunk only holds more memory.
     """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
+    budgets = [CHUNK_ENTRIES // (cfg.n_blocks * n_rx * d)]
     if cfg.scheme in _DENSE_SCHEMES:  # one MMSE extension at a time
-        factored = (n_rx * d + n_tx * d) * n_tx * d
-    else:  # K blocks of MR x MT
-        factored = d * cfg.n_subsymbols * n_rx * n_tx
-    received = cfg.n_blocks * n_rx * d
-    return max(1, min(CHUNK_ENTRIES // received, 4 * CHUNK_ENTRIES // factored))
+        budgets.append(4 * CHUNK_ENTRIES // ((n_rx * d + n_tx * d) * n_tx * d))
+    else:  # K blocks of MR x MT, and K subproblems per block
+        budgets.append(4 * CHUNK_ENTRIES // (d * cfg.n_subsymbols * n_rx * n_tx))
+        budgets.append(CHUNK_ENTRIES // 4 // (cfg.n_blocks * cfg.n_subcarriers))
+    return max(1, min(budgets))
 
 
 def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
@@ -415,24 +418,26 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     symbol-error and sphere-decoder counters accumulated. Output is a pure
     function of cfg. Each realization draws its channel, and each block its
     data and noise, from its own substream. The realizations run in chunks
-    of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples
-    and four times as many factored entries). Per chunk,
+    of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples,
+    four times as many factored entries and, for the per-subcarrier
+    receiver, a quarter as many first-descent subproblems). Per chunk,
     :func:`gfdmsim.channel.generate_channel` draws each realization's
     channel, in index order, and one :func:`gfdmsim.waveform.fast_modulate`
     call modulates the chunk's blocks.
     :func:`gfdmsim.channel.apply_channel` then passes each realization's
     n_blocks blocks through its channel in one call, with one noise
-    generator per block. The dense baseline factors each realization's full
-    matrix and calls :func:`gfdmsim.detect.detect_baseline_near_ml` on its
-    blocks, one realization at a time; the per-subcarrier receiver
-    (``proposed_dirichlet`` and ``ofdm``) writes each realization's K blocks
-    into a workspace of one chunk's Q and R stacks, allocated once per
-    sweep, factors them there in one
-    :func:`gfdmsim.detect.factorize_blocks` call and runs
-    one :func:`gfdmsim.decoupling.receive_transform` and one
-    :func:`gfdmsim.detect.detect_proposed` call on the chunk. Every block's
-    result equals that of a one-block call bit for bit, so the chunk size
-    changes no output.
+    generator per block (none at +inf dB, where no noise is drawn). The
+    dense baseline factors each realization's full matrix and calls
+    :func:`gfdmsim.detect.detect_baseline_near_ml` on its blocks, one
+    realization at a time. The per-subcarrier receiver (``proposed_dirichlet``
+    and ``ofdm``) runs one :func:`gfdmsim.decoupling.receive_transform` call
+    on the chunk, writes each realization's K blocks into a workspace of one
+    chunk's Q and R stacks, allocated once per sweep, and drops the received
+    samples and the channels; it then factors the blocks in place in one
+    :func:`gfdmsim.detect.factorize_blocks` call and detects the chunk in
+    one :func:`gfdmsim.detect.detect_proposed` call. Every block's result
+    equals that of a one-block call bit for bit, so the chunk size changes
+    no output.
     """
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
@@ -456,19 +461,25 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
         start = time.perf_counter()
         for first in range(0, cfg.n_channels, chunk):
             span = range(first, min(first + chunk, cfg.n_channels))
-            chans, data, noise = [], [], []
-            for c in span:
-                rng_ch = _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c)
-                chans.append(chan.generate_channel(n_tx, n_rx, rng_ch, d))
-                # each block keeps its own data and noise substreams
-                data += [_trial_rng(cfg.seed, _STREAM_DATA, s_idx, c, b) for b in blocks]
-                noise.append([_trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c, b) for b in blocks])
-            sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
-            sent = sent.reshape(len(span), cfg.n_blocks, n_tx * d)
-            x = waveform.fast_modulate(sent.reshape(len(span), -1, n_tx, d), filt)
-            y = [
-                chan.apply_channel(x_c, ch, noise_power, g) for x_c, ch, g in zip(x, chans, noise)
+            chans = [
+                chan.generate_channel(n_tx, n_rx, _trial_rng(cfg.seed, _STREAM_CHANNEL, s_idx, c), d)
+                for c in span
             ]
+            # each block draws its data and noise from its own substreams; a
+            # generator is dropped once drawn, and none is made for noise
+            # that apply_channel does not draw (+inf dB)
+            sent = QPSK[np.stack([
+                _trial_rng(cfg.seed, _STREAM_DATA, s_idx, c, b).integers(0, len(QPSK), size=n_tx * d)
+                for c in span for b in blocks
+            ])].reshape(len(span), cfg.n_blocks, n_tx * d)
+            x = waveform.fast_modulate(sent.reshape(len(span), -1, n_tx, d), filt)
+            y = np.stack([
+                chan.apply_channel(x_c, ch, noise_power, [
+                    _trial_rng(cfg.seed, _STREAM_NOISE, s_idx, c, b) for b in blocks
+                ] if noise_power > 0.0 else None)
+                for x_c, ch, c in zip(x, chans, span)
+            ])
+            del x
             if dense:
                 d_hat = []
                 for ch, y_c in zip(chans, y):
@@ -477,12 +488,15 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                     y_flat = y_c.reshape(cfg.n_blocks, -1)
                     d_hat.append(detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats))
             else:
+                # the front end's stacks and the channels go before the
+                # factorization, where the chunk's memory peaks
+                ybar = receive_transform(y.reshape(-1, n_rx, d), filt)
+                ybar = ybar.reshape(len(span), cfg.n_blocks, -1)
                 q = q_ws[: len(span)]
                 for q_c, ch in zip(q, chans):
                     q_c[...] = compute_blocks(ch, filt)
+                del y, chans
                 factors = detect.factorize_blocks(q, out=(q, r_ws[: len(span)]))
-                ybar = receive_transform(np.reshape(y, (-1, n_rx, d)), filt)
-                ybar = ybar.reshape(len(span), cfg.n_blocks, -1)
                 d_hat = detect.detect_proposed(ybar, factors, filt, stats)
             errors += int(np.count_nonzero(np.asarray(d_hat) != sent))
         records.append(

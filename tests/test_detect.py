@@ -286,6 +286,13 @@ def test_factorize_blocks_rejects_out_it_cannot_fill():
     ):
         with pytest.raises(ValueError, match="out's"):
             factorize_blocks(blocks, out=(q, r))
+    # square blocks fit one buffer as both q and r, whose zeroed R would
+    # wipe the copied blocks and leave every column dead
+    square = compute_blocks(generate_channel(2, 2, np.random.default_rng(0), 16), dirichlet_filter(8, 2))
+    buf = square.copy()
+    with pytest.raises(ValueError, match="out's q and r must not share memory"):
+        factorize_blocks(buf, out=(buf, buf))
+    assert np.array_equal(buf, square)
 
 
 # ----------------------------------------------------------- sphere decoder

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfdmsim import simulate
 from gfdmsim.channel import apply_channel, generate_channel
 from gfdmsim.decoupling import verify_decomposition
 from gfdmsim.detect import QPSK
@@ -547,6 +548,21 @@ def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t,
     assert got == [(rec.errors, rec.cm_sd, rec.sd_nodes) for rec in run_sweep_ref(cfg)]
 
 
+@pytest.mark.parametrize("scheme", ["proposed_dirichlet", "baseline_dirichlet"])
+def test_sweep_derives_no_noise_substream_at_infinite_snr(scheme, monkeypatch):
+    # apply_channel draws no noise at +inf dB, so no generator is made for
+    # it there; a finite point keeps one per block
+    made = []
+
+    def counting(seed, stream, *counters):
+        made.append((stream, counters[0]))
+        return _trial_rng(seed, stream, *counters)
+
+    monkeypatch.setattr(simulate, "_trial_rng", counting)
+    run_sweep(small_config(scheme=scheme, snr_db=(math.inf, 10.0), n_channels=3, n_blocks=2))
+    assert [s_idx for stream, s_idx in made if stream == simulate._STREAM_NOISE] == [1] * 6
+
+
 @pytest.mark.parametrize(
     "config, overrides, chunk",
     [
@@ -554,7 +570,7 @@ def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t,
         ("desk_k8_m4", dict(scheme="proposed_dirichlet", snr_db="0, 4, 8, 12, 16, 20", n_blocks="20"), 12),
         ("full_k256_m4", dict(scheme="proposed_dirichlet", snr_db="16, 20", n_blocks="1"), 4),
         ("desk_k16_m2", dict(scheme="baseline_rc(0.9)", snr_db="0, 4, 8, 12, 16, 20", n_blocks="2"), 8),
-        ("full_ofdm_k1024", dict(scheme="ofdm", snr_db="16, 20", n_blocks="1"), 8),
+        ("full_ofdm_k1024", dict(scheme="ofdm", snr_db="16, 20", n_blocks="1"), 4),
         # the CI smoke run's config as shipped: two chunks of 25
         ("desk_k8_m2", {}, 25),
     ],
@@ -565,24 +581,42 @@ def test_chunk_sizes_of_the_benchmark_workloads(config, overrides, chunk):
     assert _chunk_size(parse_config(str(path), overrides)) == chunk
 
 
-def test_full_scale_chunk_keeps_its_memory_budget():
-    # a full_proposed-shape sweep in two chunks of 4 factors both into one
-    # workspace: the traced peak read 4.35 MB (7.27 MB when each chunk's
-    # factors were allocated, 1.96 MB at one realization per chunk); the
-    # bound is that peak plus 20 %, which another live chunk-sized stack
-    # exceeds: the per-realization block list held through the
-    # factorization (5.40 MB) or a factorization that allocates its own
-    # Q and R (8.32 MB)
-    cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=256, n_subsymbols=4, n_tx=2,
-                    n_rx=2, snr_db=(20.0,), n_channels=8, n_blocks=1)
-    assert _chunk_size(cfg) == 4
+def _traced_peak(cfg):
+    """The most memory Python allocations held at once during ``run_sweep(cfg)``, in bytes."""
     tracemalloc.start()
     try:
         run_sweep(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.2e6
+
+
+def test_full_scale_chunk_keeps_its_memory_budget():
+    # a full_proposed-shape sweep in two chunks of 4 factors both into one
+    # workspace: the traced peak reads 3.86 MB (4.35 MB with the front
+    # end's stacks held through the factorization, 7.27 MB when each
+    # chunk's factors were allocated, 1.96 MB at one realization per
+    # chunk); the bound is the 4.35 MB peak plus 20 %, which another live
+    # chunk-sized stack exceeds: the per-realization block list held
+    # through the factorization (5.40 MB) or a factorization that
+    # allocates its own Q and R (8.32 MB)
+    cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=256, n_subsymbols=4, n_tx=2,
+                    n_rx=2, snr_db=(20.0,), n_channels=8, n_blocks=1)
+    assert _chunk_size(cfg) == 4
+    assert _traced_peak(cfg) < 5.2e6
+
+
+def test_full_ofdm_chunk_keeps_its_memory_budget():
+    # a full_ofdm-shape sweep, 1024 first-descent subproblems per
+    # realization, runs in two chunks of 4 and a remainder of 1, and its
+    # front end's stacks and channels are gone before the factorization: the
+    # traced peak read 2.55 MB (3.05 MB with the front end held through the
+    # chunk, 4.59 MB in chunks of 8, 5.65 MB with both); the bound is that
+    # peak plus 20 %, which chunks of 8 exceed
+    cfg = SimConfig(scheme="ofdm", n_subcarriers=1024, n_subsymbols=1, n_tx=2, n_rx=2,
+                    snr_db=(20.0,), n_channels=9, n_blocks=1)
+    assert _chunk_size(cfg) == 4
+    assert _traced_peak(cfg) < 3.07e6
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 7])
