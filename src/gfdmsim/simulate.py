@@ -40,11 +40,12 @@ DEFAULT_RC_ROLLOFF = 0.9
 # the dense MMSE extension) fit in four times that, 2^16 (1 MiB), so that
 # full_proposed, whose one realization's factors fill 2^14, still detects
 # several realizations per call. The per-subcarrier receiver's first-descent
-# subproblems (n_blocks*K per realization) fit in a quarter of it, 2^12:
-# past that the batched stages' per-call cost is paid off, and a larger
-# chunk only holds more memory. On the benchmark's workloads that is 12
-# realizations per chunk on desk_proposed, 4 on full_proposed, 8 on
-# desk_baseline_rc and 4 on full_ofdm.
+# state, one entry per subproblem and level (n_blocks*K*M*T per
+# realization), fits in half of it, 2^13: the first descent is where the
+# per-subcarrier sweeps peak, and past that budget its batched calls are
+# paid off, so a larger chunk only holds more memory. On the benchmark's
+# workloads that is 6 realizations per chunk on desk_proposed, 4 on
+# full_proposed, 8 on desk_baseline_rc and 4 on full_ofdm.
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -394,19 +395,21 @@ def _chunk_size(cfg: SimConfig) -> int:
 
     The chunk's received samples (n_blocks*R*D per realization) fit in
     :data:`CHUNK_ENTRIES`, as its front end's stacks grow with them, and its
-    factored entries in four times that, as the factors are the receiver's
-    largest state. For the per-subcarrier receiver, its first-descent
-    subproblems (n_blocks*K per realization) also fit in a quarter of
-    :data:`CHUNK_ENTRIES`: past that, the batched stages' per-call cost is
-    paid off and a larger chunk only holds more memory.
+    factored entries in four times that, as the factors stay live through
+    the chunk's detection. For the per-subcarrier receiver, its
+    first-descent state (one entry per subproblem and level, n_blocks*K*M*T
+    per realization) also fits in half of :data:`CHUNK_ENTRIES`: the first
+    descent is where the per-subcarrier sweeps peak, and past that budget
+    the batched stages' per-call cost is paid off and a larger chunk only
+    holds more memory.
     """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
     budgets = [CHUNK_ENTRIES // (cfg.n_blocks * n_rx * d)]
     if cfg.scheme in _DENSE_SCHEMES:  # one MMSE extension at a time
         budgets.append(4 * CHUNK_ENTRIES // ((n_rx * d + n_tx * d) * n_tx * d))
-    else:  # K blocks of MR x MT, and K subproblems per block
+    else:  # K blocks of MR x MT, and K subproblems of MT levels per block
         budgets.append(4 * CHUNK_ENTRIES // (d * cfg.n_subsymbols * n_rx * n_tx))
-        budgets.append(CHUNK_ENTRIES // 4 // (cfg.n_blocks * cfg.n_subcarriers))
+        budgets.append(CHUNK_ENTRIES // 2 // (cfg.n_blocks * n_tx * d))
     return max(1, min(budgets))
 
 
@@ -420,7 +423,8 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     data and noise, from its own substream. The realizations run in chunks
     of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples,
     four times as many factored entries and, for the per-subcarrier
-    receiver, a quarter as many first-descent subproblems). Per chunk,
+    receiver, half as many first-descent entries, one per subproblem and
+    level, as the first descent is where its sweeps peak). Per chunk,
     :func:`gfdmsim.channel.generate_channel` draws each realization's
     channel, in index order, and one :func:`gfdmsim.waveform.fast_modulate`
     call modulates the chunk's blocks.

@@ -534,6 +534,7 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
         ("baseline_rc", 0.9, 2, 2, 1, 3, 64),
         ("proposed_dirichlet", None, 256, 4, 2, 2, 1),  # full_proposed's shape
         ("ofdm", None, 1024, 1, 2, 2, 1),  # full_ofdm's shape
+        ("proposed_dirichlet", None, 8, 4, 2, 2, 20),  # desk_proposed's shape
     ],
 )
 def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t, r, n_blocks):
@@ -567,12 +568,12 @@ def test_sweep_derives_no_noise_substream_at_infinite_snr(scheme, monkeypatch):
     "config, overrides, chunk",
     [
         # the benchmark's four workloads, as perfbench/run.py builds them
-        ("desk_k8_m4", dict(scheme="proposed_dirichlet", snr_db="0, 4, 8, 12, 16, 20", n_blocks="20"), 12),
+        ("desk_k8_m4", dict(scheme="proposed_dirichlet", snr_db="0, 4, 8, 12, 16, 20", n_blocks="20"), 6),
         ("full_k256_m4", dict(scheme="proposed_dirichlet", snr_db="16, 20", n_blocks="1"), 4),
         ("desk_k16_m2", dict(scheme="baseline_rc(0.9)", snr_db="0, 4, 8, 12, 16, 20", n_blocks="2"), 8),
         ("full_ofdm_k1024", dict(scheme="ofdm", snr_db="16, 20", n_blocks="1"), 4),
-        # the CI smoke run's config as shipped: two chunks of 25
-        ("desk_k8_m2", {}, 25),
+        # the CI smoke run's config as shipped: four chunks of 12 and one of 2
+        ("desk_k8_m2", {}, 12),
     ],
 )
 def test_chunk_sizes_of_the_benchmark_workloads(config, overrides, chunk):
@@ -607,16 +608,28 @@ def test_full_scale_chunk_keeps_its_memory_budget():
 
 
 def test_full_ofdm_chunk_keeps_its_memory_budget():
-    # a full_ofdm-shape sweep, 1024 first-descent subproblems per
-    # realization, runs in two chunks of 4 and a remainder of 1, and its
-    # front end's stacks and channels are gone before the factorization: the
-    # traced peak read 2.55 MB (3.05 MB with the front end held through the
-    # chunk, 4.59 MB in chunks of 8, 5.65 MB with both); the bound is that
-    # peak plus 20 %, which chunks of 8 exceed
+    # a full_ofdm-shape sweep, 2048 first-descent entries per realization
+    # (1024 subproblems of 2 levels), runs in two chunks of 4 and a
+    # remainder of 1, and its front end's stacks and channels are gone
+    # before the factorization: the traced peak read 2.55 MB (3.05 MB with
+    # the front end held through the chunk, 4.59 MB in chunks of 8, 5.65 MB
+    # with both); the bound is that peak plus 20 %, which chunks of 8 exceed
     cfg = SimConfig(scheme="ofdm", n_subcarriers=1024, n_subsymbols=1, n_tx=2, n_rx=2,
                     snr_db=(20.0,), n_channels=9, n_blocks=1)
     assert _chunk_size(cfg) == 4
     assert _traced_peak(cfg) < 3.07e6
+
+
+def test_desk_chunk_keeps_its_memory_budget():
+    # a desk_proposed-shape sweep, 1280 first-descent entries per
+    # realization (20 blocks of 8 subproblems of 8 levels), runs in two
+    # chunks of 6 and a remainder of 1, and its traced peak falls inside the
+    # first descent: it read 1.59 MB (2.77 MB in chunks of 12); the bound is
+    # that peak plus 20 %, which chunks of 12 exceed
+    cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=8, n_subsymbols=4, n_tx=2,
+                    n_rx=2, snr_db=(20.0,), n_channels=13, n_blocks=20)
+    assert _chunk_size(cfg) == 6
+    assert _traced_peak(cfg) < 1.91e6
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 7])
