@@ -41,11 +41,11 @@ DEFAULT_RC_ROLLOFF = 0.9
 # full_proposed, whose one realization's factors fill 2^14, still detects
 # several realizations per call. The per-subcarrier receiver's first-descent
 # state, one entry per subproblem and level (n_blocks*K*M*T per
-# realization), fits in half of it, 2^13: the first descent is where the
-# per-subcarrier sweeps peak, and past that budget its batched calls are
-# paid off, so a larger chunk only holds more memory. On the benchmark's
-# workloads that is 6 realizations per chunk on desk_proposed, 4 on
-# full_proposed, 8 on desk_baseline_rc and 4 on full_ofdm.
+# realization), fits in half of it, 2^13: the first descent's state is the
+# largest a per-subcarrier sweep holds, and past that budget its batched
+# calls are paid off, so a larger chunk only holds more memory. On the
+# benchmark's workloads that is 6 realizations per chunk on desk_proposed,
+# 4 on full_proposed, 8 on desk_baseline_rc and 4 on full_ofdm.
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -399,9 +399,9 @@ def _chunk_size(cfg: SimConfig) -> int:
     the chunk's detection. For the per-subcarrier receiver, its
     first-descent state (one entry per subproblem and level, n_blocks*K*M*T
     per realization) also fits in half of :data:`CHUNK_ENTRIES`: the first
-    descent is where the per-subcarrier sweeps peak, and past that budget
-    the batched stages' per-call cost is paid off and a larger chunk only
-    holds more memory.
+    descent's state is the largest a per-subcarrier sweep holds, and past
+    that budget the batched stages' per-call cost is paid off and a larger
+    chunk only holds more memory.
     """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
     budgets = [CHUNK_ENTRIES // (cfg.n_blocks * n_rx * d)]
@@ -424,7 +424,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     of :func:`_chunk_size` (at most :data:`CHUNK_ENTRIES` received samples,
     four times as many factored entries and, for the per-subcarrier
     receiver, half as many first-descent entries, one per subproblem and
-    level, as the first descent is where its sweeps peak). Per chunk,
+    level, as the first descent holds its sweeps' largest state). Per chunk,
     :func:`gfdmsim.channel.generate_channel` draws each realization's
     channel, in index order, and one :func:`gfdmsim.waveform.fast_modulate`
     call modulates the chunk's blocks.

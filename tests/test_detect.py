@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -244,6 +245,23 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
             assert listed.q.tobytes() == factorize_blocks(chunk).q.tobytes()
         dead = np.count_nonzero(np.diagonal(stacked.r, axis1=1, axis2=2) == 0.0)
         assert dead == m * t + k - 1
+
+
+def test_factorize_blocks_matches_sqrd_bit_for_bit_on_one_column_blocks():
+    # in a one-column block the first column is also the last, so every step
+    # takes an empty R swap and an empty projection; an all-zero block puts a
+    # dead column there too, which with_dead_columns cannot do for one column
+    k = 16
+    blocks = compute_blocks(generate_channel(1, 2, np.random.default_rng(16), k), dirichlet_filter(k, 1))
+    assert blocks.shape == (k, 2, 1)
+    blocks[3] = 0.0
+    for stack in (blocks, np.stack([blocks, blocks[::-1]])):
+        serial = [sqrd(b) for b in stack.reshape(-1, 2, 1)]
+        stacked = factorize_blocks(stack)
+        assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
+        assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
+        assert stacked.perm.tobytes() == np.stack([s.perm for s in serial]).tobytes()
+    assert np.count_nonzero(stacked.r == 0.0) == 2
 
 
 def _same_factors(got, ref):
@@ -606,11 +624,16 @@ def test_first_descent_matches_reference_bit_for_bit(k, m, t, r, n_blocks):
             s = QPSK[rng.integers(0, 4, (n_blocks, k, m * t))]
             noise = math.sqrt(n0 / 2) * random_complex(s.shape, rng)
             z = np.matmul(factors.r, s[..., None])[..., 0] + noise
-            idx, certified, *_ = _first_descent(factors.r, z)
-            idx_ref, certified_ref = first_descent_ref(factors.r, z)
-            assert idx.tobytes() == idx_ref.tobytes()
-            assert certified.tobytes() == certified_ref.tobytes()
-            outcomes.update(certified.ravel().tolist())
+            # r (K, n, n) against z (B, K, n), and the layout detect_proposed
+            # passes for a chunk of two realizations, r of z's rank:
+            # (C, 1, K, n, n) against (C, B, K, n)
+            r_chunk = np.stack([factors.r, factors.r[::-1]])[:, None]
+            for r_in, z_in in ((factors.r, z), (r_chunk, np.stack([z, z[:, ::-1]]))):
+                idx, certified, *_ = _first_descent(r_in, z_in)
+                idx_ref, certified_ref = first_descent_ref(r_in, z_in)
+                assert idx.tobytes() == idx_ref.tobytes()
+                assert certified.tobytes() == certified_ref.tobytes()
+                outcomes.update(certified.ravel().tolist())
         # a tie at a dead level certifies only when the levels below it add zero
         if factors is live:
             assert outcomes == {True, False}
@@ -636,6 +659,25 @@ def test_first_descent_matches_reference_on_ties_and_overflow():
         for r in (eye[None], dead[None]):
             for got, want in zip(_first_descent(r, z[None]), first_descent_ref(r, z[None])):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_first_descent_keeps_its_memory_budget():
+    # one call on a desk_proposed chunk, 6 realizations of 20 blocks through
+    # 8 subcarriers of 8 levels: adding each off-diagonal product as it is
+    # formed, its traced peak reads 0.623 MB; the bound is that plus 15 %,
+    # which the per-level product stacks it held before (0.846 MB) exceed
+    rng = np.random.default_rng(6)
+    filt = dirichlet_filter(8, 4)
+    factors = factorize_blocks([compute_blocks(generate_channel(2, 2, rng, 32), filt) for _ in range(6)])
+    s = QPSK[rng.integers(0, 4, (6, 20, 8, 8))]
+    z = np.matmul(factors.r[:, None], s[..., None])[..., 0] + 0.1 * random_complex(s.shape, rng)
+    tracemalloc.start()
+    try:
+        _first_descent(factors.r[:, None], z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.717e6
 
 
 def test_sphere_decode_rejects_bad_shapes():

@@ -623,9 +623,10 @@ def test_full_ofdm_chunk_keeps_its_memory_budget():
 def test_desk_chunk_keeps_its_memory_budget():
     # a desk_proposed-shape sweep, 1280 first-descent entries per
     # realization (20 blocks of 8 subproblems of 8 levels), runs in two
-    # chunks of 6 and a remainder of 1, and its traced peak falls inside the
-    # first descent: it read 1.59 MB (2.77 MB in chunks of 12); the bound is
-    # that peak plus 20 %, which chunks of 12 exceed
+    # chunks of 6 and a remainder of 1: its traced peak reads 1.56 MB, at
+    # detect_proposed's final scatter (2.77 MB in chunks of 12); the bound
+    # is an earlier 1.59 MB peak, inside the first descent, plus 20 %, which
+    # chunks of 12 exceed
     cfg = SimConfig(scheme="proposed_dirichlet", n_subcarriers=8, n_subsymbols=4, n_tx=2,
                     n_rx=2, snr_db=(20.0,), n_channels=13, n_blocks=20)
     assert _chunk_size(cfg) == 6
