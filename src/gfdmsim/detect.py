@@ -12,7 +12,9 @@ receivers share the same sphere-decoder core:
   that leaf;
 * the conventional near-ML receiver, which MMSE-sorted-QR-factors the whole
   RD x TD matrix and alternates group-wise sphere decoding with successive
-  interference cancellation.
+  interference cancellation; for a chunk of realizations it factors their
+  MMSE extensions in one batched sorted QR and runs each SIC group once over
+  the chunk's observations.
 
 :func:`detect_ofdm` runs the per-subcarrier detector at M = 1, as sweeps
 do for the ``ofdm`` scheme.
@@ -71,7 +73,7 @@ class SqrdFactorization:
     returns a stack of K, with a leading block axis on every field
     (``q[k]``, ``r[k]``, ``perm[k]`` factor block k).
     :func:`baseline_factorization` factors the MMSE extension
-    F = [H; sqrt(N0) * I] and keeps only the top rows of Q, those that apply
+    F = [H; sqrt(N0) * I], or a stack of them, and keeps only the top rows of Q, those that apply
     to received data: its ``q`` is the top block of an orthonormal matrix and
     is not orthonormal on its own.
     """
@@ -116,6 +118,10 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     place: column swaps are slice copies, Q is built by rows, the
     projections are written straight into R, and every update goes to one
     buffer allocated per call.
+
+    No sweep calls it: :func:`factorize_blocks` runs the same arithmetic on
+    stacks, the dense baseline's chunk of MMSE extensions included. It is
+    the one-matrix reference that the tests and oracles factor with.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
@@ -393,12 +399,21 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     would send to ``dot``), not ``einsum``, whose different summation order
     changes pivots. As in ``sqrd`` the work is in place: a pivot swap is one
     gather of the pivot columns and one scatter of column i into their
-    place, each step's column of Q overwrites the residual column it was
-    taken from, which is read no more, and the rank-one update runs column
-    by column through one (blocks, MR) buffer allocated per call. No
-    temporary is as large as the stack, so a call allocates no more than its
-    factors and their input copy. ``out=(q, r)`` takes that allocation
-    away: C-contiguous complex arrays of the factors' shapes that receive
+    place, and each step's column of Q overwrites the residual column it was
+    taken from, which is read no more. The rank-one update takes one of two
+    forms, chosen by the stack's shape. Where it holds at least as many
+    blocks as columns, as every per-subcarrier stack does, the update runs
+    column by column through one (blocks, MR) buffer allocated per call, so
+    no temporary is as large as the stack and a call allocates no more than
+    its factors and their input copy. Where it holds fewer, as the dense
+    baseline's chunk of MMSE extensions does (8 blocks of 64 columns on
+    desk_baseline_rc), each step's update is one broadcast product
+    ``q_i[:, :, None] * proj[:, None, :]``, which replaces up to MT - 1
+    calls, through one buffer of at most (blocks, MR, MT - 1). numpy's
+    complex product rounds the same for broadcast and contiguous operands,
+    with q_i first in both, so the two forms give the same bits; on
+    full_proposed the broadcast product ran 3-10 % slower than the column
+    loop. ``out=(q, r)`` takes the factors' allocation away: C-contiguous complex arrays of the factors' shapes that receive
     the input copy, factored in place, and R, and are returned as ``q`` and
     ``r``. As with numpy's ``out``, ``q`` may be the input itself, and a
     caller can pass the same buffers, or leading-axis views of them, to
@@ -408,10 +423,11 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     projection, so their row of R is zero and their update subtracts zeros.
     Every step runs the same statements, the first and the last column's
     included, where the R swap and the projection take empty slices; the
-    one branch left skips the swap when no block pivots, so that the step
-    takes its pivot columns as one slice copy instead of a gather.
-    ``sqrd`` keeps its own serial loop: on the baseline's single large
-    matrix a batch of one runs slower than it.
+    branches left skip the swap when no block pivots, so that the step
+    takes its pivot columns as one slice copy instead of a gather, and pick
+    the update's form. :func:`baseline_factorization` factors the dense
+    baseline's extensions here; ``sqrd`` keeps its serial one-matrix loop as
+    the reference.
     """
     stack = np.array(blocks, dtype=complex, order="C") if out is None else np.asarray(blocks)
     if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
@@ -441,13 +457,17 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     for row in range(1, m):
         norms_sq += np.square(np.abs(v[:, row]))
     tol = 1e-12 * np.sqrt(norms_sq.sum(axis=1))
-    upd = np.empty((n_blk, m), dtype=complex)  # each column's rank-one update
+    # each step's rank-one update: where the stack holds fewer blocks than
+    # columns (the dense chunk), one broadcast product per step; else column
+    # by column, which costs full_proposed less than a product per step
+    wide = n_blk < n
+    upd = np.empty(n_blk * m * (n - 1) if wide else (n_blk, m), dtype=complex)
     every = np.arange(n_blk)
     for i in range(n):
         j = i + np.argmin(norms_sq[:, i:], axis=1)
         sw = np.flatnonzero(j != i)
-        # the one branch left: where no block pivots, the slice copy below
-        # replaces a gather, which cost full_ofdm 14 % when run at every step
+        # where no block pivots, the slice copy below replaces a gather,
+        # which cost full_ofdm 14 % when run at every step
         if sw.size:  # column i is read no more, so it takes j's place
             js = j[sw]
             col = v[every, :, j]  # the pivot columns, contiguous
@@ -473,8 +493,12 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
         # per block the gemv of q[:, i].conj() @ v[:, i + 1 :], empty at the last column
         proj = np.matmul(q_i.conj()[:, None, :], v[:, :, i + 1 :])[:, 0, :]
         r[:, i, i + 1 :] = proj
-        for c in range(i + 1, n):
-            v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
+        if wide:
+            outer = upd[: n_blk * m * (n - i - 1)].reshape(n_blk, m, n - i - 1)
+            v[:, :, i + 1 :] -= np.multiply(q_i[:, :, None], proj[:, None, :], out=outer)
+        else:
+            for c in range(i + 1, n):
+                v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
         norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
     return SqrdFactorization(q=stack, r=r_out, perm=perm.reshape(lead + (n,)))
 
@@ -649,8 +673,8 @@ def detect_proposed(
     return d_hat.reshape(ybar.shape[:-1] + (-1,))
 
 
-def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactorization:
-    """MMSE-SQRD of the full stacked matrix.
+def baseline_factorization(h_full: np.ndarray, noise_power: float, out=None) -> SqrdFactorization:
+    """MMSE-SQRD of the full stacked matrix, or of a chunk's stack of them.
 
     Sorted QR of the noise-regularized extension [H; sqrt(N0) * I]. Symbols
     have unit energy, so R^H R = perm'(H^H H + N0 I)perm; ``q`` is a view of
@@ -658,11 +682,32 @@ def baseline_factorization(h_full: np.ndarray, noise_power: float) -> SqrdFactor
     data, and with N0 = 0 the factors are those of plain ``sqrd(h_full)``.
     Computed once per channel realization and SNR. A rank-deficient
     noiseless system gets dead columns, as :func:`sqrd` gives any matrix.
+
+    ``h_full`` is one RD x TD matrix or a (..., RD, TD) stack, and the
+    factors keep its leading axes. The extensions are written into one
+    (..., RD + TD, TD) array and factored there in one
+    :func:`factorize_blocks` call, so every matrix's factors equal ``sqrd``
+    of its extension bit for bit. ``out=(ext, r)`` takes that array and R
+    from the caller, C-contiguous complex arrays of those shapes, as a
+    sweep passes one workspace, or leading-axis views of it, to every
+    chunk; ``h_full`` may be the view of ``ext``'s top RD rows, which is
+    then not copied.
     """
-    h_full = np.asarray(h_full, dtype=complex)
-    eye = np.eye(h_full.shape[1], dtype=complex)
-    fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
-    return SqrdFactorization(q=fact.q[: len(h_full)], r=fact.r, perm=fact.perm)
+    h_full = np.asarray(h_full)
+    if h_full.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {h_full.shape}")
+    lead, (rd, n) = h_full.shape[:-2], h_full.shape[-2:]
+    if out is None:
+        ext, r = np.empty(lead + (rd + n, n), dtype=complex), np.empty(lead + (n, n), dtype=complex)
+    else:
+        ext, r = out
+        if np.shape(ext) != lead + (rd + n, n):
+            raise ValueError(f"out's extension must have shape {lead + (rd + n, n)}")
+    ext[..., :rd, :] = h_full  # copies nothing when h_full is this view of ext
+    ext[..., rd:, :] = math.sqrt(noise_power) * np.eye(n, dtype=complex)
+    stack = ext[None]  # a stack of blocks, as factorize_blocks takes it
+    fact = factorize_blocks(stack, out=(stack, r[None]))
+    return SqrdFactorization(q=ext[..., :rd, :], r=r, perm=fact.perm[0])
 
 
 def detect_baseline_near_ml(
@@ -677,32 +722,61 @@ def detect_baseline_near_ml(
     and ``factor`` a sorted-QR factor of the full RD x TD matrix whose ``q``
     has one row per received sample: its :func:`baseline_factorization`, or
     plain :func:`sqrd`. The T*D decisions per observation keep the input's
-    stacking. The triangular system is processed bottom-up in groups of
+    stacking. As :func:`detect_proposed` does, a chunk of C realizations
+    passes stacked (C, ...) factors and a (C, B, R*D) ``y`` and gets
+    (C, B, T*D), realization c's result equal to its own call's bit for bit.
+    The triangular system is processed bottom-up in groups of
     ``group_size`` symbols (TD gives one single group, i.e. exact ML on the
-    rotated system): each group is sphere-decoded jointly, one call per
-    observation, then cancelled from the remaining rows. Q^H y and the
-    cancellations are stacked matrix-vector ``np.matmul`` calls, so each
-    observation's result equals its own call's bit for bit. Raises
-    ``ValueError`` on a group size that is not a positive integer and on a
-    non-finite entry of ``y`` or of the triangular factor.
+    rotated system): each group is sphere-decoded jointly, then cancelled
+    from the remaining rows. Each group runs once for all C*B observations:
+    Q^H y and each cancellation are one stacked matrix-vector ``np.matmul``,
+    which makes each observation's own gemv, R's group block becomes Python
+    lists once per realization, shared by its blocks, and each observation
+    runs the scalar search of :func:`sphere_decode` on them, so decisions and
+    node/CM counts are those of one ``sphere_decode`` call per (group,
+    observation). The finiteness check runs once, on the whole chunk.
+    Raises ``ValueError`` on a group size that is not a positive integer, on
+    a non-finite entry of ``y`` or of the triangular factors, and when
+    ``y``'s shape does not match the factors'.
     """
+    q, r, perm = factor.q, factor.r, factor.perm
     y = np.asarray(y)
-    n_obs, n = factor.q.shape
-    if y.ndim not in (1, 2) or y.shape[-1] != n_obs:
+    if q.ndim not in (2, 3):
+        raise ValueError(f"expected a factor or a stack of them, got shape {q.shape}")
+    n_obs, n = q.shape[-2:]
+    if q.ndim == 2:  # one realization: a chunk of one
+        shaped = y.ndim in (1, 2)
+        q, r, perm = q[None], r[None], perm[None]
+    else:
+        shaped = y.ndim == 3 and len(y) == len(q)
+    if not shaped or y.shape[-1] != n_obs:
         raise ValueError(f"expected {n_obs} received samples or a stack of them, got {y.shape}")
     group = _integer("group size", group_size)
     if group < 1:
         raise ValueError("group size must be positive")
-    _require_finite(factor.r, y)
-    z = np.matmul(factor.q.conj().T, y.reshape(-1, n_obs, 1))[..., 0]
-    s_sorted = np.zeros((len(z), n), dtype=complex)
+    _require_finite(r, y)
+    stack = y.reshape(len(q), -1, n_obs, 1)
+    z = np.matmul(q.conj().swapaxes(-1, -2)[:, None], stack)[..., 0]
+    s_sorted = np.zeros(z.shape, dtype=complex)
+    nodes = cms = 0
     for hi in range(n, 0, -group):
         lo = max(hi - group, 0)
         # on the first group the cancellation is an empty matmul, +0.0
-        z_adj = z[:, lo:hi] - np.matmul(factor.r[lo:hi, hi:], s_sorted[:, hi:, None])[..., 0]
-        for s_b, z_b in zip(s_sorted, z_adj):
-            s_b[lo:hi] = sphere_decode(factor.r[lo:hi, lo:hi], z_b, stats)
-    return s_sorted[:, np.argsort(factor.perm)].reshape(y.shape[:-1] + (n,))
+        z_adj = z[..., lo:hi] - np.matmul(r[:, None, lo:hi, hi:], s_sorted[..., hi:, None])[..., 0]
+        idx = []
+        for r_c, z_c in zip(r, z_adj.tolist()):  # R's group block as lists, shared by the blocks
+            lists = _row_lists(r_c[lo:hi, lo:hi])
+            for zs in z_c:
+                best_idx, n_b, cm_b = _decode(*lists, zs)
+                idx.append(best_idx)
+                nodes += n_b
+                cms += cm_b
+        s_sorted[..., lo:hi] = QPSK[idx].reshape(z_adj.shape)
+    if stats is not None:
+        stats.sd_nodes_visited += nodes
+        stats.cm_count += cms
+    d_hat = np.take_along_axis(s_sorted, np.argsort(perm)[:, None], -1)
+    return d_hat.reshape(y.shape[:-1] + (n,))
 
 
 def detect_ofdm(

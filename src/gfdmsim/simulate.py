@@ -308,6 +308,13 @@ def closed_form_cm(scheme: str, k: int, m: int, t: int, r: int) -> tuple[int, in
     * proposed: K M^3 T^2 R + K M^2 T R + (K M^2 T^2 - K M T) / 2; no SIC.
     * ofdm:     the proposed count at (K*M, 1), i.e. D T^2 R + D T R + (D T^2 - D T) / 2.
 
+    The baseline's count is this closed form, not what its code runs. With
+    m = RD and n = TD it is m n^2 + m n + n(n+1)(2n+1)/6, which counts the
+    zeros of the sqrt(N0) I extension rows as skipped; the factorization
+    multiplies them, (m + n)(n^2 + n) by the same count. desk_baseline_rc
+    (K = 16, M = 2, T = R = 2) reports 355680 and runs 532480, 1.50x. The
+    mend is a factorization that skips those zeros, not a new count.
+
     Raises ``ValueError`` unless every dimension is a positive integer
     (numpy's included).
     """
@@ -405,7 +412,7 @@ def _chunk_size(cfg: SimConfig) -> int:
     """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
     budgets = [CHUNK_ENTRIES // (cfg.n_blocks * n_rx * d)]
-    if cfg.scheme in _DENSE_SCHEMES:  # one MMSE extension at a time
+    if cfg.scheme in _DENSE_SCHEMES:  # the chunk's MMSE extensions, factored in one call
         budgets.append(4 * CHUNK_ENTRIES // ((n_rx * d + n_tx * d) * n_tx * d))
     else:  # K blocks of MR x MT, and K subproblems of MT levels per block
         budgets.append(4 * CHUNK_ENTRIES // (d * cfg.n_subsymbols * n_rx * n_tx))
@@ -430,14 +437,17 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     call modulates the chunk's blocks.
     :func:`gfdmsim.channel.apply_channel` then passes each realization's
     n_blocks blocks through its channel in one call, with one noise
-    generator per block (none at +inf dB, where no noise is drawn). The
-    dense baseline factors each realization's full matrix and calls
-    :func:`gfdmsim.detect.detect_baseline_near_ml` on its blocks, one
-    realization at a time. The per-subcarrier receiver (``proposed_dirichlet``
-    and ``ofdm``) runs one :func:`gfdmsim.decoupling.receive_transform` call
-    on the chunk, writes each realization's K blocks into a workspace of one
-    chunk's Q and R stacks, allocated once per sweep, and drops the received
-    samples and the channels; it then factors the blocks in place in one
+    generator per block (none at +inf dB, where no noise is drawn). Both
+    receivers factor into a workspace of one chunk's Q and R stacks,
+    allocated once per sweep, and drop the channels before they factor. The
+    dense baseline writes each realization's full matrix into the top rows
+    of its MMSE extension [H; sqrt(N0) I], factors the chunk's extensions in
+    place in one :func:`gfdmsim.detect.baseline_factorization` call and
+    detects the chunk in one :func:`gfdmsim.detect.detect_baseline_near_ml`
+    call. The per-subcarrier receiver (``proposed_dirichlet`` and ``ofdm``)
+    runs one :func:`gfdmsim.decoupling.receive_transform` call on the chunk,
+    writes each realization's K blocks into the workspace and drops the
+    received samples too; it then factors the blocks in place in one
     :func:`gfdmsim.detect.factorize_blocks` call and detects the chunk in
     one :func:`gfdmsim.detect.detect_proposed` call. Every block's result
     equals that of a one-block call bit for bit, so the chunk size changes
@@ -452,10 +462,15 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     dense = cfg.scheme in _DENSE_SCHEMES
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     chunk = _chunk_size(cfg)
-    if not dense:  # the per-subcarrier receiver's factors, reused by every chunk
-        n_ws, rows, cols = min(chunk, cfg.n_channels), m_ss * n_rx, m_ss * n_tx
-        q_ws = np.empty((n_ws, k_sc, rows, cols), dtype=complex)
-        r_ws = np.empty((n_ws, k_sc, cols, cols), dtype=complex)
+    # one chunk's factors, reused by every chunk: the MMSE extensions
+    # [H; sqrt(N0) I] of the dense baseline, or K blocks per realization
+    if dense:
+        blocks_of, rows, cols = (), (n_rx + n_tx) * d, n_tx * d
+    else:
+        blocks_of, rows, cols = (k_sc,), m_ss * n_rx, m_ss * n_tx
+    n_ws = min(chunk, cfg.n_channels)
+    q_ws = np.empty((n_ws, *blocks_of, rows, cols), dtype=complex)
+    r_ws = np.empty((n_ws, *blocks_of, cols, cols), dtype=complex)
     blocks = range(cfg.n_blocks)
     records = []
     for s_idx, snr in enumerate(cfg.snr_db):
@@ -484,25 +499,26 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
                 for x_c, ch, c in zip(x, chans, span)
             ])
             del x
+            q, r = q_ws[: len(span)], r_ws[: len(span)]
             if dense:
-                d_hat = []
-                for ch, y_c in zip(chans, y):
-                    h_full = chan.assemble_full_matrix(ch, a_mat)
-                    factor = detect.baseline_factorization(h_full, noise_power)
-                    y_flat = y_c.reshape(cfg.n_blocks, -1)
-                    d_hat.append(detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats))
+                h_full = q[:, : n_rx * d]
+                for h_c, ch in zip(h_full, chans):
+                    h_c[...] = chan.assemble_full_matrix(ch, a_mat)
+                del chans
+                factors = detect.baseline_factorization(h_full, noise_power, out=(q, r))
+                y_flat = y.reshape(len(span), cfg.n_blocks, -1)
+                d_hat = detect.detect_baseline_near_ml(y_flat, factors, m_ss * n_tx, stats)
             else:
                 # the front end's stacks and the channels go before the
                 # factorization, where the chunk's memory peaks
                 ybar = receive_transform(y.reshape(-1, n_rx, d), filt)
                 ybar = ybar.reshape(len(span), cfg.n_blocks, -1)
-                q = q_ws[: len(span)]
                 for q_c, ch in zip(q, chans):
                     q_c[...] = compute_blocks(ch, filt)
                 del y, chans
-                factors = detect.factorize_blocks(q, out=(q, r_ws[: len(span)]))
+                factors = detect.factorize_blocks(q, out=(q, r))
                 d_hat = detect.detect_proposed(ybar, factors, filt, stats)
-            errors += int(np.count_nonzero(np.asarray(d_hat) != sent))
+            errors += int(np.count_nonzero(d_hat != sent))
         records.append(
             TrialRecord(
                 config=cfg,

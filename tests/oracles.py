@@ -421,8 +421,10 @@ def first_descent_ref(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 # gfdmsim.simulate.run_sweep as it was before it ran its realizations in
 # chunks: one realization per iteration, each with its own front end,
-# factorization and detector call. Every stage equals its per-realization
-# calls bit for bit, so the chunked sweep must match its records exactly.
+# factorization and detector call. The dense baseline's branch uses none of
+# the batched code: sqrd of the explicit MMSE extension, then the one-block
+# detector per block. Every stage equals its per-realization calls bit for
+# bit, so the chunked sweep must match its records exactly.
 def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
     """The configured sweep, one realization at a time."""
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
@@ -447,11 +449,14 @@ def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
             sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
             x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
             y = chan.apply_channel(x, ch, noise_power, noise)
-            if dense:
+            if dense:  # sqrd of the explicit MMSE extension, then one block at a time
                 h_full = chan.assemble_full_matrix(ch, a_mat)
-                factor = detect.baseline_factorization(h_full, noise_power)
-                y_flat = y.reshape(len(y), -1)
-                d_hat = detect.detect_baseline_near_ml(y_flat, factor, m_ss * n_tx, stats)
+                eye = np.eye(n_tx * d, dtype=complex)
+                fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
+                factor = SqrdFactorization(q=fact.q[: len(h_full)], r=fact.r, perm=fact.perm)
+                d_hat = np.stack([
+                    detect_baseline_near_ml_ref(y_b, factor, m_ss * n_tx, stats) for y_b in y
+                ])
             else:
                 factors = detect.factorize_blocks(compute_blocks(ch, filt))
                 d_hat = detect.detect_proposed(receive_transform(y, filt), factors, filt, stats)

@@ -15,6 +15,7 @@ from gfdmsim.channel import (
     generate_channel,
     snr_db_to_noise_power,
 )
+from gfdmsim import detect as detect_module
 from gfdmsim.decoupling import compute_blocks, data_permutation, receive_transform
 from gfdmsim.detect import (
     QPSK,
@@ -200,6 +201,81 @@ def test_baseline_factorization_normal_equations():
         gram = h.conj().T @ h + n0 * np.eye(5)
         expected = gram[np.ix_(fact.perm, fact.perm)]
         npt.assert_allclose(fact.r.conj().T @ fact.r, expected, atol=1e-8)
+
+
+def test_baseline_factorization_of_a_chunk_matches_sqrd_bit_for_bit():
+    # desk_baseline_rc's dense matrices, rc(0.9) at K = 16, M = 2, T = R = 2,
+    # factored as a chunk of 8 in one workspace, as the sweep writes them, and
+    # as a remainder view of 3 of it: every matrix's factors equal sqrd of its
+    # explicit extension [H; sqrt(N0) I] in every bit. Its M subsymbol columns
+    # tie in exact arithmetic, so the pivots rest on the last bit; H[1] is rank
+    # deficient, which gives it a dead column where no noise regularizes it
+    a_mat = build_transmitter_matrix(rc_filter(16, 2, 0.9))
+    rng = np.random.default_rng(37)
+    h = np.stack([assemble_full_matrix(generate_channel(2, 2, rng, 32), a_mat) for _ in range(8)])
+    h[1, :, 7] = h[1, :, 3]
+    rd, n = h.shape[-2:]
+    ext_ws = np.empty((8, rd + n, n), dtype=complex)
+    r_ws = np.empty((8, n, n), dtype=complex)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for snr in (0.0, 12.0, math.inf):
+        n0 = snr_db_to_noise_power(snr)
+        ext_ws[:, :rd] = h
+        chunk = baseline_factorization(ext_ws[:, :rd], n0, out=(ext_ws, r_ws))
+        factors = [dataclasses.replace(chunk, q=chunk.q.copy(), r=chunk.r.copy())]
+        factors.append(baseline_factorization(h[:3], n0, out=(ext_ws[:3], r_ws[:3])))
+        for fact in factors:
+            assert fact.q.shape[1:] == (rd, n) and fact.r.shape[1:] == (n, n)
+            for c, h_c in enumerate(h[: len(fact.q)]):
+                ref = sqrd(np.vstack([h_c, math.sqrt(n0) * np.eye(n, dtype=complex)]))
+                assert np.array_equal(bits(fact.q[c]), bits(ref.q[:rd]))
+                assert np.array_equal(bits(fact.r[c]), bits(ref.r))
+                assert np.array_equal(fact.perm[c], ref.perm)
+        dead = np.count_nonzero(np.diagonal(chunk.r, axis1=1, axis2=2) == 0.0, axis=1)
+        assert dead.tolist() == [0, int(snr == math.inf)] + [0] * 6
+    with pytest.raises(ValueError, match="extension"):
+        baseline_factorization(h[:3], 0.1, out=(ext_ws, r_ws[:3]))
+
+
+def test_detect_baseline_chunk_matches_per_realization_calls():
+    # a (C, B, RD) chunk with stacked factors makes C per-realization calls:
+    # the same decisions bit for bit and the same node/CM counts, at SIC group
+    # sizes from symbol by symbol to one exact search over all T * D
+    k, m, n_real, n_blocks = 4, 2, 3, 2
+    filt = rc_filter(k, m, 0.9)
+    a = build_transmitter_matrix(filt)
+    rng = np.random.default_rng(57)
+    chans = [generate_channel(2, 2, rng, k * m) for _ in range(n_real)]
+    fact = baseline_factorization(np.stack([assemble_full_matrix(ch, a) for ch in chans]), 0.1)
+    x = np.matmul(a, QPSK[rng.integers(0, 4, (n_real, n_blocks, 2, k * m))][..., None])[..., 0]
+    y = np.stack([
+        apply_channel(x_c, ch, 0.1, [np.random.default_rng([58, c, b]) for b in range(n_blocks)])
+        for c, (x_c, ch) in enumerate(zip(x, chans))
+    ]).reshape(n_real, n_blocks, -1)
+    for group in (1, 4, 2 * k * m):
+        stats, total = DetectionStats(), DetectionStats()
+        out = detect_baseline_near_ml(y, fact, group, stats)
+        assert out.shape == (n_real, n_blocks, 2 * k * m)
+        for c in range(n_real):
+            one = dataclasses.replace(fact, q=fact.q[c], r=fact.r[c], perm=fact.perm[c])
+            assert out[c].tobytes() == detect_baseline_near_ml(y[c], one, group, total).tobytes()
+        assert stats == total
+    for c in range(n_real):  # any realization's non-finite entry is caught up front
+        for bad in (math.nan, math.inf):
+            y_bad = y.copy()
+            y_bad[c, 1, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                detect_baseline_near_ml(y_bad, fact, 4)
+            r_bad = fact.r.copy()
+            r_bad[c, 0, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                detect_baseline_near_ml(y, dataclasses.replace(fact, r=r_bad), 4)
+    for bad in (y[:2], y[0], y[..., :-1]):
+        with pytest.raises(ValueError, match="received samples"):
+            detect_baseline_near_ml(bad, fact, 4)
 
 
 @pytest.mark.parametrize(
@@ -1103,21 +1179,19 @@ def test_detect_baseline_stack_matches_one_block_reference(k, m, rolloff):
 
 
 def test_detect_baseline_stack_rotates_like_one_block_reference(monkeypatch):
-    # every observation the stacked receiver hands the sphere decoder, Q^H y
+    # every observation the stacked receiver hands the scalar search, Q^H y
     # and each SIC-adjusted group of it, equals the one-block reference's bit
     # for bit; a gemm over the stack rounds the last bit differently, and the
-    # decisions would show that only where it flips a near-tie
-    seen = {"stack": [], "ref": []}
+    # decisions would show that only where it flips a near-tie. The
+    # reference's sphere_decode calls reach the same search
+    seen = []
+    decode = detect_module._decode
 
-    def spy(key, decode):
-        def record(r_mat, z, stats=None):
-            seen[key].append(np.array(z))
-            return decode(r_mat, z, stats)
+    def record(rows, diag, zs):
+        seen.append(np.array(zs))
+        return decode(rows, diag, zs)
 
-        return record
-
-    monkeypatch.setattr("gfdmsim.detect.sphere_decode", spy("stack", sphere_decode))
-    monkeypatch.setattr("oracles.sphere_decode", spy("ref", sphere_decode))
+    monkeypatch.setattr(detect_module, "_decode", record)
     n_blocks = 3
     for k, m in ((16, 2), (8, 4), (8, 2)):
         for rolloff in (0.9, 0.3):
@@ -1131,17 +1205,18 @@ def test_detect_baseline_stack_rotates_like_one_block_reference(monkeypatch):
                 x = np.matmul(a, QPSK[rng.integers(0, 4, (n_blocks, 2, k * m))][..., None])[..., 0]
                 streams = [np.random.default_rng([54, c, b]) for b in range(n_blocks)]
                 y = apply_channel(x, ch, 0.1, streams).reshape(n_blocks, -1)
-                seen["stack"].clear()
-                seen["ref"].clear()
+                seen.clear()
                 detect_baseline_near_ml(y, fact, 2 * m)
+                stacked = list(seen)
+                seen.clear()
                 for y_b in y:
                     detect_baseline_near_ml_ref(y_b, fact, 2 * m)
                 # the stack decodes group by group, the reference block by block
-                n_groups = len(seen["ref"]) // n_blocks
-                assert len(seen["stack"]) == n_groups * n_blocks
-                for i, z in enumerate(seen["stack"]):
+                n_groups = len(seen) // n_blocks
+                assert len(stacked) == n_groups * n_blocks
+                for i, z in enumerate(stacked):
                     g, b = divmod(i, n_blocks)
-                    assert np.array_equal(z, seen["ref"][b * n_groups + g])
+                    assert np.array_equal(z, seen[b * n_groups + g])
 
 
 def test_detect_baseline_noiseless_rank_deficient_has_dead_column(caplog):

@@ -535,6 +535,7 @@ def test_stacked_front_end_matches_per_block_calls(k, m, rolloff, noise_power):
         ("proposed_dirichlet", None, 256, 4, 2, 2, 1),  # full_proposed's shape
         ("ofdm", None, 1024, 1, 2, 2, 1),  # full_ofdm's shape
         ("proposed_dirichlet", None, 8, 4, 2, 2, 20),  # desk_proposed's shape
+        ("baseline_rc", 0.9, 16, 2, 2, 2, 2),  # desk_baseline_rc's shape, in chunks of 8
     ],
 )
 def test_chunked_sweep_matches_one_realization_at_a_time(scheme, alpha, k, m, t, r, n_blocks):
