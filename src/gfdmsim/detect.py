@@ -4,7 +4,7 @@ Every receiver decides over one symbol alphabet, :data:`QPSK`. Two
 receivers share the same sphere-decoder core:
 
 * the per-subcarrier detector, which factors all K MR x MT blocks of a
-  channel realization in one batched plain sorted QR and solves K
+  channel realization in one plain sorted QR call and solves K
   independent ML subproblems per data block; for a stack of a
   realization's blocks it runs the sphere decoder's first descent on every
   subproblem at once, and for the subproblems whose first leaf that descent
@@ -18,6 +18,10 @@ receivers share the same sphere-decoder core:
 
 :func:`detect_ofdm` runs the per-subcarrier detector at M = 1, as sweeps
 do for the ``ofdm`` scheme.
+
+Both receivers factor in :func:`factorize_blocks`, the library's one sorted
+QR, which takes a stack of matrices; :func:`sqrd` is that call on a stack of
+one.
 
 An exhaustive ML search over all candidate vectors is provided as an oracle
 for the tests and demos. Complexity bookkeeping: sphere-decoder work is
@@ -66,16 +70,17 @@ class SqrdFactorization:
     """Sorted QR factors: F[:, perm] = Q @ R with R upper triangular.
 
     The diagonal of R is real and nonnegative, and Q's columns are
-    orthonormal except at a dead column, where :func:`sqrd`'s rank test found
-    the pivot dependent on the columns before it: there Q has a zero column
-    and R a zero row. ``perm[i]`` is the original column processed at step
-    i. :func:`sqrd` returns one matrix's factors; :func:`factorize_blocks`
-    returns a stack of K, with a leading block axis on every field
-    (``q[k]``, ``r[k]``, ``perm[k]`` factor block k).
-    :func:`baseline_factorization` factors the MMSE extension
-    F = [H; sqrt(N0) * I], or a stack of them, and keeps only the top rows of Q, those that apply
-    to received data: its ``q`` is the top block of an orthonormal matrix and
-    is not orthonormal on its own.
+    orthonormal except at a dead column, where the rank test of
+    :func:`sqrd` found the pivot dependent on the columns before it: there Q
+    has a zero column and R a zero row. ``perm[i]`` is the original column
+    processed at step i. :func:`factorize_blocks` returns a stack of
+    factors, with the input's leading axes on every field (``q[k]``,
+    ``r[k]``, ``perm[k]`` factor block k), and :func:`sqrd`, its call on a
+    stack of one, one matrix's factors. :func:`baseline_factorization`
+    factors the MMSE extension F = [H; sqrt(N0) * I], or a stack of them,
+    and keeps only the top rows of Q, those that apply to received data: its
+    ``q`` is the top block of an orthonormal matrix and is not orthonormal
+    on its own.
     """
 
     q: np.ndarray
@@ -84,7 +89,7 @@ class SqrdFactorization:
 
 
 def sqrd(f: np.ndarray) -> SqrdFactorization:
-    """Sorted QR via modified Gram-Schmidt with min-norm column pivoting.
+    """Sorted QR of one tall or square matrix, with min-norm column pivoting.
 
     At every step the unprocessed column of smallest residual norm is chosen
     next (ties go to the lowest index), which pushes weak columns early in
@@ -95,69 +100,15 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     row of R, so F[:, perm] = Q @ R still holds to that tolerance, and it
     leaves the residual of the other columns as it was.
 
-    Pivot ties are structural, not rare. Within an antenna, the columns of
-    an ICI-free per-subcarrier block have equal norms in exact arithmetic;
-    so do the M subsymbol columns of one (antenna, subcarrier) in the
-    baseline's dense matrix, whose columns are cyclic shifts through a
-    circulant channel. The pivot order therefore rests on the last bit of
-    every norm, and the arithmetic is fixed:
-
-    * the initial norms, ``np.sum(np.abs(v) ** 2, axis=0)``;
-    * each pivot's norm, from the two real dot products that
-      ``np.linalg.norm`` runs on the contiguous column, and the column
-      divided by it;
-    * the projections, one gemv ``q_i.conj() @ v[:, i + 1 :]`` on the
-      C-ordered residual (its layout picks the BLAS kernel and so the
-      summation order);
-    * the rank-one update, numpy's complex product with q_i as the first
-      factor (it is not commutative to the last bit), subtracted in place;
-    * the norm downdate, clamped at zero.
-
-    LAPACK, Householder, ``einsum`` or a transposed residual would round
-    differently and move pivots. Everything else is data movement, done in
-    place: column swaps are slice copies, Q is built by rows, the
-    projections are written straight into R, and every update goes to one
-    buffer allocated per call.
-
-    No sweep calls it: :func:`factorize_blocks` runs the same arithmetic on
-    stacks, the dense baseline's chunk of MMSE extensions included. It is
-    the one-matrix reference that the tests and oracles factor with.
+    It is :func:`factorize_blocks` of a one-matrix stack, whose docstring
+    fixes the arithmetic; ``tests/oracles.py::sqrd_ref`` is the serial
+    reference that both match bit for bit. No sweep calls it.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
         raise ValueError(f"expected a tall or square matrix, got shape {f.shape}")
-    m, n = f.shape
-    v = f.copy()
-    q_t = np.zeros((n, m), dtype=complex)  # row i is column i of Q
-    r = np.zeros((n, n), dtype=complex)
-    perm = np.arange(n)
-    norms_sq = np.sum(np.abs(v) ** 2, axis=0)
-    fro = math.sqrt(float(norms_sq.sum()))
-    col = np.empty(m, dtype=complex)  # the pivot column, contiguous
-    outer = np.empty(m * n, dtype=complex)  # each step's rank-one update
-    for i in range(n):
-        j = i + int(norms_sq[i:].argmin())
-        col[:] = v[:, j]
-        v[:, j] = v[:, i]  # column i is read no more, so it takes j's place
-        r_j = r[:i, j].copy()
-        r[:i, j] = r[:i, i]
-        r[:i, i] = r_j
-        norms_sq[j] = norms_sq[i]
-        perm[i], perm[j] = perm[j], perm[i]
-        re, im = col.real, col.imag
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-        if norm <= 1e-12 * fro:  # a dead column: Q and R keep their zeros
-            continue
-        r[i, i] = norm
-        q_i = np.divide(col, norm, out=q_t[i])
-        proj = np.matmul(q_i.conj(), v[:, i + 1 :], out=r[i, i + 1 :])
-        upd = outer[: m * (n - i - 1)].reshape(m, n - i - 1)
-        v[:, i + 1 :] -= np.multiply(q_i[:, None], proj, out=upd)
-        down = np.abs(proj)
-        np.square(down, out=down)
-        np.subtract(norms_sq[i + 1 :], down, out=down)
-        np.maximum(down, 0.0, out=norms_sq[i + 1 :])
-    return SqrdFactorization(q=np.ascontiguousarray(q_t.T), r=r, perm=perm)
+    fact = factorize_blocks(f[None])
+    return SqrdFactorization(q=fact.q[0], r=fact.r[0], perm=fact.perm[0])
 
 
 def _require_finite(r: np.ndarray, z: np.ndarray) -> None:
@@ -382,22 +333,40 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
 def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     """Sorted QR of every block of a (..., K, MR, MT) stack, computed once per channel realization.
 
-    Runs :func:`sqrd`'s modified Gram-Schmidt with min-norm pivoting on all
-    blocks at once and returns the factors with the input's leading axes:
-    ``q`` (..., K, MR, MT), ``r`` (..., K, MT, MT) and ``perm`` (..., K, MT),
-    all C-contiguous; the input is not modified unless it is ``out``'s ``q``.
-    A chunk of realizations comes as a (C, K, MR, MT) stack, or as a list of
-    C per-realization (K, MR, MT) stacks, whose one input copy is then also
-    the stacking copy.
-    Every block's factors equal ``sqrd`` of that block bit for bit.
-    Within an antenna the columns of an ICI-free block tie in exact
-    arithmetic, so the pivot order rests on the last bit of every norm; each
-    per-block reduction therefore goes through the same numpy/BLAS kernel
-    that ``sqrd`` calls: the two real dot products of the contiguous pivot
-    column, and the gemv of ``matmul`` on the strided columns of the
-    C-ordered residual (also for its last column, which a contiguous copy
-    would send to ``dot``), not ``einsum``, whose different summation order
-    changes pivots. As in ``sqrd`` the work is in place: a pivot swap is one
+    Runs modified Gram-Schmidt with :func:`sqrd`'s min-norm pivoting and
+    rank test on all blocks at once and returns the factors with the input's
+    leading axes: ``q`` (..., K, MR, MT), ``r`` (..., K, MT, MT) and
+    ``perm`` (..., K, MT), all C-contiguous; the input is not modified unless
+    it is ``out``'s ``q``. A chunk of realizations comes as a (C, K, MR, MT)
+    stack, or as a list of C per-realization (K, MR, MT) stacks, whose one
+    input copy is then also the stacking copy. Empty blocks, with no rows
+    or no columns, factor too.
+
+    Pivot ties are structural, not rare. Within an antenna, the columns of
+    an ICI-free per-subcarrier block have equal norms in exact arithmetic;
+    so do the M subsymbol columns of one (antenna, subcarrier) in the
+    baseline's dense matrix, whose columns are cyclic shifts through a
+    circulant channel. The pivot order therefore rests on the last bit of
+    every norm, and the arithmetic of each block is fixed:
+
+    * the initial norms, ``|v|**2`` of each row added in turn to zeros, as
+      ``np.sum(np.abs(v) ** 2, axis=0)`` adds a matrix's rows;
+    * each pivot's norm, from the two real dot products that
+      ``np.linalg.norm`` runs on the contiguous column (a matmul of each
+      block's column with itself), and the column divided by it;
+    * the projections, the gemv of ``q_i.conj() @ v[:, i + 1 :]`` on the
+      strided columns of the C-ordered residual, through ``matmul`` also for
+      its last column, which a contiguous copy would send to ``dot`` (the
+      layout picks the BLAS kernel and so the summation order);
+    * the rank-one update, numpy's complex product with q_i as the first
+      factor (it is not commutative to the last bit), subtracted in place;
+    * the norm downdate, clamped at zero.
+
+    LAPACK, Householder, ``einsum`` or a transposed residual would round
+    differently and move pivots; ``tests/oracles.py::sqrd_ref`` is the
+    textbook serial loop that every block's factors equal bit for bit.
+
+    Everything else is data movement, done in place: a pivot swap is one
     gather of the pivot columns and one scatter of column i into their
     place, and each step's column of Q overwrites the residual column it was
     taken from, which is read no more. The rank-one update takes one of two
@@ -406,28 +375,28 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     column by column through one (blocks, MR) buffer allocated per call, so
     no temporary is as large as the stack and a call allocates no more than
     its factors and their input copy. Where it holds fewer, as the dense
-    baseline's chunk of MMSE extensions does (8 blocks of 64 columns on
-    desk_baseline_rc), each step's update is one broadcast product
+    baseline's chunk of MMSE extensions and :func:`sqrd`'s one matrix do,
+    each step's update is one broadcast product
     ``q_i[:, :, None] * proj[:, None, :]``, which replaces up to MT - 1
     calls, through one buffer of at most (blocks, MR, MT - 1). numpy's
     complex product rounds the same for broadcast and contiguous operands,
     with q_i first in both, so the two forms give the same bits; on
     full_proposed the broadcast product ran 3-10 % slower than the column
-    loop. ``out=(q, r)`` takes the factors' allocation away: C-contiguous complex arrays of the factors' shapes that receive
-    the input copy, factored in place, and R, and are returned as ``q`` and
-    ``r``. As with numpy's ``out``, ``q`` may be the input itself, and a
-    caller can pass the same buffers, or leading-axis views of them, to
-    every call; R is zeroed first, so nothing of an earlier call's factors
-    is left, and ``q`` and ``r`` must not share memory. A block's dead
-    columns, under ``sqrd``'s rank test, get a zero column of Q before the
-    projection, so their row of R is zero and their update subtracts zeros.
-    Every step runs the same statements, the first and the last column's
-    included, where the R swap and the projection take empty slices; the
-    branches left skip the swap when no block pivots, so that the step
-    takes its pivot columns as one slice copy instead of a gather, and pick
-    the update's form. :func:`baseline_factorization` factors the dense
-    baseline's extensions here; ``sqrd`` keeps its serial one-matrix loop as
-    the reference.
+    loop. ``out=(q, r)`` takes the factors' allocation away: C-contiguous
+    complex arrays of the factors' shapes that receive the input copy,
+    factored in place, and R, and are returned as ``q`` and ``r``. As with
+    numpy's ``out``, ``q`` may be the input itself, and a caller can pass
+    the same buffers, or leading-axis views of them, to every call; R is
+    zeroed first, so nothing of an earlier call's factors is left, and ``q``
+    and ``r`` must not share memory. A block's dead columns get a zero
+    column of Q before the projection, so their row of R is zero and their
+    update subtracts zeros. Every step runs the same statements, the first
+    and the last column's included, where the R swap and the projection
+    take empty slices; the branches left skip the swap when no block
+    pivots, so that the step takes its pivot columns as one slice copy
+    instead of a gather, and pick the update's form.
+    :func:`baseline_factorization` factors the dense baseline's extensions
+    here.
     """
     stack = np.array(blocks, dtype=complex, order="C") if out is None else np.asarray(blocks)
     if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
@@ -448,13 +417,13 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
         q_out[...] = stack  # copies nothing when q is the input itself
         r_out[...] = 0.0
         stack = q_out
-    v = stack.reshape(-1, m, n)
-    n_blk = len(v)
+    n_blk = math.prod(lead)
+    v = stack.reshape(n_blk, m, n)
     r = r_out.reshape(n_blk, n, n)
     perm = np.tile(np.arange(n), (n_blk, 1))
-    # the rows one by one, as sqrd's sum adds them
-    norms_sq = np.square(np.abs(v[:, 0]))
-    for row in range(1, m):
+    # the rows one by one, as np.sum(..., axis=0) adds a matrix's rows
+    norms_sq = np.zeros((n_blk, n))
+    for row in range(m):
         norms_sq += np.square(np.abs(v[:, row]))
     tol = 1e-12 * np.sqrt(norms_sq.sum(axis=1))
     # each step's rank-one update: where the stack holds fewer blocks than
@@ -686,12 +655,12 @@ def baseline_factorization(h_full: np.ndarray, noise_power: float, out=None) -> 
     ``h_full`` is one RD x TD matrix or a (..., RD, TD) stack, and the
     factors keep its leading axes. The extensions are written into one
     (..., RD + TD, TD) array and factored there in one
-    :func:`factorize_blocks` call, so every matrix's factors equal ``sqrd``
-    of its extension bit for bit. ``out=(ext, r)`` takes that array and R
-    from the caller, C-contiguous complex arrays of those shapes, as a
-    sweep passes one workspace, or leading-axis views of it, to every
-    chunk; ``h_full`` may be the view of ``ext``'s top RD rows, which is
-    then not copied.
+    :func:`factorize_blocks` call, which factors each matrix on its own, so
+    every matrix's factors equal ``sqrd`` of its extension bit for bit.
+    ``out=(ext, r)`` takes that array and R from the caller, C-contiguous
+    complex arrays of those shapes, as a sweep passes one workspace, or
+    leading-axis views of it, to every chunk; ``h_full`` may be the view of
+    ``ext``'s top RD rows, which is then not copied.
     """
     h_full = np.asarray(h_full)
     if h_full.ndim < 2:

@@ -39,13 +39,16 @@ DEFAULT_RC_ROLLOFF = 0.9
 # (K*MR*MT per realization for the per-subcarrier receiver, (RD + TD)*TD for
 # the dense MMSE extension) fit in four times that, 2^16 (1 MiB), so that
 # full_proposed, whose one realization's factors fill 2^14, still detects
-# several realizations per call. The per-subcarrier receiver's first-descent
-# state, one entry per subproblem and level (n_blocks*K*M*T per
-# realization), fits in half of it, 2^13: the first descent's state is the
-# largest a per-subcarrier sweep holds, and past that budget its batched
-# calls are paid off, so a larger chunk only holds more memory. On the
-# benchmark's workloads that is 6 realizations per chunk on desk_proposed,
-# 4 on full_proposed, 8 on desk_baseline_rc and 4 on full_ofdm.
+# several realizations per call. That bounds the factor workspace, not the
+# factorization's transient peak: on the dense chunk each step's update
+# buffer, up to (C, RD + TD, TD - 1), is nearly as large again. The
+# per-subcarrier receiver's first-descent state, one entry per subproblem
+# and level (n_blocks*K*M*T per realization), fits in half of it, 2^13:
+# the first descent's state is the largest a per-subcarrier sweep holds,
+# and past that budget its batched calls are paid off, so a larger chunk
+# only holds more memory. On the benchmark's workloads that is 6
+# realizations per chunk on desk_proposed, 4 on full_proposed, 8 on
+# desk_baseline_rc and 4 on full_ofdm.
 CHUNK_ENTRIES = 1 << 14
 
 # substream tags for the counter-based seed derivation
@@ -403,12 +406,14 @@ def _chunk_size(cfg: SimConfig) -> int:
     The chunk's received samples (n_blocks*R*D per realization) fit in
     :data:`CHUNK_ENTRIES`, as its front end's stacks grow with them, and its
     factored entries in four times that, as the factors stay live through
-    the chunk's detection. For the per-subcarrier receiver, its
-    first-descent state (one entry per subproblem and level, n_blocks*K*M*T
-    per realization) also fits in half of :data:`CHUNK_ENTRIES`: the first
-    descent's state is the largest a per-subcarrier sweep holds, and past
-    that budget the batched stages' per-call cost is paid off and a larger
-    chunk only holds more memory.
+    the chunk's detection; that bounds the factor workspace, and on the
+    dense chunk the factorization's update buffer adds nearly as much again
+    while it runs. For the per-subcarrier receiver, its first-descent state
+    (one entry per subproblem and level, n_blocks*K*M*T per realization)
+    also fits in half of :data:`CHUNK_ENTRIES`: the first descent's state
+    is the largest a per-subcarrier sweep holds, and past that budget the
+    batched stages' per-call cost is paid off and a larger chunk only holds
+    more memory.
     """
     d, n_tx, n_rx = cfg.block_len, cfg.n_tx, cfg.n_rx
     budgets = [CHUNK_ENTRIES // (cfg.n_blocks * n_rx * d)]

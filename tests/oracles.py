@@ -16,7 +16,6 @@ from gfdmsim.detect import (
     SqrdFactorization,
     _require_finite,
     sphere_decode,
-    sqrd,
 )
 from gfdmsim import channel as chan
 from gfdmsim import detect, simulate, waveform
@@ -128,9 +127,10 @@ def sign_flip_p_value(diffs) -> float:
     return float(np.mean(signs @ np.abs(diffs) >= diffs.sum()))
 
 
-# gfdmsim.detect.sqrd as it was before its loop moved to in-place swaps and a
-# preallocated update buffer; the rewrite keeps its arithmetic, so q, r and
-# perm, dead columns included, must match bit for bit.
+# The serial reference for gfdmsim.detect.factorize_blocks, and so for sqrd,
+# its call on a stack of one: the textbook loop in the same arithmetic, so
+# every block's q, r and perm, dead columns included, must match it bit for
+# bit.
 def sqrd_ref(f: np.ndarray) -> SqrdFactorization:
     """Sorted QR via modified Gram-Schmidt with min-norm column pivoting.
 
@@ -343,7 +343,7 @@ def detect_ofdm_ref(
     yf = np.fft.fft(y, axis=1) / math.sqrt(d)
     d_hat = np.empty(ch.n_tx * d, dtype=complex)
     for i in range(d):
-        fact = sqrd(ch.freq[:, :, i])
+        fact = sqrd_ref(ch.freq[:, :, i])
         z = fact.q.conj().T @ yf[:, i]
         s_sorted = sphere_decode(fact.r, z, stats)
         d_hat[fact.perm * d + i] = s_sorted
@@ -422,7 +422,7 @@ def first_descent_ref(r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
 # gfdmsim.simulate.run_sweep as it was before it ran its realizations in
 # chunks: one realization per iteration, each with its own front end,
 # factorization and detector call. The dense baseline's branch uses none of
-# the batched code: sqrd of the explicit MMSE extension, then the one-block
+# the batched code: sqrd_ref of the explicit MMSE extension, then the one-block
 # detector per block. Every stage equals its per-realization calls bit for
 # bit, so the chunked sweep must match its records exactly.
 def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
@@ -449,10 +449,10 @@ def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
             sent = QPSK[np.stack([g.integers(0, len(QPSK), size=n_tx * d) for g in data])]
             x = waveform.fast_modulate(sent.reshape(-1, n_tx, d), filt)
             y = chan.apply_channel(x, ch, noise_power, noise)
-            if dense:  # sqrd of the explicit MMSE extension, then one block at a time
+            if dense:  # sqrd_ref of the explicit MMSE extension, then one block at a time
                 h_full = chan.assemble_full_matrix(ch, a_mat)
                 eye = np.eye(n_tx * d, dtype=complex)
-                fact = sqrd(np.vstack([h_full, math.sqrt(noise_power) * eye]))
+                fact = sqrd_ref(np.vstack([h_full, math.sqrt(noise_power) * eye]))
                 factor = SqrdFactorization(q=fact.q[: len(h_full)], r=fact.r, perm=fact.perm)
                 d_hat = np.stack([
                     detect_baseline_near_ml_ref(y_b, factor, m_ss * n_tx, stats) for y_b in y

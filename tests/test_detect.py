@@ -152,10 +152,6 @@ def test_sqrd_matches_reference_bit_for_bit_on_dense_mmse_matrices(k, m, rolloff
         for n0 in (0.0, 1.0, 0.1, 0.01):
             f = np.vstack([h, math.sqrt(n0) * np.eye(h.shape[1])])
             assert_sqrd_matches_reference(f)
-            # a batch of one repeats the dense factors too, only slower
-            one, ref = factorize_blocks(f[None]), sqrd(f)
-            assert np.array_equal(one.q[0], ref.q) and np.array_equal(one.r[0], ref.r)
-            assert np.array_equal(one.perm[0], ref.perm)
 
 
 def test_sqrd_matches_reference_bit_for_bit_on_random_matrices():
@@ -167,7 +163,9 @@ def test_sqrd_matches_reference_bit_for_bit_on_random_matrices():
         if f.shape[1] > 1:  # rank deficient: the same dead columns
             f[:, -1] = f[:, 0]
             assert_sqrd_matches_reference(f)
-    assert_sqrd_matches_reference(np.zeros((3, 2)))
+    # an all-zero matrix, and empty ones with no columns or no entries at all
+    for f in (np.zeros((3, 2)), np.zeros((3, 0)), np.zeros((0, 0))):
+        assert_sqrd_matches_reference(f)
 
 
 def test_sqrd_and_baseline_on_all_zero_matrix():
@@ -230,7 +228,7 @@ def test_baseline_factorization_of_a_chunk_matches_sqrd_bit_for_bit():
         for fact in factors:
             assert fact.q.shape[1:] == (rd, n) and fact.r.shape[1:] == (n, n)
             for c, h_c in enumerate(h[: len(fact.q)]):
-                ref = sqrd(np.vstack([h_c, math.sqrt(n0) * np.eye(n, dtype=complex)]))
+                ref = sqrd_ref(np.vstack([h_c, math.sqrt(n0) * np.eye(n, dtype=complex)]))
                 assert np.array_equal(bits(fact.q[c]), bits(ref.q[:rd]))
                 assert np.array_equal(bits(fact.r[c]), bits(ref.r))
                 assert np.array_equal(fact.perm[c], ref.perm)
@@ -293,9 +291,9 @@ def test_detect_baseline_chunk_matches_per_realization_calls():
 )
 def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
     # the columns of one antenna tie in exact arithmetic, so the pivot order
-    # depends on every last bit: the batch must repeat sqrd exactly, whatever
-    # the memory order of its input or the realization axis in front of its
-    # blocks, and leave that input as it was
+    # depends on every last bit: the batch must repeat the serial sqrd_ref
+    # exactly, whatever the memory order of its input or the realization
+    # axis in front of its blocks, and leave that input as it was
     rng = np.random.default_rng(k * 100 + m * 10 + t + r)
     for seed in range(3):
         if window:
@@ -308,7 +306,7 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
             chunk = np.stack([source, source[::-1]])  # two realizations
             for stack in (chunk, source, np.asfortranarray(source)):
                 before = stack.tobytes()
-                serial = [sqrd(b) for b in stack.reshape(-1, *stack.shape[-2:])]
+                serial = [sqrd_ref(b) for b in stack.reshape(-1, *stack.shape[-2:])]
                 stacked = factorize_blocks(stack)
                 assert stack.tobytes() == before
                 assert stacked.q.flags.c_contiguous and stacked.r.flags.c_contiguous
@@ -332,12 +330,16 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit_on_one_column_blocks():
     assert blocks.shape == (k, 2, 1)
     blocks[3] = 0.0
     for stack in (blocks, np.stack([blocks, blocks[::-1]])):
-        serial = [sqrd(b) for b in stack.reshape(-1, 2, 1)]
+        serial = [sqrd_ref(b) for b in stack.reshape(-1, 2, 1)]
         stacked = factorize_blocks(stack)
         assert stacked.q.tobytes() == np.stack([s.q for s in serial]).tobytes()
         assert stacked.r.tobytes() == np.stack([s.r for s in serial]).tobytes()
         assert stacked.perm.tobytes() == np.stack([s.perm for s in serial]).tobytes()
     assert np.count_nonzero(stacked.r == 0.0) == 2
+    # blocks with no columns, and with no rows either, take no step at all
+    for shape in ((2, 3, 0), (2, 0, 0)):
+        empty = factorize_blocks(np.zeros(shape, dtype=complex))
+        assert empty.q.shape == shape and empty.r.shape == (2, 0, 0) and empty.perm.shape == (2, 0)
 
 
 def _same_factors(got, ref):
