@@ -124,7 +124,7 @@ def apply_channel(
         if not valid or not all(isinstance(g, np.random.Generator) for g in streams):
             raise ValueError("one random stream per block is required when noise_power > 0")
         shape = y.shape[-2:]
-        noise = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape) for g in streams])
+        noise = np.array([g.standard_normal(shape) + 1j * g.standard_normal(shape) for g in streams])
         y = y + noise.reshape(y.shape) * np.sqrt(noise_power / 2.0)
     return y
 

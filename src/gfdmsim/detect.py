@@ -20,8 +20,8 @@ receivers share the same sphere-decoder core:
 do for the ``ofdm`` scheme.
 
 Both receivers factor in :func:`factorize_blocks`, the library's one sorted
-QR, which takes a stack of matrices; :func:`sqrd` is that call on a stack of
-one.
+QR, which takes one matrix or a stack of them (:func:`sqrd` is its call on
+one matrix), and read their observations through one path that forms Q^H y.
 
 An exhaustive ML search over all candidate vectors is provided as an oracle
 for the tests and demos. Complexity bookkeeping: sphere-decoder work is
@@ -73,10 +73,9 @@ class SqrdFactorization:
     orthonormal except at a dead column, where the rank test of
     :func:`sqrd` found the pivot dependent on the columns before it: there Q
     has a zero column and R a zero row. ``perm[i]`` is the original column
-    processed at step i. :func:`factorize_blocks` returns a stack of
-    factors, with the input's leading axes on every field (``q[k]``,
-    ``r[k]``, ``perm[k]`` factor block k), and :func:`sqrd`, its call on a
-    stack of one, one matrix's factors. :func:`baseline_factorization`
+    processed at step i. :func:`factorize_blocks` keeps its input's
+    leading axes on every field: a stack's ``q[k]``, ``r[k]`` and
+    ``perm[k]`` factor block k. :func:`baseline_factorization`
     factors the MMSE extension F = [H; sqrt(N0) * I], or a stack of them,
     and keeps only the top rows of Q, those that apply to received data: its
     ``q`` is the top block of an orthonormal matrix and is not orthonormal
@@ -100,15 +99,14 @@ def sqrd(f: np.ndarray) -> SqrdFactorization:
     row of R, so F[:, perm] = Q @ R still holds to that tolerance, and it
     leaves the residual of the other columns as it was.
 
-    It is :func:`factorize_blocks` of a one-matrix stack, whose docstring
-    fixes the arithmetic; ``tests/oracles.py::sqrd_ref`` is the serial
-    reference that both match bit for bit. No sweep calls it.
+    It is :func:`factorize_blocks` of the matrix, whose docstring fixes the
+    arithmetic; ``tests/oracles.py::sqrd_ref`` is the serial reference that
+    it matches bit for bit. No sweep calls it.
     """
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
         raise ValueError(f"expected a tall or square matrix, got shape {f.shape}")
-    fact = factorize_blocks(f[None])
-    return SqrdFactorization(q=fact.q[0], r=fact.r[0], perm=fact.perm[0])
+    return factorize_blocks(f)
 
 
 def _require_finite(r: np.ndarray, z: np.ndarray) -> None:
@@ -331,16 +329,15 @@ def exhaustive_ml(y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def factorize_blocks(blocks, out=None) -> SqrdFactorization:
-    """Sorted QR of every block of a (..., K, MR, MT) stack, computed once per channel realization.
+    """Sorted QR of one tall matrix or of every block of a (..., rows, cols) stack.
 
     Runs modified Gram-Schmidt with :func:`sqrd`'s min-norm pivoting and
     rank test on all blocks at once and returns the factors with the input's
-    leading axes: ``q`` (..., K, MR, MT), ``r`` (..., K, MT, MT) and
-    ``perm`` (..., K, MT), all C-contiguous; the input is not modified unless
-    it is ``out``'s ``q``. A chunk of realizations comes as a (C, K, MR, MT)
-    stack, or as a list of C per-realization (K, MR, MT) stacks, whose one
-    input copy is then also the stacking copy. Empty blocks, with no rows
-    or no columns, factor too.
+    leading axes: ``q`` (..., rows, cols), ``r`` (..., cols, cols) and
+    ``perm`` (..., cols), all C-contiguous; the input is not modified unless
+    it is ``out``'s ``q``. A realization's K blocks come as a (K, MR, MT)
+    stack, a chunk's as (C, K, MR, MT), and blocks with no rows or no
+    columns factor too.
 
     Pivot ties are structural, not rare. Within an antenna, the columns of
     an ICI-free per-subcarrier block have equal norms in exact arithmetic;
@@ -375,7 +372,7 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     column by column through one (blocks, MR) buffer allocated per call, so
     no temporary is as large as the stack and a call allocates no more than
     its factors and their input copy. Where it holds fewer, as the dense
-    baseline's chunk of MMSE extensions and :func:`sqrd`'s one matrix do,
+    baseline's chunk of MMSE extensions and a single matrix do,
     each step's update is one broadcast product
     ``q_i[:, :, None] * proj[:, None, :]``, which replaces up to MT - 1
     calls, through one buffer of at most (blocks, MR, MT - 1). numpy's
@@ -384,41 +381,38 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
     full_proposed the broadcast product ran 3-10 % slower than the column
     loop. ``out=(q, r)`` takes the factors' allocation away: C-contiguous
     complex arrays of the factors' shapes that receive the input copy,
-    factored in place, and R, and are returned as ``q`` and ``r``. As with
-    numpy's ``out``, ``q`` may be the input itself, and a caller can pass
-    the same buffers, or leading-axis views of them, to every call; R is
-    zeroed first, so nothing of an earlier call's factors is left, and ``q``
-    and ``r`` must not share memory. A block's dead columns get a zero
+    factored in place, and R, and are returned as ``q`` and ``r``; without
+    it the call allocates the two and runs the same path. As with numpy's
+    ``out``, ``q`` may be the input itself, and a caller can pass the same
+    buffers, or leading-axis views of them, to every call; R is zeroed
+    first, so nothing of an earlier call's factors is left, and ``q`` and
+    ``r`` must not share memory. A block's dead columns get a zero
     column of Q before the projection, so their row of R is zero and their
     update subtracts zeros. Every step runs the same statements, the first
     and the last column's included, where the R swap and the projection
     take empty slices; the branches left skip the swap when no block
     pivots, so that the step takes its pivot columns as one slice copy
     instead of a gather, and pick the update's form.
-    :func:`baseline_factorization` factors the dense baseline's extensions
-    here.
     """
-    stack = np.array(blocks, dtype=complex, order="C") if out is None else np.asarray(blocks)
-    if stack.ndim < 3 or stack.shape[-2] < stack.shape[-1]:
-        raise ValueError(f"expected a (..., K, rows, cols) stack of tall blocks, got {stack.shape}")
+    stack = np.asarray(blocks)
+    if stack.ndim < 2 or stack.shape[-2] < stack.shape[-1]:
+        raise ValueError(f"expected a tall matrix or a stack of them, got shape {stack.shape}")
     lead, (m, n) = stack.shape[:-2], stack.shape[-2:]
     if out is None:
-        r_out = np.zeros(lead + (n, n), dtype=complex)
-    else:
-        q_out, r_out = out
-        for name, a, shape in (("q", q_out, stack.shape), ("r", r_out, lead + (n, n))):
-            if not (
-                isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
-                and a.flags.c_contiguous and a.flags.writeable
-            ):
-                raise ValueError(f"out's {name} must be a writable C-contiguous complex {shape} array")
-        if np.shares_memory(q_out, r_out):  # zeroing R would wipe the copied blocks
-            raise ValueError("out's q and r must not share memory")
-        q_out[...] = stack  # copies nothing when q is the input itself
-        r_out[...] = 0.0
-        stack = q_out
+        out = np.empty(stack.shape, dtype=complex), np.empty(lead + (n, n), dtype=complex)
+    q_out, r_out = out
+    for name, a, shape in (("q", q_out, stack.shape), ("r", r_out, lead + (n, n))):
+        if not (
+            isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
+            and a.flags.c_contiguous and a.flags.writeable
+        ):
+            raise ValueError(f"out's {name} must be a writable C-contiguous complex {shape} array")
+    if np.shares_memory(q_out, r_out):  # zeroing R would wipe the copied blocks
+        raise ValueError("out's q and r must not share memory")
+    q_out[...] = stack  # copies nothing when q is the input itself
+    r_out[...] = 0.0
     n_blk = math.prod(lead)
-    v = stack.reshape(n_blk, m, n)
+    v = q_out.reshape(n_blk, m, n)
     r = r_out.reshape(n_blk, n, n)
     perm = np.tile(np.arange(n), (n_blk, 1))
     # the rows one by one, as np.sum(..., axis=0) adds a matrix's rows
@@ -469,7 +463,42 @@ def factorize_blocks(blocks, out=None) -> SqrdFactorization:
             for c in range(i + 1, n):
                 v[:, :, c] -= np.multiply(q_i, proj[:, c - i - 1, None], out=upd)
         norms_sq[:, i + 1 :] = np.maximum(norms_sq[:, i + 1 :] - np.abs(proj) ** 2, 0.0)
-    return SqrdFactorization(q=stack, r=r_out, perm=perm.reshape(lead + (n,)))
+    return SqrdFactorization(q=q_out, r=r_out, perm=perm.reshape(lead + (n,)))
+
+
+def _rotated_chunk(y, factors: SqrdFactorization, ndim: int) -> tuple:
+    """Both detectors' input as a chunk: Q^H y, R and perm, and the decisions' stacking.
+
+    ``factors`` are one realization's, whose ``q`` has ``ndim`` axes ending
+    in a system's (rows, cols), or a chunk of C realizations' with one axis
+    more in front. An observation holds each system's rows of received
+    samples in turn; one realization takes one or a (B, ...) stack of them,
+    a chunk a (C, B, ...) stack. Returns z (C, B, ..., cols) and R and perm
+    with the chunk axis in front, C = 1 for one realization, and ``y``'s
+    shape without its last axis. Q^H y is one ``np.matmul`` per
+    realization, each observation's own gemv, so only one realization's Q
+    is conjugated at a time. Raises ``ValueError`` when the shapes do not
+    match and, checked once per chunk, on a non-finite entry of ``y`` or R.
+    """
+    q, r, perm = factors.q, factors.r, factors.perm
+    y = np.asarray(y)
+    if q.ndim == ndim:  # one realization: a chunk of one
+        shaped = y.ndim in (1, 2)
+        q, r, perm = q[None], r[None], perm[None]
+    else:
+        shaped = q.ndim == ndim + 1 and y.ndim == 3 and len(y) == len(q)
+    n_samples = math.prod(q.shape[1:-1])
+    if not shaped or y.shape[-1] != n_samples:
+        raise ValueError(
+            f"observation length does not match the factors of shape {factors.q.shape}: "
+            f"expected {n_samples} received samples, got shape {y.shape}"
+        )
+    _require_finite(r, y)
+    stack = y.reshape(len(q), y.shape[-2] if y.ndim > 1 else 1, *q.shape[1:-1], 1)
+    z = np.empty(stack.shape[:-2] + (q.shape[-1], 1), dtype=complex)
+    for q_c, y_c, z_c in zip(q, stack, z):
+        np.matmul(q_c.conj().swapaxes(-1, -2), y_c, out=z_c)
+    return z[..., 0], r, perm, y.shape[:-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as the decoder's Python floats
@@ -567,11 +596,10 @@ def detect_proposed(
     Returns the detected data, T*D symbols per observation, with the
     input's stacking. A chunk of C realizations passes (C, K, ...) factors
     and a (C, B, K*M*R) ``ybar`` and gets (C, B, T*D), realization c's
-    result equal to its own call's bit for bit. The rotated observations
-    Q_k^H ybar_k are formed in one batched product per realization, so no
-    conjugated copy of the whole chunk's Q is made. The C*B*K subproblems
-    of size MT then run one vectorized first descent of the sphere decoder
-    (:func:`_first_descent`). Each subproblem it cannot certify resumes the
+    result equal to its own call's bit for bit. :func:`_rotated_chunk`
+    reads the input, as for the dense baseline, and forms Q_k^H ybar_k one
+    realization at a time. The C*B*K subproblems of size MT then run one
+    vectorized first descent of the sphere decoder (:func:`_first_descent`). Each subproblem it cannot certify resumes the
     scalar search at the first leaf, with that leaf's metric as the radius
     and every level above on its second child, so no subproblem runs its
     first descent twice; one whose leaf metric overflows runs from scratch,
@@ -584,33 +612,17 @@ def detect_proposed(
     node/CM counts are those of one sphere-decoder call per subproblem. All
     decisions go to data order in one scatter through the filter's
     :func:`data_permutation` map. The QR is plain and unregularized, so no
-    noise power enters. Raises ``ValueError`` on a non-finite entry of
-    ``ybar`` or of the triangular factors, when the factors' column count
-    is not a multiple of M, and when ``ybar``'s shape does not match the
-    factors'.
+    noise power enters. Raises ``ValueError`` as :func:`_rotated_chunk`
+    does, and when the factors are not K blocks of whole M-column groups.
     """
     k_sc, m_ss = f.n_subcarriers, f.n_subsymbols
-    q, r, perm = factors.q, factors.r, factors.perm
+    q = factors.q
     if q.ndim not in (3, 4) or q.shape[-3] != k_sc or q.shape[-1] % m_ss:
         raise ValueError(
             f"expected a stack of {k_sc} block factorizations of M*T columns, got shape {q.shape}"
         )
-    rows, cols = q.shape[-2:]
-    ybar = np.asarray(ybar)
-    if q.ndim == 3:  # one realization: a chunk of one
-        shaped = ybar.ndim in (1, 2)
-        q, r, perm = q[None], r[None], perm[None]
-    else:
-        shaped = ybar.ndim == 3 and len(ybar) == len(q)
-    if not shaped or ybar.shape[-1] != k_sc * rows:
-        raise ValueError("observation length does not match the block system")
-    _require_finite(r, ybar)
-    n_real = len(q)
-    stack = ybar.reshape(n_real, -1, k_sc, rows, 1)
-    z = np.empty(stack.shape[:-2] + (cols, 1), dtype=complex)
-    for q_c, y_c, z_c in zip(q, stack, z):  # conjugates one realization's Q at a time
-        np.matmul(q_c.conj().swapaxes(-1, -2), y_c, out=z_c)
-    z = z[..., 0]
+    z, r, perm, lead = _rotated_chunk(ybar, factors, 3)
+    n_real, n_obs, _, cols = z.shape
     idx, certified, child, partial, leaf = _first_descent(r[:, None], z)
     n_desc, nodes, cms = int(np.count_nonzero(certified)), 0, 0
     for c in range(n_real):
@@ -634,12 +646,12 @@ def detect_proposed(
         # each first descent once: n nodes, n(n - 1)/2 products and 4n candidates
         stats.sd_nodes_visited += nodes + n_desc * cols
         stats.cm_count += cms + n_desc * (cols * (cols - 1) // 2 + len(QPSK) * cols)
-    s = QPSK[idx].reshape(n_real, stack.shape[1], -1)
+    s = QPSK[idx].reshape(n_real, n_obs, k_sc * cols)
     # step i of block k decided the symbol at data position pos[c, k, i]
     pos = np.take_along_axis(data_permutation(f, cols // m_ss)[None], perm, -1)
     d_hat = np.empty_like(s)
     np.put_along_axis(d_hat, pos.reshape(n_real, 1, -1), s, -1)
-    return d_hat.reshape(ybar.shape[:-1] + (-1,))
+    return d_hat.reshape(lead + (k_sc * cols,))
 
 
 def baseline_factorization(h_full: np.ndarray, noise_power: float, out=None) -> SqrdFactorization:
@@ -654,29 +666,30 @@ def baseline_factorization(h_full: np.ndarray, noise_power: float, out=None) -> 
 
     ``h_full`` is one RD x TD matrix or a (..., RD, TD) stack, and the
     factors keep its leading axes. The extensions are written into one
-    (..., RD + TD, TD) array and factored there in one
-    :func:`factorize_blocks` call, which factors each matrix on its own, so
-    every matrix's factors equal ``sqrd`` of its extension bit for bit.
-    ``out=(ext, r)`` takes that array and R from the caller, C-contiguous
-    complex arrays of those shapes, as a sweep passes one workspace, or
-    leading-axis views of it, to every chunk; ``h_full`` may be the view of
-    ``ext``'s top RD rows, which is then not copied.
+    (..., RD + TD, TD) array and factored there, in place, by one
+    :func:`factorize_blocks` call, so every matrix's factors equal ``sqrd``
+    of its extension bit for bit. ``out=(ext, r)`` takes that array and R
+    from the caller, C-contiguous complex arrays of those shapes, as a sweep
+    passes one workspace, or leading-axis views of it, to every chunk;
+    ``h_full`` may be the view of ``ext``'s top RD rows, which is then not
+    copied. Raises ``ValueError`` unless 0 <= ``noise_power`` < inf, as
+    :func:`gfdmsim.channel.apply_channel` does.
     """
+    if not 0.0 <= noise_power < math.inf:
+        raise ValueError(f"noise power must be finite and nonnegative, got {noise_power}")
     h_full = np.asarray(h_full)
     if h_full.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {h_full.shape}")
     lead, (rd, n) = h_full.shape[:-2], h_full.shape[-2:]
     if out is None:
-        ext, r = np.empty(lead + (rd + n, n), dtype=complex), np.empty(lead + (n, n), dtype=complex)
-    else:
-        ext, r = out
-        if np.shape(ext) != lead + (rd + n, n):
-            raise ValueError(f"out's extension must have shape {lead + (rd + n, n)}")
+        out = np.empty(lead + (rd + n, n), dtype=complex), np.empty(lead + (n, n), dtype=complex)
+    ext = out[0]
+    if np.shape(ext) != lead + (rd + n, n):
+        raise ValueError(f"out's extension must have shape {lead + (rd + n, n)}")
     ext[..., :rd, :] = h_full  # copies nothing when h_full is this view of ext
     ext[..., rd:, :] = math.sqrt(noise_power) * np.eye(n, dtype=complex)
-    stack = ext[None]  # a stack of blocks, as factorize_blocks takes it
-    fact = factorize_blocks(stack, out=(stack, r[None]))
-    return SqrdFactorization(q=ext[..., :rd, :], r=r, perm=fact.perm[0])
+    fact = factorize_blocks(ext, out=out)  # in place: q is the extension itself
+    return SqrdFactorization(q=fact.q[..., :rd, :], r=fact.r, perm=fact.perm)
 
 
 def detect_baseline_near_ml(
@@ -697,35 +710,21 @@ def detect_baseline_near_ml(
     The triangular system is processed bottom-up in groups of
     ``group_size`` symbols (TD gives one single group, i.e. exact ML on the
     rotated system): each group is sphere-decoded jointly, then cancelled
-    from the remaining rows. Each group runs once for all C*B observations:
-    Q^H y and each cancellation are one stacked matrix-vector ``np.matmul``,
-    which makes each observation's own gemv, R's group block becomes Python
-    lists once per realization, shared by its blocks, and each observation
+    from the remaining rows. :func:`_rotated_chunk` reads the input and
+    forms Q^H y. Each group runs once for all C*B observations: each
+    cancellation is one stacked matrix-vector ``np.matmul``, which makes
+    each observation's own gemv, R's group block becomes Python lists once
+    per realization, shared by its blocks, and each observation
     runs the scalar search of :func:`sphere_decode` on them, so decisions and
     node/CM counts are those of one ``sphere_decode`` call per (group,
-    observation). The finiteness check runs once, on the whole chunk.
-    Raises ``ValueError`` on a group size that is not a positive integer, on
-    a non-finite entry of ``y`` or of the triangular factors, and when
-    ``y``'s shape does not match the factors'.
+    observation). Raises ``ValueError`` as :func:`_rotated_chunk` does,
+    and on a group size that is not a positive integer.
     """
-    q, r, perm = factor.q, factor.r, factor.perm
-    y = np.asarray(y)
-    if q.ndim not in (2, 3):
-        raise ValueError(f"expected a factor or a stack of them, got shape {q.shape}")
-    n_obs, n = q.shape[-2:]
-    if q.ndim == 2:  # one realization: a chunk of one
-        shaped = y.ndim in (1, 2)
-        q, r, perm = q[None], r[None], perm[None]
-    else:
-        shaped = y.ndim == 3 and len(y) == len(q)
-    if not shaped or y.shape[-1] != n_obs:
-        raise ValueError(f"expected {n_obs} received samples or a stack of them, got {y.shape}")
     group = _integer("group size", group_size)
     if group < 1:
         raise ValueError("group size must be positive")
-    _require_finite(r, y)
-    stack = y.reshape(len(q), -1, n_obs, 1)
-    z = np.matmul(q.conj().swapaxes(-1, -2)[:, None], stack)[..., 0]
+    z, r, perm, lead = _rotated_chunk(y, factor, 2)
+    n = z.shape[-1]
     s_sorted = np.zeros(z.shape, dtype=complex)
     nodes = cms = 0
     for hi in range(n, 0, -group):
@@ -745,7 +744,7 @@ def detect_baseline_near_ml(
         stats.sd_nodes_visited += nodes
         stats.cm_count += cms
     d_hat = np.take_along_axis(s_sorted, np.argsort(perm)[:, None], -1)
-    return d_hat.reshape(y.shape[:-1] + (n,))
+    return d_hat.reshape(lead + (n,))
 
 
 def detect_ofdm(

@@ -128,7 +128,7 @@ def sign_flip_p_value(diffs) -> float:
 
 
 # The serial reference for gfdmsim.detect.factorize_blocks, and so for sqrd,
-# its call on a stack of one: the textbook loop in the same arithmetic, so
+# its call on one matrix: the textbook loop in the same arithmetic, so
 # every block's q, r and perm, dead columns included, must match it bit for
 # bit.
 def sqrd_ref(f: np.ndarray) -> SqrdFactorization:

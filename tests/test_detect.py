@@ -20,6 +20,7 @@ from gfdmsim.decoupling import compute_blocks, data_permutation, receive_transfo
 from gfdmsim.detect import (
     QPSK,
     DetectionStats,
+    SqrdFactorization,
     _first_descent,
     _order,
     _row_lists,
@@ -190,6 +191,13 @@ def test_baseline_factorization_zero_matrix():
     npt.assert_allclose(fact.r, 0.5 * np.eye(3), atol=1e-12)
 
 
+def test_baseline_factorization_rejects_a_noise_power_apply_channel_rejects():
+    # sqrt(-1) is a domain error, and inf or NaN would make non-finite factors
+    for n0 in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise power must be finite and nonnegative"):
+            baseline_factorization(np.eye(2, dtype=complex), n0)
+
+
 def test_baseline_factorization_normal_equations():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -304,7 +312,7 @@ def test_factorize_blocks_matches_sqrd_bit_for_bit(k, m, t, r, window):
         blocks = compute_blocks(generate_channel(t, r, np.random.default_rng(seed), k * m), filt)
         for source in (blocks, with_dead_columns(blocks)):
             chunk = np.stack([source, source[::-1]])  # two realizations
-            for stack in (chunk, source, np.asfortranarray(source)):
+            for stack in (chunk, source[-1], source, np.asfortranarray(source)):  # a matrix too
                 before = stack.tobytes()
                 serial = [sqrd_ref(b) for b in stack.reshape(-1, *stack.shape[-2:])]
                 stacked = factorize_blocks(stack)
@@ -758,6 +766,27 @@ def test_first_descent_keeps_its_memory_budget():
     assert peak < 0.717e6
 
 
+def test_detect_baseline_keeps_its_memory_budget():
+    # one call on a desk_baseline_rc chunk, 8 realizations of 2 blocks through
+    # a 64 x 64 system: conjugating one realization's Q at a time, its traced
+    # peak reads 0.087 MB; the bound is about twice that, which the
+    # conjugated copy of the whole chunk's Q it made before (0.656 MB) exceeds
+    filt = rc_filter(16, 2, 0.9)
+    a = build_transmitter_matrix(filt)
+    rng = np.random.default_rng(8)
+    chans = [generate_channel(2, 2, rng, 32) for _ in range(8)]
+    fact = baseline_factorization(np.stack([assemble_full_matrix(ch, a) for ch in chans]), 0.1)
+    y = np.matmul(fact.q, QPSK[rng.integers(0, 4, (8, 64, 2))]).swapaxes(1, 2)
+    y = y + 0.1 * random_complex(y.shape, rng)
+    tracemalloc.start()
+    try:
+        detect_baseline_near_ml(y, fact, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6
+
+
 def test_sphere_decode_rejects_bad_shapes():
     with pytest.raises(ValueError, match="1-D"):
         sphere_decode(np.zeros((0, 0)), np.zeros(0, dtype=complex))
@@ -874,6 +903,25 @@ def test_detect_proposed_noiseless():
     odd = factorize_blocks(random_complex((4, 4, 3), rng))  # 3 columns: not whole M = 2 groups
     with pytest.raises(ValueError, match="M\\*T columns"):
         detect_proposed(ybar, odd, filt)
+
+
+def test_receivers_pass_a_stack_of_no_blocks():
+    # B = 0 blocks go through the whole chain to no decisions, alone and in a
+    # chunk of two realizations, as a sweep's shapes do for any B
+    filt, ch, factors = proposed_setup(4, 2, 2, 2, seed=10)
+    fact = baseline_factorization(assemble_full_matrix(ch, build_transmitter_matrix(filt)), 0.1)
+    n = 2 * filt.length  # T*D decisions and R*D received samples per block
+    y = apply_channel(fast_modulate(np.zeros((0, 2, filt.length), dtype=complex), filt), ch, 0.1, [])
+    ybar = receive_transform(y, filt)
+    assert y.shape == (0, 2, filt.length) and ybar.shape == (0, n)
+    assert detect_proposed(ybar, factors, filt).shape == (0, n)
+    assert detect_baseline_near_ml(y.reshape(0, n), fact, 4).shape == (0, n)
+
+    def two(g):  # the same realization twice, as a chunk
+        return SqrdFactorization(*(np.stack([a, a]) for a in (g.q, g.r, g.perm)))
+
+    assert detect_proposed(np.stack([ybar] * 2), two(factors), filt).shape == (2, 0, n)
+    assert detect_baseline_near_ml(np.zeros((2, 0, n)), two(fact), 4).shape == (2, 0, n)
 
 
 def assert_chunk_matches_per_realization_calls(filt, t, r, n_blocks, snr_db, n_real):
