@@ -61,37 +61,43 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or violated constraints."""
 
 
-def _check_rolloff(alpha: float | None) -> float:
-    """``alpha``, the roll-off of a baseline_rc scheme; ConfigError unless it lies in [0, 1]."""
-    if alpha is None or not 0.0 <= alpha <= 1.0:
+def _check_rolloff(scheme: str, alpha: float | None) -> float | None:
+    """``alpha`` if ``scheme`` takes it: baseline_rc alone takes a roll-off, one in [0, 1].
+
+    ConfigError "scheme '<name>' takes no roll-off, got <alpha>" for one on another scheme,
+    "scheme 'baseline_rc' needs a roll-off in [0, 1], got <alpha>" for none or one outside.
+    """
+    if scheme != "baseline_rc" and alpha is not None:
+        raise ConfigError(f"scheme '{scheme}' takes no roll-off, got {alpha}")
+    if scheme == "baseline_rc" and (alpha is None or not 0.0 <= alpha <= 1.0):
         raise ConfigError(f"scheme 'baseline_rc' needs a roll-off in [0, 1], got {alpha}")
     return alpha
 
 
 def parse_scheme(text: str) -> tuple[str, float | None]:
-    """Split a scheme spec like 'baseline_rc(0.9)' into (name, roll-off).
+    """Split a spec 'name' or 'name(alpha)', name in SCHEMES, into (name, roll-off).
 
-    Schemes without a roll-off return None; a bare 'baseline_rc' gets the
-    default roll-off of 0.9.
+    A bare 'baseline_rc' takes the default roll-off 0.9; a roll-off passes :func:`_check_rolloff`.
+    ConfigError "unknown scheme ..." for another form, "invalid roll-off ..." for a non-number.
     """
     text = text.strip()
-    match = re.fullmatch(r"baseline_rc\(([^)]+)\)", text)
-    if match:
-        try:
-            alpha = float(match.group(1))
-        except ValueError:
-            raise ConfigError(f"invalid roll-off in scheme '{text}'") from None
-        return "baseline_rc", _check_rolloff(alpha)
-    if text == "baseline_rc":
-        return "baseline_rc", DEFAULT_RC_ROLLOFF
-    if text in SCHEMES:
-        return text, None
-    raise ConfigError(f"unknown scheme '{text}' (expected one of {', '.join(SCHEMES)})")
+    match = re.fullmatch(r"(\w+)(?:\(([^)]+)\))?", text)
+    if match is None or match[1] not in SCHEMES:
+        raise ConfigError(f"unknown scheme '{text}' (expected one of {', '.join(SCHEMES)})")
+    name, body = match.groups()
+    try:
+        alpha = float(body) if body else DEFAULT_RC_ROLLOFF if name == "baseline_rc" else None
+    except ValueError:
+        raise ConfigError(f"invalid roll-off in scheme '{text}'") from None
+    return name, _check_rolloff(name, alpha)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a sweep depends on; two equal configs produce identical output."""
+    """Everything a sweep depends on; two equal configs produce identical output.
+
+    ``alpha`` is the raised-cosine roll-off, baseline_rc's alone (:func:`_check_rolloff`).
+    """
 
     scheme: str
     n_subcarriers: int
@@ -110,14 +116,10 @@ class SimConfig:
         return self.n_subcarriers * self.n_subsymbols
 
     def filter_label(self) -> str:
-        if self.scheme == "baseline_rc":
-            return f"rc({self.alpha:g})"
-        return "dirichlet"
+        return "dirichlet" if self.alpha is None else f"rc({self.alpha:g})"
 
     def scheme_spec(self) -> str:
-        if self.scheme == "baseline_rc":
-            return f"baseline_rc({self.alpha!r})"
-        return self.scheme
+        return self.scheme if self.alpha is None else f"{self.scheme}({self.alpha!r})"
 
     def __post_init__(self):
         """Check every field and the cross-field constraints; raises ConfigError on violation.
@@ -165,10 +167,7 @@ class SimConfig:
             )
         if self.alpha is not None:
             object.__setattr__(self, "alpha", _real("roll-off", self.alpha))
-        if self.scheme != "baseline_rc" and self.alpha is not None:
-            raise ConfigError(f"scheme '{self.scheme}' takes no roll-off, got {self.alpha}")
-        if self.scheme == "baseline_rc":
-            _check_rolloff(self.alpha)
+        _check_rolloff(self.scheme, self.alpha)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string or None, got {self.out!r}")
 
@@ -460,7 +459,7 @@ def run_sweep(cfg: SimConfig) -> list[TrialRecord]:
     """
     k_sc, m_ss = cfg.n_subcarriers, cfg.n_subsymbols
     n_tx, n_rx, d = cfg.n_tx, cfg.n_rx, cfg.block_len
-    if cfg.scheme == "baseline_rc":
+    if cfg.alpha is not None:
         filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
     else:
         filt = waveform.dirichlet_filter(k_sc, m_ss)

@@ -433,7 +433,8 @@ def run_sweep_ref(cfg: simulate.SimConfig) -> list[simulate.TrialRecord]:
         filt = waveform.rc_filter(k_sc, m_ss, cfg.alpha)
     else:
         filt = waveform.dirichlet_filter(k_sc, m_ss)
-    dense = cfg.scheme in simulate._DENSE_SCHEMES
+    # the two baselines detect on the full matrix; ofdm and proposed_dirichlet per subcarrier
+    dense = cfg.scheme in ("baseline_dirichlet", "baseline_rc")
     a_mat = waveform.build_transmitter_matrix(filt) if dense else None
     blocks = range(cfg.n_blocks)
     records = []

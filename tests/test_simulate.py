@@ -105,12 +105,17 @@ def test_closed_form_is_integer_for_odd_dimensions():
 
 def test_parse_scheme_variants():
     assert parse_scheme("proposed_dirichlet") == ("proposed_dirichlet", None)
+    assert parse_scheme(" proposed_dirichlet ") == ("proposed_dirichlet", None)
     assert parse_scheme("baseline_rc") == ("baseline_rc", 0.9)
     assert parse_scheme("baseline_rc(0.5)") == ("baseline_rc", 0.5)
     with pytest.raises(ConfigError):
         parse_scheme("baseline_rc(1.5)")
-    with pytest.raises(ConfigError):
-        parse_scheme("zf")
+    # a name outside SCHEMES, or parentheses that hold no roll-off
+    for text in ("zf", "baseline_rc()", "baseline_rc(0.5))", "warp(0.5)"):
+        with pytest.raises(ConfigError, match=r"^unknown scheme"):
+            parse_scheme(text)
+    with pytest.raises(ConfigError, match=r"^invalid roll-off in scheme 'baseline_rc\(abc\)'$"):
+        parse_scheme("baseline_rc(abc)")
 
 
 def test_parse_config_minimal_defaults(tmp_path):
@@ -242,21 +247,26 @@ def test_validate_rejects_misplaced_or_out_of_range_rolloff(scheme, alpha):
 
 
 def test_rolloff_fault_reads_the_same_from_a_file_and_the_constructor(tmp_path):
-    path = tmp_path / "sim.cfg"
-    path.write_text(
-        "scheme = baseline_rc(1.5)\nK = 8\nM = 2\nT = 2\nR = 2\n"
-        "snr_db = 0\nn_channels = 1\nn_blocks = 1\n"
-    )
-    message = "scheme 'baseline_rc' needs a roll-off in [0, 1], got 1.5"
-    for build in (
-        lambda: parse_config(str(path)),
-        lambda: small_config(scheme="baseline_rc", alpha=1.5),
-        lambda: parse_scheme("baseline_rc(1.5)"),
-        lambda: closed_form_cm("baseline_rc(1.5)", 8, 2, 2, 2),
+    # an out-of-range roll-off, and a roll-off on a scheme that takes none
+    for scheme, alpha, message in (
+        ("baseline_rc", 1.5, "scheme 'baseline_rc' needs a roll-off in [0, 1], got 1.5"),
+        ("proposed_dirichlet", 0.5, "scheme 'proposed_dirichlet' takes no roll-off, got 0.5"),
     ):
-        with pytest.raises(ConfigError) as caught:
-            build()
-        assert str(caught.value) == message
+        spec = f"{scheme}({alpha})"
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            f"scheme = {spec}\nK = 8\nM = 2\nT = 2\nR = 2\n"
+            "snr_db = 0\nn_channels = 1\nn_blocks = 1\n"
+        )
+        for build in (
+            lambda: parse_config(str(path)),
+            lambda: small_config(scheme=scheme, alpha=alpha),
+            lambda: parse_scheme(spec),
+            lambda: closed_form_cm(spec, 8, 2, 2, 2),
+        ):
+            with pytest.raises(ConfigError) as caught:
+                build()
+            assert str(caught.value) == message
 
 
 def test_ofdm_requires_single_subsymbol():
